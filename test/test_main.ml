@@ -28,4 +28,5 @@ let () =
       ("store", Test_store.suite);
       ("live", Test_live.suite);
       ("tournament", Test_tournament.suite);
+      ("reproduction", Test_reproduction.suite);
     ]
