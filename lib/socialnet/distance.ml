@@ -48,26 +48,55 @@ let shared_interest ds ~exclude a b =
   jaccard_distance ~exclude (Dataset.stories_voted_by ds a)
     (Dataset.stories_voted_by ds b)
 
+(* [shared_interest] from a story's initiator to every user, without a
+   merge per pair: the initiator's ids are counted once into a table
+   over their range, then each user's own ids are scanned against it.
+   On sorted lists the merge pairs equal ids one for one, so an id held
+   [ca] times by the initiator and [cb] times by the user adds
+   [min ca cb] to the intersection and [max ca cb] to the union; the
+   scan counts the same two integers (union = |A| + |B| - intersection),
+   so every distance is the same float.  Story ids are dense in every
+   corpus the repo builds; an initiator whose ids span far more than
+   the corpus keeps the merge instead of a table that size. *)
+let interest_distances ds ~story =
+  let init = story.Types.initiator in
+  let exclude = story.Types.id in
+  let a = Dataset.stories_voted_by ds init in
+  let kept = List.filter (fun x -> x <> exclude) (Array.to_list a) in
+  let na = List.length kept in
+  let lo = List.fold_left Stdlib.min max_int kept in
+  let span = List.fold_left (fun acc x -> Stdlib.max acc (x - lo + 1)) 0 kept in
+  let dense = span <= (2 * Dataset.n_stories ds) + 64 in
+  let counts = Array.make (if dense then span else 0) 0 in
+  if dense then List.iter (fun x -> counts.(x - lo) <- counts.(x - lo) + 1) kept;
+  (* Users with no measurable vote history (beyond the story under
+     study) are outside the metric's universe, like non-voters in the
+     paper's crawl of voters: they get NaN rather than all landing in
+     the farthest group. *)
+  Array.init (Dataset.n_users ds) (fun u ->
+      let b = Dataset.stories_voted_by ds u in
+      let nb = ref 0 and inter = ref 0 and run = ref 0 in
+      Array.iteri
+        (fun j x ->
+          if x <> exclude then begin
+            incr nb;
+            run := if j > 0 && b.(j - 1) = x then !run + 1 else 1;
+            let k = x - lo in
+            if k >= 0 && k < Array.length counts && !run <= counts.(k) then
+              incr inter
+          end)
+        b;
+      if u = init || !nb = 0 then nan
+      else if not dense then jaccard_distance ~exclude a b
+      else
+        let union = na + !nb - !inter in
+        1. -. (float_of_int !inter /. float_of_int union))
+
 type grouping = Equal_width | Quantile
 
 let interest_groups ?(n_groups = 5) ?(grouping = Equal_width) ds ~story =
   if n_groups < 1 then invalid_arg "Distance.interest_groups: n_groups >= 1";
-  let n = Dataset.n_users ds in
-  let init = story.Types.initiator in
-  let exclude = story.Types.id in
-  (* Users with no measurable vote history (beyond the story under
-     study) are outside the metric's universe, like non-voters in the
-     paper's crawl of voters: exclude them rather than piling them all
-     into the farthest group. *)
-  let measurable u =
-    let voted = Dataset.stories_voted_by ds u in
-    Array.exists (fun id -> id <> exclude) voted
-  in
-  let d =
-    Array.init n (fun u ->
-        if u = init || not (measurable u) then nan
-        else shared_interest ds ~exclude init u)
-  in
+  let d = interest_distances ds ~story in
   let observed = Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq d)) in
   let group_of =
     match grouping with

@@ -16,6 +16,12 @@ val shared_interest : Dataset.t -> exclude:int -> int -> int -> float
     does not correlate with itself; pass [-1] to keep everything).
     Two users with no votes at all are at distance [1.]. *)
 
+val interest_distances : Dataset.t -> story:Types.story -> float array
+(** Per user, [shared_interest ds ~exclude:story.id initiator u], bit
+    for bit, computed in one pass over the corpus's votes rather than a
+    merge per user.  NaN for the initiator and for users with no vote
+    other than the story itself (outside the metric's universe). *)
+
 type grouping = Equal_width | Quantile
 
 val interest_groups :

@@ -226,6 +226,56 @@ let prop_jaccard_metric_axioms =
       done;
       !ok)
 
+let prop_interest_distances_match_merge =
+  (* [Distance.interest_distances] replaces a sorted merge per user with
+     a table scan; [shared_interest] (the merge) is the oracle.  Story
+     ids repeat, so vote lists carry repeated ids, and every list can
+     hold the excluded story; one story in four draws a far-off id,
+     which sends initiators that voted on it down the sparse fallback. *)
+  QCheck.Test.make ~count:200 ~name:"interest distances = shared_interest"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of seed in
+      let n = 2 + Rng.int rng 7 in
+      let stories =
+        Array.init (1 + Rng.int rng 9) (fun _ ->
+            let id = if Rng.int rng 4 = 0 then 1_000_000 else Rng.int rng 5 in
+            let initiator = Rng.int rng n in
+            let extras =
+              Array.to_list (Rng.sample_without_replacement rng (Rng.int rng n) n)
+              |> List.filter (fun u -> u <> initiator)
+            in
+            let votes =
+              { Socialnet.Types.user = initiator; time = 0. }
+              :: List.mapi
+                   (fun i u -> { Socialnet.Types.user = u; time = 0.1 +. float_of_int i })
+                   extras
+            in
+            { Socialnet.Types.id; initiator; topic = 0; votes = Array.of_list votes })
+      in
+      let ds =
+        Socialnet.Dataset.make ~follows:(Osn_graph.Digraph.create n) ~stories
+      in
+      Array.for_all
+        (fun (story : Socialnet.Types.story) ->
+          let exclude = story.Socialnet.Types.id in
+          let init = story.Socialnet.Types.initiator in
+          let got = Socialnet.Distance.interest_distances ds ~story in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun u d ->
+                 let measurable =
+                   Array.exists (fun x -> x <> exclude)
+                     (Socialnet.Dataset.stories_voted_by ds u)
+                 in
+                 let expect =
+                   if u = init || not measurable then nan
+                   else Socialnet.Distance.shared_interest ds ~exclude init u
+                 in
+                 Int64.equal (Int64.bits_of_float d) (Int64.bits_of_float expect))
+               got))
+        stories)
+
 let prop_cascade_respects_structure =
   QCheck.Test.make ~count:40 ~name:"cascade voters are valid and sorted"
     QCheck.(int_range 0 1_000_000)
@@ -387,6 +437,7 @@ let suite =
       prop_pagerank_is_distribution;
       prop_k_core_bounded_by_degree;
       prop_jaccard_metric_axioms;
+      prop_interest_distances_match_merge;
       prop_cascade_respects_structure;
       prop_dl_bounds_random_phi;
       prop_dl_monotone_when_lower_solution;
