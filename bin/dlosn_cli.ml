@@ -127,11 +127,11 @@ let no_solver_cache_arg =
     & info [ "no-solver-cache" ]
         ~doc:"Disable the solver fast paths: run the per-step-allocating \
               reference PDE stepper instead of the cached-factorization \
-              workspace, and turn off fitting-objective memoization.  \
-              Results are bit-identical either way; this is an escape \
-              hatch for debugging and benchmarking.  The \
-              $(b,DLOSN_BENCH_REFERENCE_SOLVER) environment variable \
-              disables the workspace path only.")
+              workspace and the fused panel kernel.  Results are \
+              bit-identical either way; this is an escape hatch for \
+              debugging and benchmarking.  The \
+              $(b,DLOSN_BENCH_REFERENCE_SOLVER) environment variable has \
+              the same effect.")
 
 let flame_out_arg =
   Arg.(
@@ -181,10 +181,7 @@ let setup_obs level json metrics_out no_solver_cache flame_out otlp_endpoint
   | None, true -> Obs.Log.set_level (Some Obs.Level.Info)
   | None, false -> ());
   if json then Obs.Log.set_sink Obs.Log.Json;
-  if no_solver_cache then begin
-    Numerics.Pde.set_use_reference_stepper true;
-    Dl.Fit.set_objective_memo false
-  end;
+  if no_solver_cache then Numerics.Pde.set_use_reference_stepper true;
   let otlp_endpoint =
     match otlp_endpoint with
     | Some _ as e -> e

@@ -75,15 +75,6 @@ let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
         [ Obs.Log.str "exn" (Printexc.to_string e) ]);
     infinity
 
-(* Nelder--Mead re-evaluates clamped boundary points often (every
-   vertex pushed past the box collapses onto its projection), so the
-   objective part of the penalised function is memoized per restart.
-   Process-wide toggle for the CLI [--no-solver-cache] hatch. *)
-let memo_enabled = ref true
-let set_objective_memo b = memo_enabled := b
-let objective_memo_enabled () = !memo_enabled
-let memo_capacity = 512
-
 (* --- completed-fit hook (persistence integration) ---
 
    The store layer (lib/store) installs a process-wide observer here so
@@ -113,7 +104,6 @@ let notify_fit ?on_fit ev =
       Obs.Log.warn "fit.on_fit_failed" ~fields:(fun () ->
           [ Obs.Log.str "exn" (Printexc.to_string e) ]))
 
-let m_objective_cache_hits = Obs.Metrics.counter "fit.objective_cache_hits"
 let m_fits = Obs.Metrics.counter "fit.fits"
 let m_warm_starts = Obs.Metrics.counter "fit.warm_starts"
 let m_restarts = Obs.Metrics.counter "fit.restarts"
@@ -168,15 +158,9 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
       ~dt:config.solver_dt ?workspace ~phi ~obs ~fit_times:config.fit_times
       (Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l)
   in
-  (* The PDE-solve part of the penalised function depends only on the
-     clamped parameter vector, so each restart keeps a private bounded
-     memo keyed on it (private per restart: worker domains share no
-     mutable state).  A hit returns the previously computed float, so
-     the optimisation path is bit-identical with the memo on or off —
-     only the solve is skipped.  The penalty is recomputed every call
-     because it depends on the unclamped vector. *)
+  (* The penalised function solves at the clamped parameter vector and
+     adds the penalty of the unclamped one. *)
   let make_f () =
-    let tbl = if !memo_enabled then Some (Hashtbl.create 64) else None in
     (* One panel workspace per restart, captured by the closure: the
        pool hands a restart to exactly one worker domain, so the
        workspace is domain-private, and every objective evaluation of
@@ -187,22 +171,7 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
     fun v ->
       let d = clamp 0 v.(0) and k = clamp 1 v.(1) in
       let a = clamp 2 v.(2) and b = clamp 3 v.(3) and c = clamp 4 v.(4) in
-      let base =
-        match tbl with
-        | None -> objective_at ~workspace ~d ~k ~a ~b ~c ()
-        | Some tbl -> (
-          let key = (d, k, a, b, c) in
-          match Hashtbl.find_opt tbl key with
-          | Some cached ->
-            Obs.Metrics.incr m_objective_cache_hits;
-            cached
-          | None ->
-            let value = objective_at ~workspace ~d ~k ~a ~b ~c () in
-            if Hashtbl.length tbl < memo_capacity then
-              Hashtbl.add tbl key value;
-            value)
-      in
-      base +. penalty_of v
+      objective_at ~workspace ~d ~k ~a ~b ~c () +. penalty_of v
   in
   (* Starting points are drawn sequentially up front, in the same order
      the sequential multi-start used, so the rng stream (and therefore

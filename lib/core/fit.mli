@@ -135,13 +135,3 @@ val objective :
     {!Model.solve} (bit-identical results; {!fit} keeps one per
     restart so every Nelder--Mead evaluation reuses the solver
     buffers). *)
-
-val set_objective_memo : bool -> unit
-val objective_memo_enabled : unit -> bool
-(** Process-wide default for the per-restart objective memo inside
-    {!fit}: Nelder--Mead trial points that clamp onto an
-    already-solved parameter vector reuse the cached objective value
-    (bit-identical — it {e is} the previous float; counted by the
-    [fit.objective_cache_hits] metric).  On by default; the CLI
-    [--no-solver-cache] escape hatch turns it off.  Flip before
-    fitting, not concurrently with one. *)

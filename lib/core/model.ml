@@ -46,20 +46,11 @@ let panel_scheme_of = function
 let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
     ~times =
   check_times times;
-  let fused =
-    match workspace with
-    | None -> None
-    | Some ws -> (
-      match panel_scheme_of scheme with
-      | None -> None (* FTCS sub-steps per-story; no lockstep panel *)
-      | Some ps -> Some (ws, ps))
-  in
-  match fused with
-  | Some (ws, ps) ->
-    (* Width-1 panel through the fused path: bit-identical to the
-       scalar solve below, but the workspace's buffers survive across
-       calls (one factorization block per fit restart instead of per
-       objective evaluation). *)
+  match panel_scheme_of scheme with
+  | Some ps ->
+    (* Strang and Crank--Nicolson run the fused kernel at width 1: on the
+       caller's workspace (its buffers survive across calls — one per
+       fit restart), or on private buffers counted as a plain solve. *)
     let pp =
       {
         Pde.pp_xl = params.Params.l;
@@ -69,9 +60,14 @@ let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
         pp_stories = [| panel_story_of params ~phi |];
       }
     in
-    let sols = Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times in
-    { params; pde = sols.(0) }
+    let pde =
+      match workspace with
+      | Some ws -> (Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times).(0)
+      | None -> Pde.solve_story ~scheme:ps ~dt pp ~times
+    in
+    { params; pde }
   | None ->
+    (* FTCS sub-steps below each story's CFL limit: scalar solver *)
     let p =
       {
         Pde.xl = params.Params.l;
@@ -83,17 +79,7 @@ let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
         t0 = 1.;
       }
     in
-    let pde_scheme =
-      match scheme with
-      | Ftcs -> Pde.Ftcs
-      | Crank_nicolson -> Pde.Imex 0.5
-      | Strang ->
-        Pde.Strang
-          (Pde.logistic_reaction_step
-             ~r:(Growth.eval params.Params.r)
-             ~k:params.Params.k)
-    in
-    { params; pde = Pde.solve ~scheme:pde_scheme ~dt p ~times }
+    { params; pde = Pde.solve ~scheme:Pde.Ftcs ~dt p ~times }
 
 let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
     ~times =

@@ -22,12 +22,14 @@ val solve :
     time (all must be [>= 1]).  Defaults: [Strang], [nx = 101] grid
     points, [dt = 0.01] hours.
 
-    With [?workspace] (and a non-FTCS scheme) the solve runs as a
-    width-1 panel through {!Numerics.Pde.solve_panel} — bit-identical
-    output, but the solver buffers are reused across calls sharing the
-    workspace instead of being reallocated per solve.  Pass one
-    workspace per fit restart / pool worker; never share one across
-    domains concurrently. *)
+    [Strang] and [Crank_nicolson] run the fused panel kernel at width
+    1, bit-identical to the scalar {!Numerics.Pde.solve}: with
+    [?workspace] through {!Numerics.Pde.solve_panel}, reusing the
+    workspace's buffers across calls, and otherwise through
+    {!Numerics.Pde.solve_story} on private buffers.  Pass one workspace
+    per fit restart / pool worker; never share one across domains
+    concurrently.  [Ftcs] runs the scalar solver and ignores
+    [?workspace]. *)
 
 val solve_panel :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->
@@ -35,9 +37,9 @@ val solve_panel :
   (Params.t * Initial.t) array -> times:float array -> solution array
 (** Fused multi-story solve: every story (params, initial profile)
     must share the domain [(l, L)] ([Invalid_argument] otherwise); all
-    stories advance in lockstep through one batched Thomas sweep per
-    step.  Each element of the result is bit-identical to {!solve} on
-    that story alone.  FTCS falls back to per-story solves (its CFL
+    stories advance in lockstep through the fused panel kernel.  Each
+    element of the result is bit-identical to {!solve} on that story
+    alone.  FTCS falls back to per-story solves (its CFL
     sub-stepping is per-story). *)
 
 val solve_extended :

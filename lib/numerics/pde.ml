@@ -365,17 +365,22 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
 (* --- fused panel path -------------------------------------------- *)
 
 (* A panel steps S problems sharing (domain, grid, t0, dt, scheme)
-   through the time loop in lockstep: one batched Thomas sweep per
-   step services every story with contiguous inner-loop access
-   (structure-of-arrays [Tridiag.panel]s, story-major rows), the
-   x-independent per-step scalars (r(t), Simpson integrals of r, their
-   exponentials) are hoisted out of the cell loops once per story, and
-   the [Logistic]/[Linear] reactions run as unboxed float arithmetic.
-   Column [s] of the result is bit-identical to [solve] on story [s]
-   alone — the loop interchange never mixes stories, the hoisted
-   scalars are exactly the values the scalar path computes per cell
-   (or memoizes, for the Strang Simpson integral), and every batched
-   kernel replicates its scalar counterpart's operation order. *)
+   through the time loop in lockstep.  Every per-cell buffer is one flat
+   float array, cell [i] of story [s] at [i * ns + s], and each step is
+   two sweeps over the cells, stories innermost (independent stories
+   interleave, hiding the Thomas recurrence's latency): an ascending
+   pass does the first half-reaction (IMEX: the whole RK2 reaction
+   increment), the explicit Crank--Nicolson product and the forward
+   Thomas sweep; a descending pass back-substitutes and applies the
+   second half-reaction, writing the next state over the current one.
+   The x-independent per-step scalars (r(t), Simpson integrals of r,
+   their exponentials) are computed once per story, and the
+   [Logistic]/[Linear] reactions run as unboxed float arithmetic.
+   Story [s] of the result is bit-identical to [solve] on story [s]
+   alone: the sweeps fuse the scalar stepper's loops but perform each
+   story's floating-point operations in the same order, and the hoisted
+   scalars are exactly the values the scalar path computes per cell (or
+   memoizes, for the Strang Simpson integral). *)
 
 type panel_story = {
   ps_diffusion : float -> float;
@@ -410,6 +415,9 @@ let problem_of_story pp st =
    derivable flow, so it is rejected (use [Panel_imex], where the
    closure path applies, or the scalar [solve] with an explicit
    [Strang] step). *)
+let strang_needs_flow () =
+  invalid_arg "Pde.solve_panel: Strang panels need a Logistic or Linear reaction"
+
 let scalar_scheme_of_story scheme st =
   match scheme with
   | Panel_imex theta -> Imex theta
@@ -417,60 +425,49 @@ let scalar_scheme_of_story scheme st =
     match st.ps_reaction with
     | Logistic { r; k } -> Strang (logistic_reaction_step ~r ~k)
     | Linear { r } -> Strang (linear_reaction_step ~r)
-    | Custom _ ->
-      invalid_arg
-        "Pde.solve_panel: Strang panels need a Logistic or Linear reaction")
+    | Custom _ -> strang_needs_flow ())
 
-(* Reaction tags for the per-cell dispatch (int match, no closure). *)
-let tag_logistic = 0
-let tag_linear = 1
-let tag_custom = 2
-
-(* All the panel buffers for one (nx, stories) shape.  Everything is
-   rebuilt per solve except the allocations themselves; [pb_ops_dt]
-   tracks which step size the shifted operators + factorization
-   currently hold (NaN = none), so ragged final partial steps refill
-   the same buffers and the macro ops are restored on the next full
-   step. *)
+(* All the flat buffers for one (nx, stories) shape.  Only the
+   allocations survive across solves; [pb_ops_dt] records the step size
+   the shifted operators and factorization currently hold (NaN = none),
+   so a ragged final partial step refills them and the next full step
+   restores the macro ones. *)
 type panel_bufs = {
   pb_nx : int;
   pb_ns : int;
-  mutable pb_u : Tridiag.panel;
-  mutable pb_next : Tridiag.panel;
-  pb_rhs : Tridiag.panel;
-  pb_stage : Tridiag.panel;
-  (* the FV operator L, per story *)
-  pb_l_sub : Tridiag.panel;
-  pb_l_diag : Tridiag.panel;
-  pb_l_sup : Tridiag.panel;
-  (* shifted explicit (I + cE L) and implicit (I + cI L) operators *)
-  pb_e_sub : Tridiag.panel;
-  pb_e_diag : Tridiag.panel;
-  pb_e_sup : Tridiag.panel;
-  pb_i_sub : Tridiag.panel;
-  pb_i_diag : Tridiag.panel;
-  pb_i_sup : Tridiag.panel;
-  (* Thomas factorization of the implicit operator *)
-  pb_f_c : Tridiag.panel;
-  pb_f_m : Tridiag.panel;
+  pb_u : float array;  (* state: each step writes the next one over it *)
+  pb_stage : float array;  (* Strang: first half-reaction *)
+  pb_d : float array;  (* forward-sweep values d', then the CN solution *)
+  (* the FV operator L; sub/sup use rows 0 .. nx-2 *)
+  pb_l_sub : float array;
+  pb_l_diag : float array;
+  pb_l_sup : float array;
+  (* explicit (I + cE L) *)
+  pb_e_sub : float array;
+  pb_e_diag : float array;
+  pb_e_sup : float array;
+  (* implicit (I + cI L): sub-diagonal, swept super-diagonal c', pivots *)
+  pb_i_sub : float array;
+  pb_c : float array;
+  pb_m : float array;
   mutable pb_ops_dt : float;
-  (* per-story hoisted scalars: r(t), r(t+dt), reaction flow factors *)
-  pb_rt : float array;
-  pb_rt2 : float array;
-  pb_flow : float array;
-  pb_k : float array;
+  (* per-story step scalars: reaction shape (0 logistic, 1 linear,
+     2 custom), K, and r(t)/r(t+dt) (IMEX) or the two half-step flow
+     factors (Strang) *)
   pb_tag : int array;
+  pb_k : float array;
+  pb_f1 : float array;
+  pb_f2 : float array;
 }
 
 let make_panel_bufs ~nx ~ns =
-  let p () = Tridiag.panel_create ~n:nx ~stories:ns in
+  let p () = Array.make (nx * ns) 0. in
   {
     pb_nx = nx;
     pb_ns = ns;
     pb_u = p ();
-    pb_next = p ();
-    pb_rhs = p ();
     pb_stage = p ();
+    pb_d = p ();
     pb_l_sub = p ();
     pb_l_diag = p ();
     pb_l_sup = p ();
@@ -478,16 +475,13 @@ let make_panel_bufs ~nx ~ns =
     pb_e_diag = p ();
     pb_e_sup = p ();
     pb_i_sub = p ();
-    pb_i_diag = p ();
-    pb_i_sup = p ();
-    pb_f_c = p ();
-    pb_f_m = p ();
+    pb_c = p ();
+    pb_m = p ();
     pb_ops_dt = Float.nan;
-    pb_rt = Array.make ns 0.;
-    pb_rt2 = Array.make ns 0.;
-    pb_flow = Array.make ns 0.;
-    pb_k = Array.make ns 0.;
-    pb_tag = Array.make ns tag_custom;
+    pb_tag = Array.make ns 0;
+    pb_k = Array.make ns 1.;
+    pb_f1 = Array.make ns 0.;
+    pb_f2 = Array.make ns 0.;
   }
 
 (* A reusable panel workspace: keeps the buffer block alive across
@@ -511,24 +505,60 @@ let m_panel_reuses = Obs.Metrics.counter "pde.panel_reuses"
 let m_panel_rebuilds = Obs.Metrics.counter "pde.panel_rebuilds"
 let m_panel_solve_ns = Obs.Metrics.histogram "pde.panel_solve_ns"
 
-let ensure_panel_bufs ws ~nx ~ns ~obs_on =
+let ensure_panel_bufs ws ~nx ~ns =
   match ws.pw_bufs with
   | Some b when b.pb_nx = nx && b.pb_ns = ns ->
     ws.pw_reuses <- ws.pw_reuses + 1;
-    if obs_on then Obs.Metrics.incr m_panel_reuses;
+    if Obs.enabled () then Obs.Metrics.incr m_panel_reuses;
     b.pb_ops_dt <- Float.nan;
     b
   | _ ->
     let b = make_panel_bufs ~nx ~ns in
     ws.pw_bufs <- Some b;
     ws.pw_rebuilds <- ws.pw_rebuilds + 1;
-    if obs_on then Obs.Metrics.incr m_panel_rebuilds;
+    if Obs.enabled () then Obs.Metrics.incr m_panel_rebuilds;
     b
 
-(* Fill the shifted operator panels and factorize the implicit one for
-   step size [dt].  Coefficients replicate [build_ops]/[shifted]: the
-   per-element expressions are identical, so the factorization matches
-   the scalar one bit for bit. *)
+(* Unchecked access for the step loops: every index is [i * ns + s]
+   with [i < nx] and [s < ns], inside buffers of [nx * ns] cells. *)
+external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+
+(* Story [s]'s FV operator L, initial state and reaction shape, written
+   straight into the flat buffers with [face_diffusion] and
+   [operator_tridiag]'s expressions (same bits, no per-solve arrays). *)
+let load_story b pp xs s st =
+  let n = b.pb_nx and ns = b.pb_ns in
+  let h2 = dx (problem_of_story pp st) ** 2. in
+  (* face diffusivities d_{i-1/2} and d_{i+1/2} around cell [i] *)
+  let left = ref 0. in
+  for i = 0 to n - 1 do
+    let j = (i * ns) + s in
+    let right =
+      if i = n - 1 then 0.
+      else (st.ps_diffusion xs.(i) +. st.ps_diffusion xs.(i + 1)) /. 2.
+    in
+    let h2i = h2 *. cell_weight n i in
+    let dr = if i = n - 1 then 0. else right /. h2i in
+    let dl = if i = 0 then 0. else !left /. h2i in
+    b.pb_l_diag.(j) <- -.(dr +. dl);
+    if i < n - 1 then b.pb_l_sup.(j) <- dr;
+    if i > 0 then b.pb_l_sub.(j - ns) <- dl;
+    b.pb_u.(j) <- st.ps_initial xs.(i);
+    left := right
+  done;
+  match st.ps_reaction with
+  | Logistic { k; _ } ->
+    b.pb_tag.(s) <- 0;
+    b.pb_k.(s) <- k
+  | Linear _ -> b.pb_tag.(s) <- 1
+  | Custom _ -> b.pb_tag.(s) <- 2
+
+(* Fill the shifted operators for step size [dt] and factorize the
+   implicit one per story.  Coefficients replicate [shifted], and the
+   pivot sweep is [Tridiag.factorize]'s with the implicit diagonal and
+   super-diagonal formed on the fly, so the factors match the scalar
+   ones bit for bit. *)
 let panel_ops b scheme dt =
   if not (dt = b.pb_ops_dt) then begin
     let ce, ci =
@@ -536,249 +566,267 @@ let panel_ops b scheme dt =
       | Panel_imex theta -> ((1. -. theta) *. dt, -.(theta *. dt))
       | Panel_strang -> (dt /. 2., -.(dt /. 2.))
     in
-    let nx = b.pb_nx and ns = b.pb_ns in
-    let open Bigarray.Array2 in
-    for i = 0 to nx - 1 do
+    let n = b.pb_nx and ns = b.pb_ns in
+    for j = 0 to (n * ns) - 1 do
+      b.pb_e_diag.(j) <- 1. +. (ce *. b.pb_l_diag.(j))
+    done;
+    for j = 0 to ((n - 1) * ns) - 1 do
+      b.pb_e_sub.(j) <- ce *. b.pb_l_sub.(j);
+      b.pb_e_sup.(j) <- ce *. b.pb_l_sup.(j);
+      b.pb_i_sub.(j) <- ci *. b.pb_l_sub.(j)
+    done;
+    for s = 0 to ns - 1 do
+      let pivot0 = 1. +. (ci *. b.pb_l_diag.(s)) in
+      if Float.abs pivot0 < 1e-300 then raise Mat.Singular;
+      b.pb_m.(s) <- pivot0;
+      b.pb_c.(s) <- (ci *. b.pb_l_sup.(s)) /. pivot0
+    done;
+    for i = 1 to n - 1 do
       for s = 0 to ns - 1 do
-        let ld = unsafe_get b.pb_l_diag i s in
-        unsafe_set b.pb_e_diag i s (1. +. (ce *. ld));
-        unsafe_set b.pb_i_diag i s (1. +. (ci *. ld))
+        let j = (i * ns) + s in
+        let mi =
+          (1. +. (ci *. b.pb_l_diag.(j))) -. (b.pb_i_sub.(j - ns) *. b.pb_c.(j - ns))
+        in
+        if Float.abs mi < 1e-300 then raise Mat.Singular;
+        b.pb_m.(j) <- mi;
+        if i < n - 1 then b.pb_c.(j) <- (ci *. b.pb_l_sup.(j)) /. mi
       done
     done;
-    for i = 0 to nx - 2 do
-      for s = 0 to ns - 1 do
-        let lsub = unsafe_get b.pb_l_sub i s in
-        let lsup = unsafe_get b.pb_l_sup i s in
-        unsafe_set b.pb_e_sub i s (ce *. lsub);
-        unsafe_set b.pb_e_sup i s (ce *. lsup);
-        unsafe_set b.pb_i_sub i s (ci *. lsub);
-        unsafe_set b.pb_i_sup i s (ci *. lsup)
-      done
-    done;
-    Tridiag.factorize_batch ~sub:b.pb_i_sub ~diag:b.pb_i_diag ~sup:b.pb_i_sup
-      ~c:b.pb_f_c ~m:b.pb_f_m;
     b.pb_ops_dt <- dt
   end
 
-(* One lockstep macro step of size [dt] for the whole panel, into
-   [pb_next], then a buffer swap. *)
-let step_panel b stories xs scheme t dt =
-  let nx = b.pb_nx and ns = b.pb_ns in
-  let open Bigarray.Array2 in
-  panel_ops b scheme dt;
-  (match scheme with
-  | Panel_imex _ ->
-    (* rhs <- (I + cE L) u, then += RK2 (Heun) reaction increment *)
-    Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
-      ~src:b.pb_u ~dst:b.pb_rhs;
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; k } ->
-        b.pb_rt.(s) <- r t;
-        b.pb_rt2.(s) <- r (t +. dt);
-        b.pb_k.(s) <- k
-      | Linear { r } ->
-        b.pb_rt.(s) <- r t;
-        b.pb_rt2.(s) <- r (t +. dt)
-      | Custom _ -> ()
-    done;
-    for i = 0 to nx - 1 do
-      let x = xs.(i) in
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_u i s in
-        let tag = b.pb_tag.(s) in
-        let dr =
-          if tag = tag_logistic then begin
-            (* same association as [reaction_eval]'s Logistic arm, with
-               r(t)/r(t+dt) hoisted per story (identical floats: r is
-               deterministic in t) *)
-            let k = b.pb_k.(s) in
-            let k1 = b.pb_rt.(s) *. ui *. (1. -. (ui /. k)) in
-            let u2 = ui +. (dt *. k1) in
-            let k2 = b.pb_rt2.(s) *. u2 *. (1. -. (u2 /. k)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-          else if tag = tag_linear then begin
-            let k1 = b.pb_rt.(s) *. ui in
-            let k2 = b.pb_rt2.(s) *. (ui +. (dt *. k1)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-          else begin
-            let f =
-              match stories.(s).ps_reaction with
-              | Custom f -> f
-              | Logistic _ | Linear _ -> assert false
-            in
-            let k1 = f ~x ~t ~u:ui in
-            let k2 = f ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-            dt *. (k1 +. k2) /. 2.
-          end
-        in
-        unsafe_set b.pb_rhs i s (unsafe_get b.pb_rhs i s +. dr)
-      done
-    done;
-    Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
-      ~src:b.pb_rhs ~dst:b.pb_next
-  | Panel_strang ->
-    let half = dt /. 2. in
-    (* First half reaction step at t.  The flow factor exp(±∫r) is
-       x-independent: computed once per story, exactly the value the
-       scalar path's one-slot Simpson memo hands every cell. *)
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; k } ->
-        b.pb_flow.(s) <-
-          exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-        b.pb_k.(s) <- k
-      | Linear { r } ->
-        b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8)
-      | Custom _ -> assert false (* rejected before stepping *)
-    done;
-    for i = 0 to nx - 1 do
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_u i s in
-        let v =
-          if ui = 0. then 0.
-          else if b.pb_tag.(s) = tag_logistic then
-            (* Ode.logistic_varying_r's closed form, flow hoisted *)
-            let k = b.pb_k.(s) in
-            k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
-          else ui *. b.pb_flow.(s)
-        in
-        unsafe_set b.pb_stage i s v
-      done
-    done;
-    (* Crank--Nicolson diffusion over the full step *)
-    Tridiag.mv_batch ~sub:b.pb_e_sub ~diag:b.pb_e_diag ~sup:b.pb_e_sup
-      ~src:b.pb_stage ~dst:b.pb_rhs;
-    Tridiag.solve_factored_batch ~sub:b.pb_i_sub ~c:b.pb_f_c ~m:b.pb_f_m
-      ~src:b.pb_rhs ~dst:b.pb_stage;
-    (* Second half reaction step at t + half (integral over
-       [t+half, (t+half)+half], matching the scalar call order). *)
-    let t2 = t +. half in
-    for s = 0 to ns - 1 do
-      match stories.(s).ps_reaction with
-      | Logistic { r; _ } ->
-        b.pb_flow.(s) <-
-          exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
-      | Linear { r } ->
-        b.pb_flow.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
-      | Custom _ -> assert false
-    done;
-    for i = 0 to nx - 1 do
-      for s = 0 to ns - 1 do
-        let ui = unsafe_get b.pb_stage i s in
-        let v =
-          if ui = 0. then 0.
-          else if b.pb_tag.(s) = tag_logistic then
-            let k = b.pb_k.(s) in
-            k /. (1. +. (((k /. ui) -. 1.) *. b.pb_flow.(s)))
-          else ui *. b.pb_flow.(s)
-        in
-        unsafe_set b.pb_next i s v
-      done
-    done);
-  let u = b.pb_u in
-  b.pb_u <- b.pb_next;
-  b.pb_next <- u
+(* Row [i] of the explicit (I + cE L) applied to [v], at cell [j],
+   accumulated in [Tridiag.mv_into]'s order. *)
+let[@inline] explicit b v ~n ~ns i j =
+  let acc = b.pb_e_diag.!(j) *. v.!(j) in
+  let acc = if i > 0 then acc +. (b.pb_e_sub.!(j - ns) *. v.!(j - ns)) else acc in
+  if i < n - 1 then acc +. (b.pb_e_sup.!(j) *. v.!(j + ns)) else acc
 
-let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?reference ?workspace
-    pp ~times =
+(* The forward Thomas sweep's d' for row [i], as [Tridiag.solve_factored]. *)
+let[@inline] forward b ~ns i j rhs =
+  let d = b.pb_d in
+  d.!(j) <-
+    (if i = 0 then rhs /. b.pb_m.!(j)
+     else (rhs -. (b.pb_i_sub.!(j - ns) *. d.!(j - ns))) /. b.pb_m.!(j))
+
+(* One IMEX step: rhs = (I + cE L) u + the RK2 (Heun) reaction
+   increment, then (I + cI L) u' = rhs.  r(t) and r(t+dt) are hoisted
+   per story (identical floats: r is a pure function of t). *)
+let imex_step b stories xs t dt =
+  let n = b.pb_nx and ns = b.pb_ns in
+  let u = b.pb_u and d = b.pb_d in
+  for s = 0 to ns - 1 do
+    match stories.(s).ps_reaction with
+    | Logistic { r; _ } | Linear { r } ->
+      b.pb_f1.(s) <- r t;
+      b.pb_f2.(s) <- r (t +. dt)
+    | Custom _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    for s = 0 to ns - 1 do
+      let j = (i * ns) + s in
+      let ui = u.!(j) in
+      let tag = b.pb_tag.(s) in
+      let dr =
+        if tag = 0 then begin
+          (* [reaction_eval]'s Logistic arm *)
+          let k = b.pb_k.!(s) in
+          let k1 = b.pb_f1.!(s) *. ui *. (1. -. (ui /. k)) in
+          let u2 = ui +. (dt *. k1) in
+          let k2 = b.pb_f2.!(s) *. u2 *. (1. -. (u2 /. k)) in
+          dt *. (k1 +. k2) /. 2.
+        end
+        else if tag = 1 then begin
+          let k1 = b.pb_f1.!(s) *. ui in
+          let k2 = b.pb_f2.!(s) *. (ui +. (dt *. k1)) in
+          dt *. (k1 +. k2) /. 2.
+        end
+        else begin
+          let f =
+            match stories.(s).ps_reaction with
+            | Custom f -> f
+            | Logistic _ | Linear _ -> assert false
+          in
+          let x = xs.(i) in
+          let k1 = f ~x ~t ~u:ui in
+          let k2 = f ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
+          dt *. (k1 +. k2) /. 2.
+        end
+      in
+      forward b ~ns i j (explicit b u ~n ~ns i j +. dr)
+    done
+  done;
+  (* back-substitution straight into the state *)
+  for j = (n - 1) * ns to (n * ns) - 1 do
+    u.!(j) <- d.!(j)
+  done;
+  for i = n - 2 downto 0 do
+    for s = 0 to ns - 1 do
+      let j = (i * ns) + s in
+      u.!(j) <- d.!(j) -. (b.pb_c.!(j) *. u.!(j + ns))
+    done
+  done
+
+(* The exact half-step reaction flow of story [s] with its
+   x-independent factor [flow] (exp(-∫r), logistic: the closed form of
+   [Ode.logistic_varying_r]; exp(∫r), linear) hoisted. *)
+let[@inline] flow_step b s ~flow ui =
+  if ui = 0. then 0.
+  else if b.pb_tag.(s) = 0 then
+    let k = b.pb_k.!(s) in
+    k /. (1. +. (((k /. ui) -. 1.) *. flow))
+  else ui *. flow
+
+(* One Strang step: half reaction at t, Crank--Nicolson diffusion over
+   the full step, half reaction at t + dt/2.  The ascending pass
+   reacts cell [i + 1] before the explicit product of row [i] reads
+   it; the descending pass back-substitutes in [pb_d] and reacts each
+   cell into the state as soon as it is solved. *)
+let strang_step b stories t dt =
+  let n = b.pb_nx and ns = b.pb_ns in
+  let u = b.pb_u and d = b.pb_d and stage = b.pb_stage in
+  let half = dt /. 2. in
+  let t2 = t +. half in
+  for s = 0 to ns - 1 do
+    (* the integrals the scalar step's Simpson memo hands every cell *)
+    match stories.(s).ps_reaction with
+    | Logistic { r; _ } ->
+      b.pb_f1.(s) <- exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
+      b.pb_f2.(s) <- exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
+    | Linear { r } ->
+      b.pb_f1.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
+      b.pb_f2.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
+    | Custom _ -> strang_needs_flow ()
+  done;
+  for s = 0 to ns - 1 do
+    stage.!(s) <- flow_step b s ~flow:b.pb_f1.!(s) u.!(s)
+  done;
+  for i = 0 to n - 1 do
+    for s = 0 to ns - 1 do
+      let j = (i * ns) + s in
+      if i < n - 1 then stage.!(j + ns) <- flow_step b s ~flow:b.pb_f1.!(s) u.!(j + ns);
+      forward b ~ns i j (explicit b stage ~n ~ns i j)
+    done
+  done;
+  for j = (n - 1) * ns to (n * ns) - 1 do
+    let s = j - ((n - 1) * ns) in
+    u.!(j) <- flow_step b s ~flow:b.pb_f2.!(s) d.!(j)
+  done;
+  for i = n - 2 downto 0 do
+    for s = 0 to ns - 1 do
+      let j = (i * ns) + s in
+      let x = d.!(j) -. (b.pb_c.!(j) *. d.!(j + ns)) in
+      d.!(j) <- x;
+      u.!(j) <- flow_step b s ~flow:b.pb_f2.!(s) x
+    done
+  done
+
+let step_panel b stories xs scheme t dt =
+  panel_ops b scheme dt;
+  match scheme with
+  | Panel_imex _ -> imex_step b stories xs t dt
+  | Panel_strang -> strang_step b stories t dt
+
+(* The reference oracle: a panel is definitionally S independent scalar
+   solves.  Used by the bit-identity gates and the global reference
+   toggle. *)
+let solve_panel_reference scheme dt pp ~times =
+  Array.map
+    (fun st ->
+      solve ~scheme:(scalar_scheme_of_story scheme st) ~dt ~reference:true
+        (problem_of_story pp st) ~times)
+    pp.pp_stories
+
+(* The one fused path.  [plain] picks the telemetry: a one-story solve
+   on private buffers counts as a plain solve ([pde.solves],
+   [pde.steps], [pde.solve_ns], [pde.step_ns], like [solve]); anything
+   else counts in the [pde.panel_*] series. *)
+let solve_fused ~plain b scheme dt pp ~times =
+  let obs_on = Obs.enabled () in
+  let solve_start = if obs_on then Obs.now_ns () else 0 in
+  let stories = pp.pp_stories in
+  let ns = Array.length stories in
+  let nx = pp.pp_nx in
+  (* one grid per panel: every story shares (xl, xr, nx) *)
+  let xs = grid (problem_of_story pp stories.(0)) in
+  Array.iteri (load_story b pp xs) stories;
+  let nt = Array.length times + 1 in
+  let ts = Array.make nt pp.pp_t0 in
+  let values = Array.init ns (fun _ -> Array.make nt [||]) in
+  let record k =
+    for s = 0 to ns - 1 do
+      values.(s).(k) <- Array.init nx (fun i -> b.pb_u.((i * ns) + s))
+    done
+  in
+  record 0;
+  let steps = ref 0 in
+  let t = ref pp.pp_t0 in
+  Array.iteri
+    (fun k target ->
+      if target < !t -. 1e-12 then
+        invalid_arg "Pde.solve: times must be increasing and >= t0";
+      while target -. !t > 1e-12 do
+        let step_dt = Float.min dt (target -. !t) in
+        if plain && obs_on then begin
+          let t0 = Obs.now_ns () in
+          step_panel b stories xs scheme !t step_dt;
+          Obs.Metrics.observe m_step_ns (float_of_int (Obs.now_ns () - t0))
+        end
+        else step_panel b stories xs scheme !t step_dt;
+        incr steps;
+        t := !t +. step_dt
+      done;
+      t := target;
+      ts.(k + 1) <- target;
+      record (k + 1))
+    times;
+  if obs_on then begin
+    let elapsed = float_of_int (Obs.now_ns () - solve_start) in
+    if plain then begin
+      Obs.Metrics.incr m_solves;
+      Obs.Metrics.incr ~by:!steps m_steps;
+      Obs.Metrics.observe m_solve_ns elapsed
+    end
+    else begin
+      Obs.Metrics.incr m_panel_solves;
+      Obs.Metrics.incr ~by:ns m_panel_stories;
+      Obs.Metrics.incr ~by:!steps m_panel_steps;
+      Obs.Metrics.observe m_panel_solve_ns elapsed
+    end
+  end;
+  Array.map (fun v -> { xs; ts; values = v }) values
+
+let validate_panel scheme dt pp =
   assert (dt > 0.);
-  (match scheme with
+  match scheme with
   | Panel_imex theta ->
     if theta < 0.5 || theta > 1. then
       invalid_arg "Pde.solve_panel: theta must be in [0.5, 1]"
-  | Panel_strang -> ());
-  let stories = pp.pp_stories in
-  let ns = Array.length stories in
-  if ns = 0 then [||]
+  | Panel_strang ->
+    Array.iter
+      (fun st -> match st.ps_reaction with Custom _ -> strang_needs_flow () | _ -> ())
+      pp.pp_stories
+
+let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?reference ?workspace
+    pp ~times =
+  validate_panel scheme dt pp;
+  let reference =
+    match reference with Some b -> b | None -> !use_reference
+  in
+  if Array.length pp.pp_stories = 0 then [||]
+  else if reference then solve_panel_reference scheme dt pp ~times
   else begin
-    (* Validate every story's scheme pairing up front (this also
-       rejects Custom-under-Strang before any work happens). *)
-    let scalar_schemes =
-      Array.map (fun st -> scalar_scheme_of_story scheme st) stories
-    in
-    let reference =
-      match reference with Some b -> b | None -> !use_reference
-    in
-    if reference then
-      (* The oracle: the panel is definitionally S independent scalar
-         solves.  Used by the bit-identity gates. *)
-      Array.mapi
-        (fun s st ->
-          solve ~scheme:scalar_schemes.(s) ~dt ~reference:true
-            (problem_of_story pp st) ~times)
-        stories
-    else begin
-      let obs_on = Obs.enabled () in
-      let solve_start = if obs_on then Obs.now_ns () else 0 in
-      let nx = pp.pp_nx in
-      (* grid + operators once per panel, not per story: every story
-         shares (xl, xr, nx), so [grid] is computed a single time. *)
-      let p0 = problem_of_story pp stories.(0) in
-      let xs = grid p0 in
-      let ws = match workspace with Some w -> w | None -> panel_workspace () in
-      let b = ensure_panel_bufs ws ~nx ~ns ~obs_on in
-      let open Bigarray.Array2 in
-      (* per-story FV operator L and initial state, packed into panels
-         (packing copies exact values — nothing is recomputed) *)
-      Array.iteri
-        (fun s st ->
-          let p = problem_of_story pp st in
-          let df = face_diffusion p xs in
-          let l = operator_tridiag p df in
-          for i = 0 to nx - 1 do
-            unsafe_set b.pb_l_diag i s l.Tridiag.diag.(i);
-            unsafe_set b.pb_u i s (st.ps_initial xs.(i))
-          done;
-          for i = 0 to nx - 2 do
-            unsafe_set b.pb_l_sub i s l.Tridiag.sub.(i);
-            unsafe_set b.pb_l_sup i s l.Tridiag.sup.(i)
-          done;
-          b.pb_tag.(s) <-
-            (match st.ps_reaction with
-            | Logistic _ -> tag_logistic
-            | Linear _ -> tag_linear
-            | Custom _ -> tag_custom))
-        stories;
-      let dt_macro = dt in
-      let steps = ref 0 in
-      let t = ref pp.pp_t0 in
-      let snapshot_of s = Array.init nx (fun i -> unsafe_get b.pb_u i s) in
-      let snapshots = Array.map (fun _ -> ref []) stories in
-      Array.iteri
-        (fun s _ -> snapshots.(s) := [ (pp.pp_t0, snapshot_of s) ])
-        stories;
-      Array.iter
-        (fun target ->
-          if target < !t -. 1e-12 then
-            invalid_arg "Pde.solve: times must be increasing and >= t0";
-          while target -. !t > 1e-12 do
-            let step_dt = Float.min dt_macro (target -. !t) in
-            step_panel b stories xs scheme !t step_dt;
-            incr steps;
-            t := !t +. step_dt
-          done;
-          t := target;
-          Array.iteri
-            (fun s snaps -> snaps := (target, snapshot_of s) :: !snaps)
-            snapshots)
-        times;
-      if obs_on then begin
-        Obs.Metrics.incr m_panel_solves;
-        Obs.Metrics.incr ~by:ns m_panel_stories;
-        Obs.Metrics.incr ~by:!steps m_panel_steps;
-        Obs.Metrics.observe m_panel_solve_ns
-          (float_of_int (Obs.now_ns () - solve_start))
-      end;
-      Array.map
-        (fun snaps ->
-          let arr = Array.of_list (List.rev !snaps) in
-          { xs; ts = Array.map fst arr; values = Array.map snd arr })
-        snapshots
-    end
+    let ws = match workspace with Some w -> w | None -> panel_workspace () in
+    let b = ensure_panel_bufs ws ~nx:pp.pp_nx ~ns:(Array.length pp.pp_stories) in
+    solve_fused ~plain:false b scheme dt pp ~times
   end
+
+let solve_story ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) pp ~times =
+  if Array.length pp.pp_stories <> 1 then
+    invalid_arg "Pde.solve_story: the panel must hold exactly one story";
+  validate_panel scheme dt pp;
+  if !use_reference then (solve_panel_reference scheme dt pp ~times).(0)
+  else (solve_fused ~plain:true (make_panel_bufs ~nx:pp.pp_nx ~ns:1) scheme dt pp ~times).(0)
 
 (* Top level, not per call: the old per-call [clampf] closure was an
    allocation on the prediction hot path. *)

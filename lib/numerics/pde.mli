@@ -120,16 +120,19 @@ val linear_reaction_step : r:(float -> float) -> reaction_step
 (** {2 Fused panel solves}
 
     A panel steps S problems sharing (domain, grid, [t0], [dt],
-    scheme) through the time loop in lockstep: per-story state and
-    operators live in structure-of-arrays {!Tridiag.panel}s, one
-    batched Thomas sweep per step services every story with the
-    innermost loop walking contiguous memory, the x-independent
-    per-step scalars (r(t), Simpson [∫r], their exponentials) are
-    hoisted out of the cell loops, and [Logistic]/[Linear] reactions
-    run unboxed.  Story [s] of the result is {e bit-identical} to
-    {!solve} on that story alone (enforced by test_pde_perf and the CI
-    bench gate): batching reorders loops across independent stories
-    but never changes any story's floating-point operations. *)
+    scheme) through the time loop in lockstep.  Per-story state and
+    operators live in flat [float array]s held by a reusable
+    {!panel_workspace} (cell [i] of story [s] at [i * S + s]), and each
+    step is two sweeps per story: an ascending pass doing the first
+    half-reaction (IMEX: the RK2 reaction), the explicit
+    Crank--Nicolson product and the forward Thomas sweep, and a
+    descending pass doing back-substitution and the second
+    half-reaction.  The x-independent per-step scalars (r(t), Simpson
+    [∫r], their exponentials) are hoisted out of the cell loops, and
+    [Logistic]/[Linear] reactions run unboxed.  Story [s] of the result
+    is {e bit-identical} to {!solve} on that story alone (enforced by
+    test_pde_perf and the CI bench gate): fusing the sweeps never
+    changes any story's floating-point operations or their order. *)
 
 type panel_story = {
   ps_diffusion : float -> float;
@@ -158,12 +161,12 @@ type panel_scheme =
     each story's diffusion, so stories cannot march in lockstep. *)
 
 type panel_workspace
-(** Reusable panel buffer block (state, operators, factorization,
-    per-story scratch), reallocated only when the [(nx, stories)]
-    shape changes.  Keep one per fit restart / pool worker: a
-    workspace must not be used from two domains concurrently.
-    Buffer reuse is counted in the [pde.panel_reuses] /
-    [pde.panel_rebuilds] metrics (visible on [/metrics]). *)
+(** Reusable panel buffer block (state, operators, factorization),
+    reallocated only when the [(nx, stories)] shape changes.  Keep one
+    per fit restart / pool worker: a workspace must not be used from
+    two domains concurrently.  Buffer reuse is counted in the
+    [pde.panel_reuses] / [pde.panel_rebuilds] metrics (visible on
+    [/metrics]). *)
 
 val panel_workspace : unit -> panel_workspace
 
@@ -180,10 +183,21 @@ val solve_panel :
   solution array
 (** [solve_panel pp ~times] solves every story of the panel over the
     shared snapshot [times] (semantics per story exactly as {!solve};
-    defaults [Panel_imex 0.5], [dt = 1e-3]).  With [~reference:true]
-    (or the global reference default) each story runs the scalar
-    reference stepper instead — the definitional oracle for the
-    bit-identity gates.  An empty panel returns [[||]]. *)
+    defaults [Panel_imex 0.5], [dt = 1e-3]).  Without [?workspace] the
+    solve allocates a fresh one.  Counted in the [pde.panel_*] metrics.
+    With [~reference:true] (or the global reference default) each
+    story runs the scalar reference stepper instead — the definitional
+    oracle for the bit-identity gates.  An empty panel returns [[||]]. *)
+
+val solve_story :
+  ?scheme:panel_scheme -> ?dt:float -> panel_problem -> times:float array ->
+  solution
+(** [solve_story pp ~times] is [(solve_panel pp ~times).(0)] for a
+    one-story panel on private buffers, counted as a plain solve
+    ([pde.solves], [pde.steps], [pde.solve_ns], [pde.step_ns], like
+    {!solve}) rather than in the panel series.  It honours the global
+    reference default.
+    @raise Invalid_argument unless [pp] holds exactly one story. *)
 
 val eval : solution -> x:float -> t:float -> float
 (** Bilinear interpolation in the snapshot table (clamped at the

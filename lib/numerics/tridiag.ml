@@ -71,122 +71,6 @@ let solve_factored f ~src ~dst =
     dst.(i) <- dst.(i) -. (f.f_c.(i) *. dst.(i + 1))
   done
 
-(* ---------------------------------------------------------------- *)
-(* Batched panels: S independent tridiagonal systems advanced in
-   lockstep.  Storage is structure-of-arrays: a panel is a c_layout
-   float64 [Bigarray.Array2.t] of dims [(n, stories)], so element
-   [(i, s)] is grid cell [i] of story [s] and the innermost loop over
-   stories walks contiguous memory.  Every batched routine replicates
-   the scalar routine's floating-point operations, per story, in the
-   same order — column [s] of the outputs is bit-identical to running
-   the scalar routine on story [s] alone.  (The loop interchange —
-   outer over [i], inner over [s] — is legal because the S systems are
-   independent: no cross-story value ever enters a story's data
-   flow.) *)
-
-type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-
-let panel_create ~n ~stories : panel =
-  assert (n >= 1 && stories >= 1);
-  Bigarray.Array2.create Bigarray.Float64 Bigarray.c_layout n stories
-
-let panel_dims (p : panel) = (Bigarray.Array2.dim1 p, Bigarray.Array2.dim2 p)
-
-let check_panel name (p : panel) ~rows ~stories =
-  if Bigarray.Array2.dim1 p <> rows || Bigarray.Array2.dim2 p <> stories then
-    invalid_arg
-      (Printf.sprintf "Tridiag.%s: panel dims (%d,%d), expected (%d,%d)" name
-         (Bigarray.Array2.dim1 p) (Bigarray.Array2.dim2 p) rows stories)
-
-(* Off-diagonal panels only need rows [0 .. n-2]; allowing extra rows
-   lets callers allocate every panel of a workspace as [(n, stories)]. *)
-let check_offdiag name (p : panel) ~rows ~stories =
-  if Bigarray.Array2.dim1 p < rows || Bigarray.Array2.dim2 p <> stories then
-    invalid_arg
-      (Printf.sprintf
-         "Tridiag.%s: off-diagonal panel dims (%d,%d), need (>=%d,%d)" name
-         (Bigarray.Array2.dim1 p) (Bigarray.Array2.dim2 p) rows stories)
-
-let factorize_batch ~(sub : panel) ~(diag : panel) ~(sup : panel) ~(c : panel)
-    ~(m : panel) =
-  let n = Bigarray.Array2.dim1 diag in
-  let ns = Bigarray.Array2.dim2 diag in
-  assert (n >= 1);
-  check_offdiag "factorize_batch" sub ~rows:(n - 1) ~stories:ns;
-  check_offdiag "factorize_batch" sup ~rows:(n - 1) ~stories:ns;
-  check_panel "factorize_batch" c ~rows:n ~stories:ns;
-  check_panel "factorize_batch" m ~rows:n ~stories:ns;
-  let open Bigarray.Array2 in
-  for s = 0 to ns - 1 do
-    let pivot0 = unsafe_get diag 0 s in
-    if Float.abs pivot0 < 1e-300 then raise Mat.Singular;
-    unsafe_set m 0 s pivot0;
-    unsafe_set c 0 s (if n > 1 then unsafe_get sup 0 s /. pivot0 else 0.)
-  done;
-  for i = 1 to n - 1 do
-    for s = 0 to ns - 1 do
-      let mi =
-        unsafe_get diag i s
-        -. (unsafe_get sub (i - 1) s *. unsafe_get c (i - 1) s)
-      in
-      if Float.abs mi < 1e-300 then raise Mat.Singular;
-      unsafe_set m i s mi;
-      if i < n - 1 then unsafe_set c i s (unsafe_get sup i s /. mi)
-    done
-  done
-
-let solve_factored_batch ~(sub : panel) ~(c : panel) ~(m : panel)
-    ~(src : panel) ~(dst : panel) =
-  let n = Bigarray.Array2.dim1 m in
-  let ns = Bigarray.Array2.dim2 m in
-  check_offdiag "solve_factored_batch" sub ~rows:(n - 1) ~stories:ns;
-  check_panel "solve_factored_batch" c ~rows:n ~stories:ns;
-  check_panel "solve_factored_batch" src ~rows:n ~stories:ns;
-  check_panel "solve_factored_batch" dst ~rows:n ~stories:ns;
-  let open Bigarray.Array2 in
-  (* Same aliasing contract as [solve_factored]: [src == dst] is
-     allowed — row [i] of [src] is read before row [i] of [dst] is
-     written, and earlier rows already hold d'. *)
-  for s = 0 to ns - 1 do
-    unsafe_set dst 0 s (unsafe_get src 0 s /. unsafe_get m 0 s)
-  done;
-  for i = 1 to n - 1 do
-    for s = 0 to ns - 1 do
-      unsafe_set dst i s
-        ((unsafe_get src i s
-         -. (unsafe_get sub (i - 1) s *. unsafe_get dst (i - 1) s))
-        /. unsafe_get m i s)
-    done
-  done;
-  for i = n - 2 downto 0 do
-    for s = 0 to ns - 1 do
-      unsafe_set dst i s
-        (unsafe_get dst i s -. (unsafe_get c i s *. unsafe_get dst (i + 1) s))
-    done
-  done
-
-let mv_batch ~(sub : panel) ~(diag : panel) ~(sup : panel) ~(src : panel)
-    ~(dst : panel) =
-  let n = Bigarray.Array2.dim1 diag in
-  let ns = Bigarray.Array2.dim2 diag in
-  check_offdiag "mv_batch" sub ~rows:(n - 1) ~stories:ns;
-  check_offdiag "mv_batch" sup ~rows:(n - 1) ~stories:ns;
-  check_panel "mv_batch" src ~rows:n ~stories:ns;
-  check_panel "mv_batch" dst ~rows:n ~stories:ns;
-  if src == dst then invalid_arg "Tridiag.mv_batch: src must not alias dst";
-  let open Bigarray.Array2 in
-  for i = 0 to n - 1 do
-    for s = 0 to ns - 1 do
-      (* accumulation order matches [mv_into]: diag, then sub, then sup *)
-      let acc = ref (unsafe_get diag i s *. unsafe_get src i s) in
-      if i > 0 then
-        acc := !acc +. (unsafe_get sub (i - 1) s *. unsafe_get src (i - 1) s);
-      if i < n - 1 then
-        acc := !acc +. (unsafe_get sup i s *. unsafe_get src (i + 1) s);
-      unsafe_set dst i s !acc
-    done
-  done
-
 let mv t x =
   let n = dim t in
   assert (Array.length x = n);

@@ -44,53 +44,11 @@ val solve_factored : factored -> src:Vec.t -> dst:Vec.t -> unit
     then runs entirely in [dst].  {e Partial} overlap is impossible for
     [float array]s (two arrays either alias fully or not at all), so
     the two cases above are exhaustive.  This contract is locked in by
-    tests ("solve_factored in place" and "batch solve in place" in
-    test_pde_perf) and by {!solve_factored_batch}, which inherits it.
+    the "solve_factored in place" test in test_pde_perf.
 
     The result is bit-identical to [solve t src] for the matrix [f]
     was built from: the remaining floating-point operations are the
     same, in the same order. *)
-
-(** {2 Batched panels}
-
-    S independent tridiagonal systems advanced in lockstep.  A panel
-    is a structure-of-arrays [Bigarray.Array2.t] ([float64],
-    [c_layout]) of dims [(n, stories)]: element [(i, s)] is row [i] of
-    story [s], so the innermost story loop walks contiguous memory.
-    Column [s] of every output is bit-identical to running the scalar
-    routine on story [s] alone.  Off-diagonal panels ([sub]/[sup]) use
-    rows [0 .. n-2]; they may be allocated with [n] rows (the last row
-    is ignored). *)
-
-type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
-
-val panel_create : n:int -> stories:int -> panel
-(** Uninitialised [(n, stories)] panel. *)
-
-val panel_dims : panel -> int * int
-(** [(rows, stories)]. *)
-
-val factorize_batch :
-  sub:panel -> diag:panel -> sup:panel -> c:panel -> m:panel -> unit
-(** Batched c'-sweep: one pass computes the {!factorize} outputs for
-    every story, writing pivots into [m] and the swept super-diagonal
-    into [c].  Dimensions are taken from [diag].
-    @raise Mat.Singular on a (numerically) zero pivot in any story.
-    @raise Invalid_argument on panel dimension mismatch. *)
-
-val solve_factored_batch :
-  sub:panel -> c:panel -> m:panel -> src:panel -> dst:panel -> unit
-(** Batched d'-sweep + back-substitution against a factorization from
-    {!factorize_batch}.  [src == dst] is allowed, with the same
-    in-place contract as {!solve_factored}.
-    @raise Invalid_argument on panel dimension mismatch. *)
-
-val mv_batch :
-  sub:panel -> diag:panel -> sup:panel -> src:panel -> dst:panel -> unit
-(** Batched {!mv_into}: [dst.(i,s) <- (A_s src_s).(i)] with the same
-    per-row accumulation order (diag, sub, sup).  [src] must not alias
-    [dst].
-    @raise Invalid_argument on dimension mismatch or aliasing. *)
 
 val mv : t -> Vec.t -> Vec.t
 (** Product of the tridiagonal matrix with a vector, in [O(n)]. *)

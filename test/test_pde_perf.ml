@@ -3,8 +3,8 @@
    floating-point operations in the same order, only the array churn
    and re-factorizations removed.  These tests enforce that contract
    (per-cell Int64 bit equality, not approximate checks), plus the
-   workspace-reuse counters, the factored-solve algebra, and the
-   fitting-objective memo. *)
+   workspace-reuse counters, the factored-solve algebra, the fused
+   panel kernel and its telemetry. *)
 
 open Numerics
 
@@ -211,99 +211,6 @@ let test_workspace_counters () =
       Alcotest.(check int) "reference adds no reuses" r1
         (Obs.Metrics.counter_value reuses))
 
-(* --- batched Thomas panels vs scalar, column by column --- *)
-
-let pack_panel ~n ~ns get =
-  let p = Tridiag.panel_create ~n ~stories:ns in
-  for i = 0 to n - 1 do
-    for s = 0 to ns - 1 do
-      Bigarray.Array2.set p i s (get s i)
-    done
-  done;
-  p
-
-let col (p : Tridiag.panel) ~n s = Array.init n (fun i -> Bigarray.Array2.get p i s)
-
-let test_batch_thomas_matches_scalar () =
-  let rng = Rng.create 19 in
-  let n = 23 and ns = 5 in
-  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
-  (* off-diagonal panels allocated with n rows on purpose: the extra
-     row is part of the documented layout and must be ignored *)
-  let sub = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sub.(i) else nan)
-  and diag = pack_panel ~n ~ns (fun s i -> (fst systems.(s)).Tridiag.diag.(i))
-  and sup = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sup.(i) else nan) in
-  let c = Tridiag.panel_create ~n ~stories:ns
-  and m = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-  let src = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
-  let dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src ~dst;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.solve t b in
-      let got = col dst ~n s in
-      Array.iteri
-        (fun i v ->
-          if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i)))
-          then Alcotest.failf "story %d cell %d: %.17g vs %.17g" s i v got.(i))
-        expect)
-    systems;
-  (* mv_batch column s must match the scalar mv bit for bit *)
-  let mv_dst = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.mv_batch ~sub ~diag ~sup ~src ~dst:mv_dst;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.mv t b in
-      let got = col mv_dst ~n s in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) "mv_batch bit equal" true
-            (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i))))
-        expect)
-    systems
-
-let test_batch_solve_in_place () =
-  (* the batched solve inherits solve_factored's aliasing contract:
-     src == dst is an in-place solve with identical bits *)
-  let rng = Rng.create 23 in
-  let n = 17 and ns = 3 in
-  let systems = Array.init ns (fun _ -> random_dominant_system rng n) in
-  let sub = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sub.(i) else nan)
-  and diag = pack_panel ~n ~ns (fun s i -> (fst systems.(s)).Tridiag.diag.(i))
-  and sup = pack_panel ~n ~ns (fun s i ->
-      if i < n - 1 then (fst systems.(s)).Tridiag.sup.(i) else nan) in
-  let c = Tridiag.panel_create ~n ~stories:ns
-  and m = Tridiag.panel_create ~n ~stories:ns in
-  Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-  let buf = pack_panel ~n ~ns (fun s i -> (snd systems.(s)).(i)) in
-  Tridiag.solve_factored_batch ~sub ~c ~m ~src:buf ~dst:buf;
-  Array.iteri
-    (fun s (t, b) ->
-      let expect = Tridiag.solve t b in
-      let got = col buf ~n s in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) "batch in-place bit equal" true
-            (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float got.(i))))
-        expect)
-    systems
-
-let test_batch_singular_raises () =
-  let sub = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
-  let sup = pack_panel ~n:2 ~ns:2 (fun _ i -> if i = 0 then 1. else nan) in
-  (* story 1 has a zero leading pivot *)
-  let diag = pack_panel ~n:2 ~ns:2 (fun s _ -> if s = 1 then 0. else 2.) in
-  let c = Tridiag.panel_create ~n:2 ~stories:2
-  and m = Tridiag.panel_create ~n:2 ~stories:2 in
-  try
-    Tridiag.factorize_batch ~sub ~diag ~sup ~c ~m;
-    Alcotest.fail "expected Mat.Singular"
-  with Mat.Singular -> ()
-
 (* --- fused panel solves vs per-story scalar solves --- *)
 
 (* A pseudo-random story: paper-shaped r(t), per-story (d, k,
@@ -465,20 +372,81 @@ let model_phi () =
     ~densities:[| 6.0; 3.1; 2.3; 1.2; 0.7; 0.4 |]
 
 let test_model_solve_workspace_bit_identical () =
-  (* Model.solve ?workspace routes through a width-1 panel: outputs
-     must not move by a bit for either implicit scheme *)
+  (* Model.solve runs the fused kernel at width 1, on a caller's
+     workspace or on private buffers: both must reproduce the scalar
+     solver bit for bit for either implicit scheme *)
   let phi = model_phi () in
   let times = [| 2.; 3.5; 4.017 |] in
+  let params = Dl.Params.paper_hops in
+  let r = Dl.Growth.eval params.Dl.Params.r and k = params.Dl.Params.k in
+  let scalar scheme =
+    Pde.solve ~scheme ~dt:0.01 ~reference:true
+      {
+        Pde.xl = params.Dl.Params.l;
+        xr = params.Dl.Params.big_l;
+        nx = 101;
+        diffusion = (fun _ -> params.Dl.Params.d);
+        reaction = Pde.Logistic { r; k };
+        initial = Dl.Initial.to_function phi;
+        t0 = 1.;
+      }
+      ~times
+  in
   let ws = Pde.panel_workspace () in
   List.iter
-    (fun scheme ->
-      let plain = Dl.Model.solve ~scheme Dl.Params.paper_hops ~phi ~times in
-      let panel =
-        Dl.Model.solve ~scheme ~workspace:ws Dl.Params.paper_hops ~phi ~times
+    (fun (scheme, scalar_scheme) ->
+      let expect = scalar scalar_scheme in
+      let plain = Dl.Model.solve ~scheme params ~phi ~times in
+      let panel = Dl.Model.solve ~scheme ~workspace:ws params ~phi ~times in
+      check_solutions_bit_identical "model private buffers" plain.Dl.Model.pde expect;
+      check_solutions_bit_identical "model workspace" panel.Dl.Model.pde expect)
+    [
+      (Dl.Model.Crank_nicolson, Pde.Imex 0.5);
+      (Dl.Model.Strang, Pde.Strang (Pde.logistic_reaction_step ~r ~k));
+    ]
+
+let test_solve_telemetry () =
+  (* A workspace-less Model.solve is one plain solve (the series
+     Pde.solve records); a workspace solve counts in pde.panel_* *)
+  with_obs_enabled (fun () ->
+      let c = Obs.Metrics.counter and h = Obs.Metrics.histogram in
+      let read () =
+        ( Obs.Metrics.counter_value (c "pde.solves"),
+          Obs.Metrics.counter_value (c "pde.steps"),
+          Obs.Metrics.histogram_count (h "pde.solve_ns"),
+          Obs.Metrics.histogram_count (h "pde.step_ns"),
+          Obs.Metrics.counter_value (c "pde.panel_solves"),
+          Obs.Metrics.counter_value (c "pde.panel_steps") )
       in
-      check_solutions_bit_identical "model workspace" plain.Dl.Model.pde
-        panel.Dl.Model.pde)
-    [ Dl.Model.Crank_nicolson; Dl.Model.Strang ]
+      let phi = model_phi () in
+      let solve ?workspace () =
+        ignore
+          (Dl.Model.solve ~nx:41 ~dt:0.05 ?workspace Dl.Params.paper_hops ~phi
+             ~times:[| 2.; 3. |])
+      in
+      let s0, st0, sn0, stn0, p0, pst0 = read () in
+      solve ();
+      let s1, st1, sn1, stn1, p1, pst1 = read () in
+      Alcotest.(check int) "plain: pde.solves" 1 (s1 - s0);
+      Alcotest.(check int) "plain: pde.steps" 40 (st1 - st0);
+      Alcotest.(check int) "plain: pde.solve_ns" 1 (sn1 - sn0);
+      Alcotest.(check int) "plain: pde.step_ns" 40 (stn1 - stn0);
+      Alcotest.(check int) "plain: no panel solve" 0 (p1 - p0);
+      Alcotest.(check int) "plain: no panel steps" 0 (pst1 - pst0);
+      solve ~workspace:(Pde.panel_workspace ()) ();
+      let s2, st2, _, _, p2, pst2 = read () in
+      Alcotest.(check int) "workspace: no plain solve" 0 (s2 - s1);
+      Alcotest.(check int) "workspace: no plain steps" 0 (st2 - st1);
+      Alcotest.(check int) "workspace: pde.panel_solves" 1 (p2 - p1);
+      Alcotest.(check int) "workspace: pde.panel_steps" 40 (pst2 - pst1));
+  let st, _, _ = panel_story_of_rng (Rng.create 3) 0 in
+  let pp =
+    { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 11; pp_t0 = 1.; pp_stories = [| st; st |] }
+  in
+  try
+    ignore (Pde.solve_story pp ~times:[| 2. |]);
+    Alcotest.fail "expected Invalid_argument for a two-story solve_story"
+  with Invalid_argument _ -> ()
 
 let test_model_solve_panel_shared_domain () =
   let phi = model_phi () in
@@ -573,56 +541,17 @@ let synthetic_obs params =
     population = Array.map (fun _ -> 100) distances;
   }
 
-(* near-degenerate bounds: every Nelder--Mead trial point clamps onto
-   (essentially) a corner of the tiny box, so the clamped-vector memo
-   must serve a large share of the evaluations *)
-let tight_config () =
-  let eps = 1e-9 in
-  {
-    Dl.Fit.default_config with
-    starts = 2;
-    d_bounds = (0.01, 0.01 +. eps);
-    k_headroom = (1.05, 1.05 +. eps);
-    a_bounds = (1.4, 1.4 +. eps);
-    b_bounds = (1.5, 1.5 +. eps);
-    c_bounds = (0.25, 0.25 +. eps);
-  }
-
-let test_objective_memo_hit_rate () =
-  with_obs_enabled (fun () ->
-      let hits = Obs.Metrics.counter "fit.objective_cache_hits" in
-      let h0 = Obs.Metrics.counter_value hits in
-      let obs = synthetic_obs Dl.Params.paper_hops in
-      let r = Dl.Fit.fit ~config:(tight_config ()) (Rng.create 3) obs in
-      let dh = Obs.Metrics.counter_value hits - h0 in
-      Alcotest.(check bool) "memo serves a majority of evaluations" true
-        (dh * 2 > r.Dl.Fit.evaluations);
-      (* memo off: same seed, zero additional hits *)
-      Dl.Fit.set_objective_memo false;
-      Fun.protect
-        ~finally:(fun () -> Dl.Fit.set_objective_memo true)
-        (fun () ->
-          let h1 = Obs.Metrics.counter_value hits in
-          ignore (Dl.Fit.fit ~config:(tight_config ()) (Rng.create 3) obs);
-          Alcotest.(check int) "no hits with memo off" h1
-            (Obs.Metrics.counter_value hits)))
-
 let test_fit_identical_with_and_without_caches () =
   (* the acceptance contract: a seeded fit lands on bit-identical
      parameters with every cache enabled vs the --no-solver-cache
-     configuration (reference stepper + no memo) *)
+     configuration (reference stepper) *)
   let obs = synthetic_obs Dl.Params.paper_hops in
   let config = { Dl.Fit.default_config with starts = 2 } in
   let run () = Dl.Fit.fit ~config (Rng.create 3) obs in
   let cached = run () in
   Pde.set_use_reference_stepper true;
-  Dl.Fit.set_objective_memo false;
   let plain =
-    Fun.protect
-      ~finally:(fun () ->
-        Pde.set_use_reference_stepper false;
-        Dl.Fit.set_objective_memo true)
-      run
+    Fun.protect ~finally:(fun () -> Pde.set_use_reference_stepper false) run
   in
   let p1 = cached.Dl.Fit.params and p2 = plain.Dl.Fit.params in
   let checkbit name a b =
@@ -667,10 +596,6 @@ let suite =
     Alcotest.test_case "global reference toggle" `Quick
       test_global_reference_toggle;
     Alcotest.test_case "workspace counters" `Quick test_workspace_counters;
-    Alcotest.test_case "batch thomas = scalar" `Quick
-      test_batch_thomas_matches_scalar;
-    Alcotest.test_case "batch solve in place" `Quick test_batch_solve_in_place;
-    Alcotest.test_case "batch singular" `Quick test_batch_singular_raises;
     QCheck_alcotest.to_alcotest prop_panel_bit_identity;
     Alcotest.test_case "panel reference fallback" `Quick
       test_panel_reference_fallback;
@@ -682,10 +607,9 @@ let suite =
       test_model_solve_workspace_bit_identical;
     Alcotest.test_case "model solve_panel shared domain" `Quick
       test_model_solve_panel_shared_domain;
+    Alcotest.test_case "solve telemetry series" `Quick test_solve_telemetry;
     Alcotest.test_case "eval rejects NaN" `Quick test_eval_rejects_nan;
     QCheck_alcotest.to_alcotest prop_factored_diffusion_mass;
-    Alcotest.test_case "objective memo hit rate" `Quick
-      test_objective_memo_hit_rate;
     Alcotest.test_case "fit identical with/without caches" `Slow
       test_fit_identical_with_and_without_caches;
     Alcotest.test_case "objective expected failure" `Quick

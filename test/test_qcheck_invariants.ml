@@ -437,7 +437,6 @@ let suite =
       prop_pagerank_is_distribution;
       prop_k_core_bounded_by_degree;
       prop_jaccard_metric_axioms;
-      prop_interest_distances_match_merge;
       prop_cascade_respects_structure;
       prop_dl_bounds_random_phi;
       prop_dl_monotone_when_lower_solution;
@@ -445,4 +444,5 @@ let suite =
       prop_accuracy_perfect_iff_equal;
       prop_growth_integral_additive;
       prop_epidemic_monotone;
+      prop_interest_distances_match_merge;
     ]
