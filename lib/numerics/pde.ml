@@ -657,7 +657,8 @@ let imex_step b stories xs t dt =
     done
   done;
   (* back-substitution straight into the state *)
-  for j = (n - 1) * ns to (n * ns) - 1 do
+  for s = 0 to ns - 1 do
+    let j = ((n - 1) * ns) + s in
     u.!(j) <- d.!(j)
   done;
   for i = n - 2 downto 0 do
@@ -708,8 +709,8 @@ let strang_step b stories t dt =
       forward b ~ns i j (explicit b stage ~n ~ns i j)
     done
   done;
-  for j = (n - 1) * ns to (n * ns) - 1 do
-    let s = j - ((n - 1) * ns) in
+  for s = 0 to ns - 1 do
+    let j = ((n - 1) * ns) + s in
     u.!(j) <- flow_step b s ~flow:b.pb_f2.!(s) d.!(j)
   done;
   for i = n - 2 downto 0 do
