@@ -158,8 +158,6 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
       ~dt:config.solver_dt ?workspace ~phi ~obs ~fit_times:config.fit_times
       (Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l)
   in
-  (* The penalised function solves at the clamped parameter vector and
-     adds the penalty of the unclamped one. *)
   let make_f () =
     (* One panel workspace per restart, captured by the closure: the
        pool hands a restart to exactly one worker domain, so the

@@ -123,10 +123,10 @@ val linear_reaction_step : r:(float -> float) -> reaction_step
     scheme) through the time loop in lockstep.  Per-story state and
     operators live in flat [float array]s held by a reusable
     {!panel_workspace} (cell [i] of story [s] at [i * S + s]), and each
-    step is two sweeps per story: an ascending pass doing the first
-    half-reaction (IMEX: the RK2 reaction), the explicit
-    Crank--Nicolson product and the forward Thomas sweep, and a
-    descending pass doing back-substitution and the second
+    step is two sweeps over the cells, stories innermost: an ascending
+    pass doing the first half-reaction (IMEX: the RK2 reaction), the
+    explicit Crank--Nicolson product and the forward Thomas sweep, and
+    a descending pass doing back-substitution and the second
     half-reaction.  The x-independent per-step scalars (r(t), Simpson
     [∫r], their exponentials) are hoisted out of the cell loops, and
     [Logistic]/[Linear] reactions run unboxed.  Story [s] of the result
