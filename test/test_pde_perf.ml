@@ -405,6 +405,147 @@ let test_model_solve_workspace_bit_identical () =
       (Dl.Model.Strang, Pde.Strang (Pde.logistic_reaction_step ~r ~k));
     ]
 
+let test_linear_model_solve_bit_identical () =
+  (* Linear_model.solve must reproduce the scalar Pde.solve of the same
+     problem bit for bit under both of its schemes *)
+  let phi = model_phi () in
+  let r = Dl.Growth.Exp_decay { a = 1.2; b = 1.4; c = 0.3 } in
+  let params = Dl.Linear_model.make ~d:0.07 ~r ~l:1. ~big_l:6. in
+  let r_fn = Dl.Growth.eval r in
+  let p =
+    {
+      Pde.xl = 1.;
+      xr = 6.;
+      nx = 41;
+      diffusion = (fun _ -> 0.07);
+      reaction = Pde.Linear { r = r_fn };
+      initial = Dl.Initial.to_function phi;
+      t0 = 1.;
+    }
+  in
+  List.iter
+    (fun (name, scheme, scalar_scheme) ->
+      let sol =
+        Dl.Linear_model.solve ~scheme ~nx:41 ~dt:0.01 params ~phi
+          ~times:ragged_times
+      in
+      check_solutions_bit_identical name sol.Dl.Linear_model.pde
+        (Pde.solve ~scheme:(scalar_scheme ()) ~dt:0.01 p ~times:ragged_times))
+    [
+      ("linear strang", Dl.Linear_model.Strang,
+       fun () -> Pde.Strang (Pde.linear_reaction_step ~r:r_fn));
+      ("linear crank-nicolson", Dl.Linear_model.Crank_nicolson,
+       fun () -> Pde.Imex 0.5);
+    ]
+
+let test_solve_extended_bit_identical () =
+  (* the future-work model: d(x) and r(x, t) vary with distance, and
+     d(x) is large enough near x = 6 that FTCS sub-steps below dt *)
+  let phi = model_phi () in
+  let params = Dl.Params.paper_hops in
+  let k = params.Dl.Params.k in
+  let diffusion x = 0.05 +. (0.12 *. x) in
+  let growth ~x ~t =
+    Dl.Growth.eval params.Dl.Params.r t /. (1. +. (0.05 *. x))
+  in
+  let p =
+    {
+      Pde.xl = params.Dl.Params.l;
+      xr = params.Dl.Params.big_l;
+      nx = 41;
+      diffusion;
+      reaction =
+        Pde.Custom (fun ~x ~t ~u -> growth ~x ~t *. u *. (1. -. (u /. k)));
+      initial = Dl.Initial.to_function phi;
+      t0 = 1.;
+    }
+  in
+  Alcotest.(check bool) "ftcs sub-steps" true (0.9 *. Pde.cfl_limit p < 0.01);
+  List.iter
+    (fun (name, scheme, scalar_scheme) ->
+      let sol =
+        Dl.Model.solve_extended ~scheme ~nx:41 ~dt:0.01 params ~diffusion
+          ~growth ~phi ~times:ragged_times
+      in
+      check_solutions_bit_identical name sol.Dl.Model.pde
+        (Pde.solve ~scheme:scalar_scheme ~dt:0.01 p ~times:ragged_times))
+    [
+      ("extended crank-nicolson", Dl.Model.Crank_nicolson, Pde.Imex 0.5);
+      ("extended strang", Dl.Model.Strang, Pde.Imex 0.5);
+      ("extended ftcs", Dl.Model.Ftcs, Pde.Ftcs);
+    ]
+
+(* FTCS as the original stepper wrote it, three arrays per step: the
+   operator L u, the Heun reaction increment, then their sum.  The
+   oracle for [Pde.solve]'s FTCS arm, which must match it bit for bit. *)
+let ftcs_oracle (p : Pde.problem) ~dt ~times =
+  let n = p.Pde.nx in
+  let xs = Pde.grid p in
+  let h = (p.Pde.xr -. p.Pde.xl) /. float_of_int (n - 1) in
+  let h2 = h ** 2. in
+  let df =
+    Array.init (n - 1) (fun i ->
+        (p.Pde.diffusion xs.(i) +. p.Pde.diffusion xs.(i + 1)) /. 2.)
+  in
+  let weight i = if i = 0 || i = n - 1 then 0.5 else 1. in
+  let dt_macro =
+    let dmax =
+      Array.fold_left (fun acc x -> Float.max acc (p.Pde.diffusion x)) 0. xs
+    in
+    if dmax <= 0. then dt else Float.min dt (0.9 *. (h *. h /. (2. *. dmax)))
+  in
+  let f = Pde.reaction_eval p.Pde.reaction in
+  let step t dt u =
+    let lu =
+      Array.init n (fun i ->
+          let flux_right =
+            if i = n - 1 then 0. else df.(i) *. (u.(i + 1) -. u.(i))
+          in
+          let flux_left =
+            if i = 0 then 0. else df.(i - 1) *. (u.(i) -. u.(i - 1))
+          in
+          (flux_right -. flux_left) /. (h2 *. weight i))
+    in
+    let dr =
+      Array.mapi
+        (fun i ui ->
+          let k1 = f ~x:xs.(i) ~t ~u:ui in
+          let k2 = f ~x:xs.(i) ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
+          dt *. (k1 +. k2) /. 2.)
+        u
+    in
+    Array.mapi (fun i ui -> ui +. (dt *. lu.(i)) +. dr.(i)) u
+  in
+  let u = ref (Array.map p.Pde.initial xs) and t = ref p.Pde.t0 in
+  let snaps = ref [ !u ] in
+  Array.iter
+    (fun target ->
+      while target -. !t > 1e-12 do
+        let step_dt = Float.min dt_macro (target -. !t) in
+        u := step !t step_dt !u;
+        t := !t +. step_dt
+      done;
+      t := target;
+      snaps := !u :: !snaps)
+    times;
+  { Pde.xs; ts = Array.append [| p.Pde.t0 |] times;
+    values = Array.of_list (List.rev !snaps) }
+
+let test_ftcs_matches_oracle () =
+  let p, r, k = dl_problem () in
+  let steep = { p with Pde.diffusion = (fun x -> 0.2 *. x) } in
+  Alcotest.(check bool) "steep sub-steps" true (0.9 *. Pde.cfl_limit steep < 0.01);
+  List.iter
+    (fun (name, p) ->
+      check_solutions_bit_identical name
+        (Pde.solve ~scheme:Pde.Ftcs ~dt:0.01 p ~times:ragged_times)
+        (ftcs_oracle p ~dt:0.01 ~times:ragged_times))
+    [
+      ("ftcs custom", p);
+      ("ftcs logistic", { p with Pde.reaction = Pde.Logistic { r; k } });
+      ("ftcs sub-stepped", steep);
+    ]
+
 let test_solve_telemetry () =
   (* A workspace-less Model.solve is one plain solve (the series
      Pde.solve records); a workspace solve counts in pde.panel_* *)
@@ -607,6 +748,12 @@ let suite =
       test_model_solve_workspace_bit_identical;
     Alcotest.test_case "model solve_panel shared domain" `Quick
       test_model_solve_panel_shared_domain;
+    Alcotest.test_case "linear model solve bit-identical" `Quick
+      test_linear_model_solve_bit_identical;
+    Alcotest.test_case "solve_extended bit-identical" `Quick
+      test_solve_extended_bit_identical;
+    Alcotest.test_case "ftcs matches three-array oracle" `Quick
+      test_ftcs_matches_oracle;
     Alcotest.test_case "solve telemetry series" `Quick test_solve_telemetry;
     Alcotest.test_case "eval rejects NaN" `Quick test_eval_rejects_nan;
     QCheck_alcotest.to_alcotest prop_factored_diffusion_mass;

@@ -154,6 +154,14 @@ let test_decode_rejects_garbage () =
   | Ok _ -> Alcotest.fail "truncated payload must not decode"
   | Error _ -> ()
 
+let test_solver_signature_pinned () =
+  (* fit ids already saved in a store hash this string: it must not
+     drift, or re-posted /fit bodies stop matching their records *)
+  Alcotest.(check string) "strang signature"
+    "scheme=strang;nx=41;dt=3fa999999999999a;ref=false"
+    (F.solver_signature ~scheme:Dl.Model.Strang ~nx:41 ~dt:0.05
+       ~reference:false)
+
 let test_frame_corruption_detected () =
   let framed = F.frame (F.encode (sample_record ())) in
   (match F.read_frame framed ~pos:0 with
@@ -576,6 +584,8 @@ let suite =
     Alcotest.test_case "codec round-trip is bit-exact" `Quick
       test_encode_decode_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_decode_rejects_garbage;
+    Alcotest.test_case "solver signature pinned" `Quick
+      test_solver_signature_pinned;
     Alcotest.test_case "v1 payload decodes with model=dl" `Quick
       test_decode_v1_record;
     Alcotest.test_case "frame CRC catches bit flips" `Quick
