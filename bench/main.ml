@@ -1284,121 +1284,6 @@ let run_live_bench () =
   bench
 
 (* ------------------------------------------------------------------ *)
-(* Solver microbench: workspace fast path vs reference stepper         *)
-(* ------------------------------------------------------------------ *)
-
-type solver_bench = {
-  vb_name : string;
-  vb_steps : int;              (* time steps per solve *)
-  vb_fast_ns : float;          (* ns per step, workspace path *)
-  vb_ref_ns : float;           (* ns per step, reference stepper *)
-  vb_speedup : float;
-  vb_fast_minor_words : float; (* minor words allocated per solve *)
-  vb_ref_minor_words : float;
-  vb_alloc_ratio : float;      (* reference / fast *)
-  vb_identical : bool;         (* per-cell bit equality of the outputs *)
-}
-
-let run_solver_bench () =
-  section
-    "Solver: allocation-free workspace vs reference stepper (per scheme)";
-  let module Pde = Numerics.Pde in
-  let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
-  let k = 25. in
-  let p =
-    {
-      Pde.xl = 1.;
-      xr = 6.;
-      nx = 101;
-      diffusion = (fun _ -> 0.05);
-      reaction = Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)));
-      initial = (fun x -> 8. *. exp (-0.5 *. (x -. 1.)));
-      t0 = 1.;
-    }
-  in
-  let times = [| 2.; 3.; 4.; 5.; 6. |] in
-  let dt = 0.01 in
-  (* fresh scheme value per solve: the Strang reaction closure is
-     stateful (memoized r-integral) *)
-  let scheme_of = function
-    | "ftcs" -> Pde.Ftcs
-    | "imex-cn" -> Pde.Imex 0.5
-    | "strang" -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-    | _ -> assert false
-  in
-  let solve_with name ~reference =
-    Pde.solve ~scheme:(scheme_of name) ~dt ~reference p ~times
-  in
-  let identical (a : Pde.solution) (b : Pde.solution) =
-    let ok = ref (Array.length a.Pde.values = Array.length b.Pde.values) in
-    Array.iteri
-      (fun it row ->
-        Array.iteri
-          (fun ix v ->
-            if
-              not
-                (Int64.equal (Int64.bits_of_float v)
-                   (Int64.bits_of_float b.Pde.values.(it).(ix)))
-            then ok := false)
-          row)
-      a.Pde.values;
-    !ok
-  in
-  let reps = 25 in
-  let measure name ~reference =
-    (* observability stays off while measuring, so neither path pays
-       for timing syscalls or metric floats in these numbers *)
-    ignore (solve_with name ~reference);
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (solve_with name ~reference)
-    done;
-    let seconds = Unix.gettimeofday () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    (seconds /. float_of_int reps, words /. float_of_int reps)
-  in
-  let bench name =
-    (* actual step count read back from the step counter (FTCS
-       sub-steps below the CFL limit, so it differs per scheme) *)
-    let c_steps = Obs.Metrics.counter "pde.steps" in
-    let before = Obs.Metrics.counter_value c_steps in
-    let fast_sol = solve_with name ~reference:false in
-    let steps = Obs.Metrics.counter_value c_steps - before in
-    let ref_sol = solve_with name ~reference:true in
-    let vb_identical = identical fast_sol ref_sol in
-    Obs.set_enabled false;
-    let fast_s, fast_w = measure name ~reference:false in
-    let ref_s, ref_w = measure name ~reference:true in
-    Obs.set_enabled true;
-    let per_step s = s *. 1e9 /. float_of_int steps in
-    {
-      vb_name = name;
-      vb_steps = steps;
-      vb_fast_ns = per_step fast_s;
-      vb_ref_ns = per_step ref_s;
-      vb_speedup = ref_s /. fast_s;
-      vb_fast_minor_words = fast_w;
-      vb_ref_minor_words = ref_w;
-      vb_alloc_ratio = ref_w /. fast_w;
-      vb_identical;
-    }
-  in
-  let rows = List.map bench [ "ftcs"; "imex-cn"; "strang" ] in
-  Format.printf
-    "  %-10s %7s %12s %12s %8s %14s %14s %7s %s@." "scheme" "steps"
-    "fast ns/st" "ref ns/st" "speedup" "fast words/sv" "ref words/sv"
-    "alloc x" "identical";
-  List.iter
-    (fun b ->
-      Format.printf "  %-10s %7d %12.0f %12.0f %8.2f %14.0f %14.0f %7.1f %b@."
-        b.vb_name b.vb_steps b.vb_fast_ns b.vb_ref_ns b.vb_speedup
-        b.vb_fast_minor_words b.vb_ref_minor_words b.vb_alloc_ratio
-        b.vb_identical)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
 (* Panel bench: fused multi-story panel vs a per-story scalar loop     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1481,7 +1366,7 @@ let run_panel_bench () =
       | "strang" -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
       | _ -> assert false
     in
-    Pde.solve ~scheme ~dt ~reference:false p ~times
+    Pde.solve ~scheme ~dt p ~times
   in
   let identical (a : Pde.solution) (b : Pde.solution) =
     let ok = ref (Array.length a.Pde.values = Array.length b.Pde.values) in
@@ -1686,26 +1571,9 @@ let run_tournament_bench () =
 
 (* the "solver" object shared by the full bench JSON and the
    standalone solver-only JSON CI gates on *)
-let write_solver_obj oc ~solver ~panel =
+let write_solver_obj oc ~panel =
   let out fmt = Printf.fprintf oc fmt in
-  out "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"schemes\": [\n";
-  List.iteri
-    (fun i b ->
-      out
-        "    {\"name\": \"%s\", \"steps_per_solve\": %d, \
-         \"fast_ns_per_step\": %s, \"ref_ns_per_step\": %s, \"speedup\": \
-         %s, \"fast_minor_words_per_solve\": %s, \
-         \"ref_minor_words_per_solve\": %s, \"alloc_ratio\": %s, \
-         \"identical\": %b}%s\n"
-        (json_escape b.vb_name) b.vb_steps
-        (json_float b.vb_fast_ns) (json_float b.vb_ref_ns)
-        (json_float b.vb_speedup)
-        (json_float b.vb_fast_minor_words)
-        (json_float b.vb_ref_minor_words)
-        (json_float b.vb_alloc_ratio) b.vb_identical
-        (if i = List.length solver - 1 then "" else ","))
-    solver;
-  out "  ], \"panel\": [\n";
+  out "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"panel\": [\n";
   List.iteri
     (fun i b ->
       out
@@ -1725,7 +1593,7 @@ let write_solver_obj oc ~solver ~panel =
   out "  ]}"
 
 let write_bench_json ~path ~scale_name ~scaling ~micro ~serve_load ~live
-    ~solver ~panel ~store ~tournament =
+    ~panel ~store ~tournament =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1781,7 +1649,7 @@ let write_bench_json ~path ~scale_name ~scaling ~micro ~serve_load ~live
     (json_float live.lb_warm_s)
     (json_float live.lb_cold_s)
     live.lb_warm_evals live.lb_cold_evals;
-  write_solver_obj oc ~solver ~panel;
+  write_solver_obj oc ~panel;
   out ",\n";
   (* the leaderboard document (schema dlosn-tournament/1) embeds as-is *)
   out "  \"tournament\": %s,\n"
@@ -2065,10 +1933,10 @@ let write_live_json ~path live =
 (* Solver-only JSON: the same "solver" object write_bench_json embeds,
    standalone — lets CI gate the panel bit-identity and speedup at
    several domain counts without paying for the full harness. *)
-let write_solver_json ~path ~solver ~panel =
+let write_solver_json ~path ~panel =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"schema\": \"dlosn-bench-solver/1\",\n";
-  write_solver_obj oc ~solver ~panel;
+  write_solver_obj oc ~panel;
   Printf.fprintf oc "\n}\n";
   close_out oc
 
@@ -2104,20 +1972,15 @@ let () =
     exit (if ok then 0 else 1)
   end;
   if Sys.getenv_opt "DLOSN_BENCH_SOLVER_ONLY" <> None then begin
-    let solver = run_solver_bench () in
     let panel = run_panel_bench () in
     let json_path =
       match Sys.getenv_opt "DLOSN_BENCH_JSON" with
       | Some p -> p
       | None -> "bench_solver.json"
     in
-    write_solver_json ~path:json_path ~solver ~panel;
+    write_solver_json ~path:json_path ~panel;
     Format.printf "solver bench written to %s@." json_path;
-    let ok =
-      List.for_all (fun b -> b.vb_identical) solver
-      && List.for_all (fun b -> b.pn_identical) panel
-    in
-    exit (if ok then 0 else 1)
+    exit (if List.for_all (fun b -> b.pn_identical) panel then 0 else 1)
   end;
   let scale_name, scale = scale_of_env () in
   Format.printf
@@ -2216,7 +2079,6 @@ let () =
   print_future_work_twitter ();
 
   let scaling = print_parallel_scaling ds in
-  let solver = run_solver_bench () in
   let panel = run_panel_bench () in
   let store = run_store_bench () in
   let tournament = run_tournament_bench () in
@@ -2227,7 +2089,7 @@ let () =
     | None -> "bench_results.json"
   in
   write_bench_json ~path:json_path ~scale_name ~scaling ~micro ~serve_load
-    ~live ~solver ~panel ~store ~tournament;
+    ~live ~panel ~store ~tournament;
   let metrics_path =
     match Sys.getenv_opt "DLOSN_BENCH_METRICS" with
     | Some p -> p

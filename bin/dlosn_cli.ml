@@ -121,18 +121,6 @@ let metrics_out_arg =
               gauge and histogram to FILE as JSON (schema \
               dlosn-metrics/1).")
 
-let no_solver_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-solver-cache" ]
-        ~doc:"Disable the solver fast paths: run the per-step-allocating \
-              reference PDE stepper instead of the cached-factorization \
-              workspace and the fused panel kernel.  Results are \
-              bit-identical either way; this is an escape hatch for \
-              debugging and benchmarking.  The \
-              $(b,DLOSN_BENCH_REFERENCE_SOLVER) environment variable has \
-              the same effect.")
-
 let flame_out_arg =
   Arg.(
     value
@@ -172,8 +160,7 @@ type obs_opts = {
   otlp_sample_rate : float;  (* resolved: flag, else DLOSN_OTLP_SAMPLE *)
 }
 
-let setup_obs level json metrics_out no_solver_cache flame_out otlp_endpoint
-    otlp_sample_rate =
+let setup_obs level json metrics_out flame_out otlp_endpoint otlp_sample_rate =
   if level <> None || json || metrics_out <> None || flame_out <> None then
     Obs.set_enabled true;
   (match (level, json) with
@@ -181,7 +168,6 @@ let setup_obs level json metrics_out no_solver_cache flame_out otlp_endpoint
   | None, true -> Obs.Log.set_level (Some Obs.Level.Info)
   | None, false -> ());
   if json then Obs.Log.set_sink Obs.Log.Json;
-  if no_solver_cache then Numerics.Pde.set_use_reference_stepper true;
   let otlp_endpoint =
     match otlp_endpoint with
     | Some _ as e -> e
@@ -231,8 +217,7 @@ let start_cli_otlp opts =
 let obs_term =
   Term.(
     const setup_obs $ log_level_arg $ log_json_arg $ metrics_out_arg
-    $ no_solver_cache_arg $ flame_out_arg $ otlp_endpoint_arg
-    $ otlp_sample_rate_arg)
+    $ flame_out_arg $ otlp_endpoint_arg $ otlp_sample_rate_arg)
 
 (* Runs even when the command raises, so a failed run still leaves its
    profile and metrics behind. *)

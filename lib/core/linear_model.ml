@@ -30,24 +30,28 @@ let check_times times =
 
 let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
   check_times times;
-  let r_fn = Growth.eval params.r in
-  let p =
+  let pp =
     {
-      Pde.xl = params.l;
-      xr = params.big_l;
-      nx;
-      diffusion = (fun _ -> params.d);
-      reaction = Pde.Linear { r = r_fn };
-      initial = Initial.to_function phi;
-      t0 = 1.;
+      Pde.pp_xl = params.l;
+      pp_xr = params.big_l;
+      pp_nx = nx;
+      pp_t0 = 1.;
+      pp_stories =
+        [|
+          {
+            Pde.ps_diffusion = (fun _ -> params.d);
+            ps_reaction = Pde.Linear { r = Growth.eval params.r };
+            ps_initial = Initial.to_function phi;
+          };
+        |];
     }
   in
-  let pde_scheme =
+  let scheme =
     match scheme with
-    | Crank_nicolson -> Pde.Imex 0.5
-    | Strang -> Pde.Strang (Pde.linear_reaction_step ~r:r_fn)
+    | Crank_nicolson -> Pde.Panel_imex 0.5
+    | Strang -> Pde.Panel_strang
   in
-  { params; pde = Pde.solve ~scheme:pde_scheme ~dt p ~times }
+  { params; pde = Pde.solve_story ~scheme ~dt pp ~times }
 
 let predict sol ~x ~t = Pde.eval sol.pde ~x ~t
 let predictor sol = Pde.evaluator sol.pde

@@ -13,10 +13,10 @@
     baselines and the full DL equation: diffusion coupling without
     saturation.
 
-    Solving reuses the cached-factorization {!Numerics.Pde} machinery
-    (Strang splitting with the {e exact} linear reaction flow, or
-    Crank--Nicolson IMEX), so the hot path is the same allocation-free
-    Thomas sweep the DL model runs on. *)
+    Solving runs the fused {!Numerics.Pde} kernel the DL model runs on
+    ({!Numerics.Pde.solve_story}: Strang splitting with the {e exact}
+    linear reaction flow, or Crank--Nicolson IMEX), bit-identical to
+    the scalar {!Numerics.Pde.solve}. *)
 
 type params = {
   d : float;      (** diffusion rate *)
@@ -50,9 +50,11 @@ val solve :
   params -> phi:Initial.t -> times:float array -> solution
 (** [solve params ~phi ~times] integrates from t = 1 and records a
     snapshot at each requested time (all must be [>= 1]).  Defaults:
-    [Strang] with the exact linear reaction flow
-    ({!Numerics.Pde.linear_reaction_step}), [nx = 101], [dt = 0.01]
-    hours. *)
+    [Strang] with the exact linear reaction flow [u e^{∫r}] (the
+    kernel's [Panel_strang] on a [Linear] reaction), [nx = 101],
+    [dt = 0.01] hours.
+    @raise Invalid_argument on a time below 1, a NaN or infinite time,
+    or decreasing times. *)
 
 val predict : solution -> x:float -> t:float -> float
 (** Interpolated I(x, t) from the recorded snapshots.

@@ -7,26 +7,13 @@ type solution = {
   pde : Pde.solution;
 }
 
-let problem_of params ~phi ~diffusion ~growth =
-  {
-    Pde.xl = params.Params.l;
-    xr = params.Params.big_l;
-    nx = 101;
-    diffusion;
-    reaction =
-      Pde.Custom
-        (fun ~x ~t ~u -> growth ~x ~t *. u *. (1. -. (u /. params.Params.k)));
-    initial = Initial.to_function phi;
-    t0 = 1.;
-  }
-
 let check_times times =
   if Array.exists (fun t -> t < 1.) times then
     invalid_arg "Model.solve: observation times start at t = 1"
 
 (* The DL reaction as the solver's specialised shape: evaluates as
-   exactly [r(t) u (1 - u/K)], same bits as the closure [problem_of]
-   builds, but unboxed on the panel path. *)
+   exactly [r(t) u (1 - u/K)], the same bits as a [Custom] closure with
+   that body, but unboxed on the panel path. *)
 let dl_reaction params =
   Pde.Logistic
     { r = Growth.eval params.Params.r; k = params.Params.k }
@@ -43,43 +30,45 @@ let panel_scheme_of = function
   | Crank_nicolson -> Some (Pde.Panel_imex 0.5)
   | Strang -> Some Pde.Panel_strang
 
-let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
-    ~times =
-  check_times times;
+(* One story on the domain (l, L) from t = 1.  Strang and
+   Crank--Nicolson run the fused kernel at width 1: on the caller's
+   workspace (its buffers survive across calls — one per fit restart),
+   or on private buffers counted as a plain solve.  FTCS sub-steps below
+   the story's CFL limit, which rules out lockstep: scalar solver. *)
+let solve_one ?workspace ~scheme ~nx ~dt params story ~times =
   match panel_scheme_of scheme with
-  | Some ps ->
-    (* Strang and Crank--Nicolson run the fused kernel at width 1: on the
-       caller's workspace (its buffers survive across calls — one per
-       fit restart), or on private buffers counted as a plain solve. *)
+  | Some ps -> (
     let pp =
       {
         Pde.pp_xl = params.Params.l;
         pp_xr = params.Params.big_l;
         pp_nx = nx;
         pp_t0 = 1.;
-        pp_stories = [| panel_story_of params ~phi |];
+        pp_stories = [| story |];
       }
     in
-    let pde =
-      match workspace with
-      | Some ws -> (Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times).(0)
-      | None -> Pde.solve_story ~scheme:ps ~dt pp ~times
-    in
-    { params; pde }
+    match workspace with
+    | Some ws -> (Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times).(0)
+    | None -> Pde.solve_story ~scheme:ps ~dt pp ~times)
   | None ->
-    (* FTCS sub-steps below each story's CFL limit: scalar solver *)
     let p =
       {
         Pde.xl = params.Params.l;
         xr = params.Params.big_l;
         nx;
-        diffusion = (fun _ -> params.Params.d);
-        reaction = dl_reaction params;
-        initial = Initial.to_function phi;
+        diffusion = story.Pde.ps_diffusion;
+        reaction = story.Pde.ps_reaction;
+        initial = story.Pde.ps_initial;
         t0 = 1.;
       }
     in
-    { params; pde = Pde.solve ~scheme:Pde.Ftcs ~dt p ~times }
+    Pde.solve ~scheme:Pde.Ftcs ~dt p ~times
+
+let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
+    ~times =
+  check_times times;
+  let story = panel_story_of params ~phi in
+  { params; pde = solve_one ?workspace ~scheme ~nx ~dt params story ~times }
 
 let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
     ~times =
@@ -115,13 +104,18 @@ let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
 let solve_extended ?(scheme = Crank_nicolson) ?(nx = 101) ?(dt = 0.01) params
     ~diffusion ~growth ~phi ~times =
   check_times times;
-  let p = { (problem_of params ~phi ~diffusion ~growth) with Pde.nx } in
-  let pde_scheme =
-    match scheme with
-    | Ftcs -> Pde.Ftcs
-    | Crank_nicolson | Strang -> Pde.Imex 0.5
+  let k = params.Params.k in
+  let story =
+    {
+      Pde.ps_diffusion = diffusion;
+      ps_reaction =
+        Pde.Custom (fun ~x ~t ~u -> growth ~x ~t *. u *. (1. -. (u /. k)));
+      ps_initial = Initial.to_function phi;
+    }
   in
-  { params; pde = Pde.solve ~scheme:pde_scheme ~dt p ~times }
+  (* r(x, t) has no exact flow to split on: Strang runs as CN *)
+  let scheme = match scheme with Strang -> Crank_nicolson | s -> s in
+  { params; pde = solve_one ~scheme ~nx ~dt params story ~times }
 
 let predict sol ~x ~t = Pde.eval sol.pde ~x ~t
 let predictor sol = Pde.evaluator sol.pde

@@ -29,7 +29,9 @@ val solve :
     {!Numerics.Pde.solve_story} on private buffers.  Pass one workspace
     per fit restart / pool worker; never share one across domains
     concurrently.  [Ftcs] runs the scalar solver and ignores
-    [?workspace]. *)
+    [?workspace].
+    @raise Invalid_argument on a time below 1, a NaN or infinite time,
+    or decreasing times. *)
 
 val solve_panel :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->
@@ -49,9 +51,11 @@ val solve_extended :
   phi:Initial.t -> times:float array -> solution
 (** The paper's future-work generalisation: diffusion [d(x)] varying
     with distance and growth [r(x, t)] varying with both distance and
-    time.  Uses Crank--Nicolson IMEX (the exact-logistic split no
-    longer applies).  The [params] argument supplies K and the
-    domain. *)
+    time.  [Crank_nicolson] (the default) and [Strang] both run
+    Crank--Nicolson IMEX on the fused kernel with the growth as a
+    [Custom] reaction (the exact-logistic split needs [r] to depend on
+    [t] alone); [Ftcs] runs the scalar solver.  The [params] argument
+    supplies K and the domain. *)
 
 val predict : solution -> x:float -> t:float -> float
 (** Interpolated I(x, t) from the recorded snapshots.

@@ -3,9 +3,8 @@
    solve and run unboxed float arithmetic per cell; [Custom] keeps the
    fully general closure (floats box at every call — the per-cell
    closure-call floor the panel path removes for the named shapes).
-   [reaction_eval] is the single semantics: every path, reference or
-   fast, scalar or panel, computes exactly its floating-point
-   expressions. *)
+   [reaction_eval] is the single semantics: the scalar stepper and the
+   panel kernel both compute exactly its floating-point expressions. *)
 type reaction =
   | Logistic of { r : float -> float; k : float }
   | Linear of { r : float -> float }
@@ -66,15 +65,8 @@ let cfl_limit p = cfl_of p (grid p)
    the trapezoid integral of u an exact invariant of pure diffusion. *)
 let cell_weight n i = if i = 0 || i = n - 1 then 0.5 else 1.
 
-let apply_operator p df u =
-  let n = p.nx in
-  let h2 = dx p ** 2. in
-  Array.init n (fun i ->
-      let flux_right = if i = n - 1 then 0. else df.(i) *. (u.(i + 1) -. u.(i)) in
-      let flux_left = if i = 0 then 0. else df.(i - 1) *. (u.(i) -. u.(i - 1)) in
-      (flux_right -. flux_left) /. (h2 *. cell_weight n i))
-
-(* Tridiagonal representation of L (same stencil as [apply_operator]). *)
+(* Tridiagonal representation of L (the stencil FTCS applies cell by
+   cell in [step]). *)
 let operator_tridiag p df =
   let n = p.nx in
   let h2 = dx p ** 2. in
@@ -133,21 +125,49 @@ let reaction_rk2 p xs t dt u =
       dt *. (k1 +. k2) /. 2.)
     u
 
+(* The schedule both time loops march: a step [dt > 0] and finite
+   snapshot times, each no earlier than [t0] or the one before (to the
+   loops' 1e-12 snap tolerance).  A NaN target compares false against
+   every bound, so the loops would record the current state unstepped;
+   +inf would never be reached. *)
+let check_schedule fn ~dt ~t0 times =
+  if not (dt > 0.) then invalid_arg (fn ^ ": dt must be > 0");
+  for k = 0 to Array.length times - 1 do
+    let prev = if k = 0 then t0 else times.(k - 1) in
+    if not (Float.is_finite times.(k)) then
+      invalid_arg (fn ^ ": times must be finite");
+    if times.(k) < prev -. 1e-12 then
+      invalid_arg (fn ^ ": times must be increasing and >= t0")
+  done
+
 (* One macro time step of size dt, dispatching on the scheme.  For
    FTCS the caller has already split dt below the CFL limit.
 
-   This is the RETAINED REFERENCE STEPPER: it allocates fresh arrays
-   and operators every step, exactly as the original solver did.  The
-   workspace fast path below must stay bit-identical to it — same
-   floating-point operations in the same order — which
-   [test/test_pde_perf.ml] enforces per cell.  Do not "optimise" this
-   function; it is the oracle. *)
-let step p xs df l scheme t dt u =
+   This is the scalar stepper.  Its Imex and Strang arms allocate fresh
+   arrays and operators every step, exactly as the original solver did:
+   they are the oracle the fused panel kernel below must reproduce bit
+   for bit (same floating-point operations in the same order), which
+   [test/test_pde_perf.ml] enforces per cell.  Do not "optimise" them.
+   FTCS runs only here (its CFL-bounded step keeps stories from
+   marching in lockstep), as one loop over the cells writing a fresh
+   state: the operator L u over the hoisted [h2w] = dx^2 * cell weight,
+   the Heun (RK2) reaction increment, then their sum. *)
+let step p xs df l h2w scheme t dt u =
   match scheme with
   | Ftcs ->
-    let lu = apply_operator p df u in
-    let dr = reaction_rk2 p xs t dt u in
-    Array.mapi (fun i ui -> ui +. (dt *. lu.(i)) +. dr.(i)) u
+    let n = p.nx in
+    let next = Array.create_float n in
+    for i = 0 to n - 1 do
+      let flux_right = if i = n - 1 then 0. else df.(i) *. (u.(i + 1) -. u.(i)) in
+      let flux_left = if i = 0 then 0. else df.(i - 1) *. (u.(i) -. u.(i - 1)) in
+      let lu = (flux_right -. flux_left) /. h2w.(i) in
+      let x = xs.(i) in
+      let ui = u.(i) in
+      let k1 = reaction_eval p.reaction ~x ~t ~u:ui in
+      let k2 = reaction_eval p.reaction ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
+      next.(i) <- ui +. (dt *. lu) +. (dt *. (k1 +. k2) /. 2.)
+    done;
+    next
   | Imex theta ->
     (* (I - theta dt L) u' = (I + (1-theta) dt L) u + RK2 reaction *)
     let explicit = Tridiag.mv (shifted ((1. -. theta) *. dt) l) u in
@@ -164,147 +184,25 @@ let step p xs df l scheme t dt u =
       (fun i ui -> react ~x:xs.(i) ~t:(t +. half) ~dt:half ~u:ui)
       u2
 
-(* --- workspace fast path ---------------------------------------- *)
-
-(* Everything a solve's hot loop needs, allocated once up front: a
-   double-buffered state, rhs/stage scratch, the hoisted dx^2
-   cell-weight table, and (for the implicit schemes) the shifted
-   operators and their Thomas factorization for the macro step size.
-   Ragged final partial steps before a snapshot target build throwaway
-   operators and leave the dt_macro cache intact. *)
-type workspace = {
-  mutable w_u : float array;     (* current state *)
-  mutable w_next : float array;  (* written by the step, then swapped *)
-  w_rhs : float array;
-  w_stage : float array;
-  w_h2w : float array;           (* dx^2 * cell_weight, per cell *)
-  w_dt_macro : float;
-  mutable w_ops : (Tridiag.t * Tridiag.factored) option;
-  mutable w_reuses : int;        (* steps served by the cached ops *)
-  mutable w_rebuilds : int;      (* operator (re)builds, incl. the first *)
-}
-
-let make_workspace p u0 dt_macro =
-  let n = p.nx in
-  let h2 = dx p ** 2. in
-  {
-    w_u = u0;
-    w_next = Array.make n 0.;
-    w_rhs = Array.make n 0.;
-    w_stage = Array.make n 0.;
-    w_h2w = Array.init n (fun i -> h2 *. cell_weight n i);
-    w_dt_macro = dt_macro;
-    w_ops = None;
-    w_reuses = 0;
-    w_rebuilds = 0;
-  }
-
-(* (I + c L) pairs for one step of size dt: the explicit operator and
-   the factorized implicit one.  Same [shifted] coefficients as the
-   reference stepper. *)
-let build_ops l scheme dt =
-  match scheme with
-  | Ftcs -> assert false (* no implicit operator in FTCS *)
-  | Imex theta ->
-    ( shifted ((1. -. theta) *. dt) l,
-      Tridiag.factorize (shifted (-.(theta *. dt)) l) )
-  | Strang _ ->
-    (shifted (dt /. 2.) l, Tridiag.factorize (shifted (-.(dt /. 2.)) l))
-
-let ops_for ws l scheme dt =
-  if dt = ws.w_dt_macro then (
-    match ws.w_ops with
-    | Some ops ->
-      ws.w_reuses <- ws.w_reuses + 1;
-      ops
-    | None ->
-      let ops = build_ops l scheme dt in
-      ws.w_ops <- Some ops;
-      ws.w_rebuilds <- ws.w_rebuilds + 1;
-      ops)
-  else begin
-    ws.w_rebuilds <- ws.w_rebuilds + 1;
-    build_ops l scheme dt
-  end
-
-(* Allocation-free step into [ws.w_next], then a buffer swap.  Each
-   branch performs the reference stepper's floating-point operations in
-   the same order (and calls [p.reaction] / [react] in the same cell
-   order), so outputs are bit-identical; only the array churn is gone. *)
-let step_ws p xs df l scheme ws t dt =
-  let n = p.nx in
-  let u = ws.w_u and next = ws.w_next in
-  (match scheme with
-  | Ftcs ->
-    for i = 0 to n - 1 do
-      let flux_right = if i = n - 1 then 0. else df.(i) *. (u.(i + 1) -. u.(i)) in
-      let flux_left = if i = 0 then 0. else df.(i - 1) *. (u.(i) -. u.(i - 1)) in
-      let lu = (flux_right -. flux_left) /. ws.w_h2w.(i) in
-      let x = xs.(i) in
-      let ui = u.(i) in
-      let k1 = reaction_eval p.reaction ~x ~t ~u:ui in
-      let k2 = reaction_eval p.reaction ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-      next.(i) <- ui +. (dt *. lu) +. (dt *. (k1 +. k2) /. 2.)
-    done
-  | Imex _ ->
-    let exp_op, imp = ops_for ws l scheme dt in
-    Tridiag.mv_into exp_op u ~dst:ws.w_rhs;
-    for i = 0 to n - 1 do
-      let x = xs.(i) in
-      let ui = u.(i) in
-      let k1 = reaction_eval p.reaction ~x ~t ~u:ui in
-      let k2 = reaction_eval p.reaction ~x ~t:(t +. dt) ~u:(ui +. (dt *. k1)) in
-      ws.w_rhs.(i) <- ws.w_rhs.(i) +. (dt *. (k1 +. k2) /. 2.)
-    done;
-    Tridiag.solve_factored imp ~src:ws.w_rhs ~dst:next
-  | Strang react ->
-    let half = dt /. 2. in
-    let exp_op, imp = ops_for ws l scheme dt in
-    let stage = ws.w_stage in
-    for i = 0 to n - 1 do
-      stage.(i) <- react ~x:xs.(i) ~t ~dt:half ~u:u.(i)
-    done;
-    Tridiag.mv_into exp_op stage ~dst:ws.w_rhs;
-    Tridiag.solve_factored imp ~src:ws.w_rhs ~dst:stage;
-    for i = 0 to n - 1 do
-      next.(i) <- react ~x:xs.(i) ~t:(t +. half) ~dt:half ~u:stage.(i)
-    done);
-  ws.w_u <- next;
-  ws.w_next <- u
-
 (* --- solver entry point ------------------------------------------ *)
-
-let reference_env_var = "DLOSN_BENCH_REFERENCE_SOLVER"
-
-let use_reference =
-  ref
-    (match Sys.getenv_opt reference_env_var with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false)
-
-let set_use_reference_stepper b = use_reference := b
-let use_reference_stepper () = !use_reference
 
 let m_solves = Obs.Metrics.counter "pde.solves"
 let m_steps = Obs.Metrics.counter "pde.steps"
-let m_ws_reuses = Obs.Metrics.counter "pde.workspace_reuses"
-let m_ws_rebuilds = Obs.Metrics.counter "pde.factor_rebuilds"
 let m_solve_ns = Obs.Metrics.histogram "pde.solve_ns"
 let m_step_ns = Obs.Metrics.histogram "pde.step_ns"
 
-let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
-  assert (dt > 0.);
+let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
+  check_schedule "Pde.solve" ~dt ~t0:p.t0 times;
   (match scheme with
   | Imex theta ->
     if theta < 0.5 || theta > 1. then
       invalid_arg "Pde.solve: theta must be in [0.5, 1]"
   | Ftcs | Strang _ -> ());
-  let reference =
-    match reference with Some b -> b | None -> !use_reference
-  in
   let xs = grid p in
   let df = face_diffusion p xs in
   let l = operator_tridiag p df in
+  let h2 = dx p ** 2. in
+  let h2w = Array.init p.nx (fun i -> h2 *. cell_weight p.nx i) in
   let dt_macro =
     match scheme with
     | Ftcs ->
@@ -317,20 +215,11 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
   let obs_on = Obs.enabled () in
   let solve_start = if obs_on then Obs.now_ns () else 0 in
   let steps = ref 0 in
-  let u0 = Array.map p.initial xs in
-  let ws = if reference then None else Some (make_workspace p u0 dt_macro) in
-  let u = ref u0 and t = ref p.t0 in
-  let advance step_dt =
-    match ws with
-    | None -> u := step p xs df l scheme !t step_dt !u
-    | Some w -> step_ws p xs df l scheme w !t step_dt
-  in
-  let current () = match ws with None -> !u | Some w -> w.w_u in
-  let snapshots = ref [ (p.t0, Array.copy u0) ] in
+  let u = ref (Array.map p.initial xs) and t = ref p.t0 in
+  let advance step_dt = u := step p xs df l h2w scheme !t step_dt !u in
+  let snapshots = ref [ (p.t0, Array.copy !u) ] in
   Array.iter
     (fun target ->
-      if target < !t -. 1e-12 then
-        invalid_arg "Pde.solve: times must be increasing and >= t0";
       while target -. !t > 1e-12 do
         let step_dt = Float.min dt_macro (target -. !t) in
         if obs_on then begin
@@ -343,16 +232,11 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) ?reference p ~times =
         t := !t +. step_dt
       done;
       t := target;
-      snapshots := (target, Array.copy (current ())) :: !snapshots)
+      snapshots := (target, Array.copy !u) :: !snapshots)
     times;
   if obs_on then begin
     Obs.Metrics.incr m_solves;
     Obs.Metrics.incr ~by:!steps m_steps;
-    (match ws with
-    | Some w ->
-      Obs.Metrics.incr ~by:w.w_reuses m_ws_reuses;
-      Obs.Metrics.incr ~by:w.w_rebuilds m_ws_rebuilds
-    | None -> ());
     Obs.Metrics.observe m_solve_ns (float_of_int (Obs.now_ns () - solve_start))
   end;
   let snaps = Array.of_list (List.rev !snapshots) in
@@ -409,23 +293,14 @@ let problem_of_story pp st =
     initial = st.ps_initial;
   }
 
-(* The scalar scheme a panel story runs under — also the definition of
-   what the fused path must reproduce.  Strang panels derive the exact
-   reaction flow from the reaction shape; a [Custom] closure carries no
-   derivable flow, so it is rejected (use [Panel_imex], where the
-   closure path applies, or the scalar [solve] with an explicit
-   [Strang] step). *)
+(* Strang panels derive the exact reaction flow from the reaction
+   shape (the scalar [Strang (logistic_reaction_step ...)] or
+   [Strang (linear_reaction_step ...)] a story reproduces); a [Custom]
+   closure carries no derivable flow, so it is rejected (use
+   [Panel_imex], where the closure path applies, or the scalar [solve]
+   with an explicit [Strang] step). *)
 let strang_needs_flow () =
   invalid_arg "Pde.solve_panel: Strang panels need a Logistic or Linear reaction"
-
-let scalar_scheme_of_story scheme st =
-  match scheme with
-  | Panel_imex theta -> Imex theta
-  | Panel_strang -> (
-    match st.ps_reaction with
-    | Logistic { r; k } -> Strang (logistic_reaction_step ~r ~k)
-    | Linear { r } -> Strang (linear_reaction_step ~r)
-    | Custom _ -> strang_needs_flow ())
 
 (* All the flat buffers for one (nx, stories) shape.  Only the
    allocations survive across solves; [pb_ops_dt] records the step size
@@ -596,7 +471,7 @@ let panel_ops b scheme dt =
   end
 
 (* Row [i] of the explicit (I + cE L) applied to [v], at cell [j],
-   accumulated in [Tridiag.mv_into]'s order. *)
+   accumulated in [Tridiag.mv]'s order. *)
 let[@inline] explicit b v ~n ~ns i j =
   let acc = b.pb_e_diag.!(j) *. v.!(j) in
   let acc = if i > 0 then acc +. (b.pb_e_sub.!(j - ns) *. v.!(j - ns)) else acc in
@@ -728,16 +603,6 @@ let step_panel b stories xs scheme t dt =
   | Panel_imex _ -> imex_step b stories xs t dt
   | Panel_strang -> strang_step b stories t dt
 
-(* The reference oracle: a panel is definitionally S independent scalar
-   solves.  Used by the bit-identity gates and the global reference
-   toggle. *)
-let solve_panel_reference scheme dt pp ~times =
-  Array.map
-    (fun st ->
-      solve ~scheme:(scalar_scheme_of_story scheme st) ~dt ~reference:true
-        (problem_of_story pp st) ~times)
-    pp.pp_stories
-
 (* The one fused path.  [plain] picks the telemetry: a one-story solve
    on private buffers counts as a plain solve ([pde.solves],
    [pde.steps], [pde.solve_ns], [pde.step_ns], like [solve]); anything
@@ -764,8 +629,6 @@ let solve_fused ~plain b scheme dt pp ~times =
   let t = ref pp.pp_t0 in
   Array.iteri
     (fun k target ->
-      if target < !t -. 1e-12 then
-        invalid_arg "Pde.solve: times must be increasing and >= t0";
       while target -. !t > 1e-12 do
         let step_dt = Float.min dt (target -. !t) in
         if plain && obs_on then begin
@@ -797,25 +660,20 @@ let solve_fused ~plain b scheme dt pp ~times =
   end;
   Array.map (fun v -> { xs; ts; values = v }) values
 
-let validate_panel scheme dt pp =
-  assert (dt > 0.);
+let validate_panel fn scheme dt pp ~times =
+  check_schedule fn ~dt ~t0:pp.pp_t0 times;
   match scheme with
   | Panel_imex theta ->
     if theta < 0.5 || theta > 1. then
-      invalid_arg "Pde.solve_panel: theta must be in [0.5, 1]"
+      invalid_arg (fn ^ ": theta must be in [0.5, 1]")
   | Panel_strang ->
     Array.iter
       (fun st -> match st.ps_reaction with Custom _ -> strang_needs_flow () | _ -> ())
       pp.pp_stories
 
-let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?reference ?workspace
-    pp ~times =
-  validate_panel scheme dt pp;
-  let reference =
-    match reference with Some b -> b | None -> !use_reference
-  in
+let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?workspace pp ~times =
+  validate_panel "Pde.solve_panel" scheme dt pp ~times;
   if Array.length pp.pp_stories = 0 then [||]
-  else if reference then solve_panel_reference scheme dt pp ~times
   else begin
     let ws = match workspace with Some w -> w | None -> panel_workspace () in
     let b = ensure_panel_bufs ws ~nx:pp.pp_nx ~ns:(Array.length pp.pp_stories) in
@@ -825,9 +683,8 @@ let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?reference ?workspace
 let solve_story ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) pp ~times =
   if Array.length pp.pp_stories <> 1 then
     invalid_arg "Pde.solve_story: the panel must hold exactly one story";
-  validate_panel scheme dt pp;
-  if !use_reference then (solve_panel_reference scheme dt pp ~times).(0)
-  else (solve_fused ~plain:true (make_panel_bufs ~nx:pp.pp_nx ~ns:1) scheme dt pp ~times).(0)
+  validate_panel "Pde.solve_story" scheme dt pp ~times;
+  (solve_fused ~plain:true (make_panel_bufs ~nx:pp.pp_nx ~ns:1) scheme dt pp ~times).(0)
 
 (* Top level, not per call: the old per-call [clampf] closure was an
    allocation on the prediction hot path. *)

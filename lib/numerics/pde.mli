@@ -21,13 +21,19 @@
     - {b Strang}: symmetric operator splitting — half reaction step,
       full Crank--Nicolson diffusion step, half reaction step — where
       the reaction sub-step is user-supplied and may be exact (see
-      [logistic_reaction_step]). *)
+      [logistic_reaction_step]).
+
+    There are two solvers.  {!solve_panel} (and {!solve_story}, its
+    one-story form) is the fused kernel every model runs for IMEX and
+    Strang.  {!solve} is the scalar stepper: FTCS runs only there, and
+    its IMEX and Strang arms are the reference the kernel is tested
+    against bit for bit. *)
 
 (** The reaction term [f(x, t, u)], specialised by shape.  [Logistic]
     and [Linear] name the paper's two models so the solver's hot loops
     can dispatch once and run unboxed float arithmetic per cell;
     [Custom] keeps the fully general closure (with its per-call float
-    boxing).  All solve paths evaluate the named shapes as exactly
+    boxing).  Both solvers evaluate the named shapes as exactly
     [r t *. u *. (1. -. (u /. k))] and [r t *. u] — building a
     [Custom] closure with the same body produces the same bits, just
     slower.  [r] must be a pure function of [t] (it is hoisted out of
@@ -40,7 +46,7 @@ type reaction =
   | Custom of (x:float -> t:float -> u:float -> float)
 
 val reaction_eval : reaction -> x:float -> t:float -> u:float -> float
-(** The single evaluation semantics shared by every solve path. *)
+(** The single evaluation semantics shared by both solvers. *)
 
 type problem = {
   xl : float;
@@ -72,34 +78,20 @@ val cfl_limit : problem -> float
 (** Largest stable explicit time step for the diffusion term. *)
 
 val solve :
-  ?scheme:scheme -> ?dt:float -> ?reference:bool ->
-  problem -> times:float array -> solution
+  ?scheme:scheme -> ?dt:float -> problem -> times:float array -> solution
 (** [solve problem ~times] marches from [t0] and records a snapshot at
-    [t0] and at each requested (strictly increasing, [>= t0]) time.
+    [t0] and at each requested (finite, non-decreasing, [>= t0]) time.
     Default scheme [Imex 0.5], default [dt = 1e-3] time units (FTCS
     additionally sub-steps to stay within the CFL limit).
 
-    By default the solver runs its allocation-free workspace path:
-    state is double-buffered, rhs/stage scratch is reused, and the
-    implicit schemes build the shifted operators and their Thomas
-    factorization once per macro step size (ragged final partial steps
-    before a snapshot target rebuild throwaway operators).  The output
-    is {e bit-identical} to the retained per-step-allocating reference
-    stepper — same floating-point operations in the same order —
-    enforced by [test/test_pde_perf.ml].  Pass [~reference:true] (or
-    flip {!set_use_reference_stepper}) to run the reference stepper
-    instead, e.g. for before/after benchmarking. *)
-
-val reference_env_var : string
-(** ["DLOSN_BENCH_REFERENCE_SOLVER"] — setting it to [1]/[true]/[yes]
-    makes every [solve] default to the reference stepper (read once at
-    module init). *)
-
-val use_reference_stepper : unit -> bool
-val set_use_reference_stepper : bool -> unit
-(** Process-wide default for [solve]'s [?reference] argument; the CLI
-    [--no-solver-cache] escape hatch sets it.  Flip it before spawning
-    worker domains, not concurrently with solves. *)
+    The scalar stepper: every step allocates its state (FTCS: one
+    array) and, for IMEX and Strang, builds and solves its operators
+    afresh.  The models run IMEX and Strang on the fused kernel
+    ({!solve_panel}, {!solve_story}) instead; this stepper serves FTCS
+    and is the kernel's reference.
+    @raise Invalid_argument if [dt] is not [> 0], a time is NaN or
+    infinite or earlier than the one before (or [t0]), or an IMEX
+    theta lies outside [\[0.5, 1\]]. *)
 
 val logistic_reaction_step : r:(float -> float) -> k:float -> reaction_step
 (** Exact flow of the logistic reaction [u' = r(t) u (1 - u/K)], using
@@ -132,7 +124,8 @@ val linear_reaction_step : r:(float -> float) -> reaction_step
     [Logistic]/[Linear] reactions run unboxed.  Story [s] of the result
     is {e bit-identical} to {!solve} on that story alone (enforced by
     test_pde_perf and the CI bench gate): fusing the sweeps never
-    changes any story's floating-point operations or their order. *)
+    changes any story's floating-point operations or their order.  It
+    validates [dt] and [times] as {!solve} does. *)
 
 type panel_story = {
   ps_diffusion : float -> float;
@@ -176,7 +169,6 @@ val panel_workspace_stats : panel_workspace -> int * int
 val solve_panel :
   ?scheme:panel_scheme ->
   ?dt:float ->
-  ?reference:bool ->
   ?workspace:panel_workspace ->
   panel_problem ->
   times:float array ->
@@ -185,9 +177,7 @@ val solve_panel :
     shared snapshot [times] (semantics per story exactly as {!solve};
     defaults [Panel_imex 0.5], [dt = 1e-3]).  Without [?workspace] the
     solve allocates a fresh one.  Counted in the [pde.panel_*] metrics.
-    With [~reference:true] (or the global reference default) each
-    story runs the scalar reference stepper instead — the definitional
-    oracle for the bit-identity gates.  An empty panel returns [[||]]. *)
+    An empty panel returns [[||]]. *)
 
 val solve_story :
   ?scheme:panel_scheme -> ?dt:float -> panel_problem -> times:float array ->
@@ -195,8 +185,7 @@ val solve_story :
 (** [solve_story pp ~times] is [(solve_panel pp ~times).(0)] for a
     one-story panel on private buffers, counted as a plain solve
     ([pde.solves], [pde.steps], [pde.solve_ns], [pde.step_ns], like
-    {!solve}) rather than in the panel series.  It honours the global
-    reference default.
+    {!solve}) rather than in the panel series.
     @raise Invalid_argument unless [pp] holds exactly one story. *)
 
 val eval : solution -> x:float -> t:float -> float

@@ -80,17 +80,6 @@ let mv t x =
       if i < n - 1 then acc := !acc +. (t.sup.(i) *. x.(i + 1));
       !acc)
 
-let mv_into t x ~dst =
-  let n = dim t in
-  assert (Array.length x = n && Array.length dst = n);
-  assert (not (x == dst));
-  for i = 0 to n - 1 do
-    let acc = ref (t.diag.(i) *. x.(i)) in
-    if i > 0 then acc := !acc +. (t.sub.(i - 1) *. x.(i - 1));
-    if i < n - 1 then acc := !acc +. (t.sup.(i) *. x.(i + 1));
-    dst.(i) <- !acc
-  done
-
 let to_dense t =
   let n = dim t in
   Mat.init n n (fun i j ->

@@ -53,10 +53,6 @@ val solve_factored : factored -> src:Vec.t -> dst:Vec.t -> unit
 val mv : t -> Vec.t -> Vec.t
 (** Product of the tridiagonal matrix with a vector, in [O(n)]. *)
 
-val mv_into : t -> Vec.t -> dst:Vec.t -> unit
-(** Allocation-free {!mv} into [dst] (which must not alias the input;
-    asserted).  Bit-identical to [mv]. *)
-
 val to_dense : t -> Mat.t
 (** Expansion to a dense matrix; intended for tests. *)
 

@@ -655,17 +655,15 @@ let fit_config t spec =
   }
 
 (* The cache key covers the full request body AND the resolved solver
-   configuration (scheme, grid, dt, reference-stepper flag) AND the
-   resolved model name: two requests — or a request and a recovered
-   checkpoint — that differ only in solver config or model must never
-   alias to the same fit.  (The model is keyed explicitly because an
+   configuration (scheme, grid, dt) AND the resolved model name: two
+   requests — or a request and a recovered checkpoint — that differ
+   only in solver config or model must never alias to the same fit.  (The model is keyed explicitly because an
    omitted field and an explicit ["model": "dl"] resolve to the same
    fit but differ in the raw body.) *)
 let fit_key ?(init_id = "") spec body =
   let solver_sig =
     Store.Format.solver_signature ~scheme:spec.fs_scheme ~nx:spec.fs_nx
       ~dt:spec.fs_dt
-      ~reference:(Numerics.Pde.use_reference_stepper ())
   in
   (* the resolved warm-init record id is part of the fit's identity:
      the same body warm-started from a different (newer) checkpoint

@@ -14,8 +14,7 @@
       (default ["dl"]); an unknown name is a structured 400 listing the
       registered names.  The result is cached keyed by the MD5 of the
       request body {e and} the resolved solver configuration (scheme,
-      grid size, time step, reference-stepper flag) {e and} the
-      resolved model name, so re-posting identical input is a cache hit
+      grid size, time step) {e and} the resolved model name, so re-posting identical input is a cache hit
       while requests differing only in solver options or model never
       alias.
     - [GET /predict?x=&t=[&fit=]] — density I(x, t) under a cached fit

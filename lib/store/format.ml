@@ -49,9 +49,12 @@ let scheme_of_name = function
   | s ->
     Error (Printf.sprintf "unknown scheme %S (ftcs|crank-nicolson|strang)" s)
 
-let solver_signature ~scheme ~nx ~dt ~reference =
-  Printf.sprintf "scheme=%s;nx=%d;dt=%Lx;ref=%b" (scheme_name scheme) nx
-    (Int64.bits_of_float dt) reference
+(* The trailing [ref=false] names the retired reference-stepper switch:
+   kept so fit ids derived from this string before the switch went
+   still match. *)
+let solver_signature ~scheme ~nx ~dt =
+  Printf.sprintf "scheme=%s;nx=%d;dt=%Lx;ref=false" (scheme_name scheme) nx
+    (Int64.bits_of_float dt)
 
 let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let farray_eq a b = Array.length a = Array.length b && Array.for_all2 float_eq a b

@@ -30,9 +30,10 @@ type record = {
   nx : int;  (** fitting grid resolution *)
   dt : float;  (** fitting time step *)
   reference_stepper : bool;
-      (** true when the fit ran on the reference (non-workspace) PDE
-          stepper — part of the solver signature, so fits made under
-          different solver configs never alias *)
+      (** always false in new records: there is one solver path now.
+          Kept so records written while a reference-stepper switch
+          existed (which may carry true) still decode and compare
+          unchanged; the encoding keeps its byte. *)
   fit_times : float array;  (** training horizon (observation hours) *)
   training_error : float;
   evaluations : int;  (** PDE solves spent by the fit *)
@@ -67,11 +68,12 @@ val phi : record -> Dl.Initial.t
     observation set (possible only for hand-corrupted records — CRC
     framing rejects bit rot). *)
 
-val solver_signature :
-  scheme:Dl.Model.scheme -> nx:int -> dt:float -> reference:bool -> string
+val solver_signature : scheme:Dl.Model.scheme -> nx:int -> dt:float -> string
 (** Canonical string describing a solver configuration, used in fit
     cache keys (and derived record ids) so that requests differing
-    only in solver config hash differently. *)
+    only in solver config hash differently.  It still ends in
+    [;ref=false], the retired reference-stepper flag, so keys derived
+    before that switch was removed stay valid. *)
 
 val scheme_name : Dl.Model.scheme -> string
 (** ["ftcs"], ["crank-nicolson"] or ["strang"]. *)

@@ -1,10 +1,11 @@
-(* The allocation-free PDE fast path is only allowed to exist because
-   it is bit-identical to the retained reference stepper: same
-   floating-point operations in the same order, only the array churn
-   and re-factorizations removed.  These tests enforce that contract
-   (per-cell Int64 bit equality, not approximate checks), plus the
-   workspace-reuse counters, the factored-solve algebra, the fused
-   panel kernel and its telemetry. *)
+(* The fused panel kernel is only allowed to exist because it is
+   bit-identical to the scalar stepper [Pde.solve]: same floating-point
+   operations in the same order, only the array churn and
+   re-factorizations removed.  These tests enforce that contract
+   (per-cell Int64 bit equality, not approximate checks) for the panel
+   solves and every model solve on the kernel, pin [Pde.solve]'s FTCS
+   arm to a three-array oracle, and cover the factored-solve algebra,
+   the panel workspace, the solve telemetry and the schedule checks. *)
 
 open Numerics
 
@@ -72,18 +73,6 @@ let test_solve_factored_in_place () =
         (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float buf.(i))))
     expect
 
-let test_mv_into_matches_mv () =
-  let rng = Rng.create 13 in
-  let t, x = random_dominant_system rng 23 in
-  let expect = Tridiag.mv t x in
-  let dst = Array.make 23 nan in
-  Tridiag.mv_into t x ~dst;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool) "mv bit equal" true
-        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float dst.(i))))
-    expect
-
 let test_factorize_singular_raises () =
   let t = Tridiag.make ~sub:[| 1. |] ~diag:[| 0.; 1. |] ~sup:[| 1. |] in
   try
@@ -91,7 +80,7 @@ let test_factorize_singular_raises () =
     Alcotest.fail "expected Mat.Singular"
   with Mat.Singular -> ()
 
-(* --- workspace stepper vs reference stepper: bit identity --- *)
+(* --- fixtures --- *)
 
 let dl_problem () =
   let r t = (1.4 *. exp (-1.5 *. (t -. 1.))) +. 0.25 in
@@ -108,9 +97,9 @@ let dl_problem () =
     r,
     k )
 
-(* snapshot times that are not multiples of dt, so the loop hits the
-   ragged-final-partial-step path (throwaway operator builds) as well
-   as the cached macro-step path *)
+(* snapshot times that are not multiples of dt, so the loops take
+   ragged final partial steps (the kernel refills its operators for
+   them) as well as macro steps *)
 let ragged_times = [| 1.303; 2.5; 3.017 |]
 
 let check_solutions_bit_identical name (a : Pde.solution) (b : Pde.solution) =
@@ -128,88 +117,9 @@ let check_solutions_bit_identical name (a : Pde.solution) (b : Pde.solution) =
         row)
     a.Pde.values
 
-let schemes_under_test () =
-  let _, r, k = dl_problem () in
-  [
-    ("ftcs", Pde.Ftcs);
-    ("imex-cn", Pde.Imex 0.5);
-    ("imex-implicit", Pde.Imex 1.);
-    ("strang", Pde.Strang (Pde.logistic_reaction_step ~r ~k));
-  ]
-
-let test_workspace_bit_identical () =
-  let p, _, _ = dl_problem () in
-  List.iter
-    (fun (name, scheme) ->
-      (* fresh reaction closures per solve: logistic_reaction_step is
-         stateful (memoized integral) *)
-      let fast =
-        Pde.solve ~scheme ~dt:0.01 ~reference:false p ~times:ragged_times
-      in
-      let slow =
-        Pde.solve ~scheme ~dt:0.01 ~reference:true p ~times:ragged_times
-      in
-      check_solutions_bit_identical name fast slow)
-    (schemes_under_test ())
-
-let test_workspace_no_state_leak () =
-  (* repeated fast solves of the same problem must be bit-identical to
-     each other and to the reference: nothing carries over *)
-  let p, _, _ = dl_problem () in
-  List.iter
-    (fun (name, scheme) ->
-      let run () =
-        Pde.solve ~scheme ~dt:0.01 ~reference:false p ~times:ragged_times
-      in
-      let first = run () in
-      let second = run () in
-      check_solutions_bit_identical (name ^ " repeat") first second;
-      check_solutions_bit_identical (name ^ " vs ref") first
-        (Pde.solve ~scheme ~dt:0.01 ~reference:true p ~times:ragged_times))
-    (schemes_under_test ())
-
-let test_global_reference_toggle () =
-  let p, _, _ = dl_problem () in
-  Alcotest.(check bool) "default is fast" false (Pde.use_reference_stepper ());
-  Pde.set_use_reference_stepper true;
-  Fun.protect
-    ~finally:(fun () -> Pde.set_use_reference_stepper false)
-    (fun () ->
-      (* ?reference defaults to the global toggle; result is still
-         bit-identical because the two paths are *)
-      let toggled = Pde.solve ~dt:0.01 p ~times:ragged_times in
-      let fast = Pde.solve ~dt:0.01 ~reference:false p ~times:ragged_times in
-      check_solutions_bit_identical "toggle" toggled fast)
-
-(* --- workspace counters --- *)
-
 let with_obs_enabled f =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
-
-let test_workspace_counters () =
-  with_obs_enabled (fun () ->
-      let reuses = Obs.Metrics.counter "pde.workspace_reuses" in
-      let rebuilds = Obs.Metrics.counter "pde.factor_rebuilds" in
-      let r0 = Obs.Metrics.counter_value reuses in
-      let b0 = Obs.Metrics.counter_value rebuilds in
-      let p, _, _ = dl_problem () in
-      (* 1.303 needs a ragged step, so: 1 initial build + ragged
-         throwaway builds, and many macro steps served by the cache *)
-      ignore
-        (Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:0.01 ~reference:false p
-           ~times:ragged_times);
-      let dr = Obs.Metrics.counter_value reuses - r0 in
-      let db = Obs.Metrics.counter_value rebuilds - b0 in
-      Alcotest.(check bool) "many cached steps" true (dr > 100);
-      Alcotest.(check bool) "initial + ragged rebuilds" true (db >= 2);
-      (* the reference path must not touch workspace counters *)
-      let r1 = Obs.Metrics.counter_value reuses in
-      ignore
-        (Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:0.01 ~reference:true p
-           ~times:ragged_times);
-      Alcotest.(check int) "reference adds no reuses" r1
-        (Obs.Metrics.counter_value reuses))
 
 (* --- fused panel solves vs per-story scalar solves --- *)
 
@@ -276,8 +186,8 @@ let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
         }
       in
       let expect =
-        Pde.solve ~scheme:(scalar_scheme_for st r k scheme) ~dt:0.01
-          ~reference:false p ~times:ragged_times
+        Pde.solve ~scheme:(scalar_scheme_for st r k scheme) ~dt:0.01 p
+          ~times:ragged_times
       in
       check_solutions_bit_identical (Printf.sprintf "panel story %d" s) sols.(s)
         expect)
@@ -296,35 +206,6 @@ let prop_panel_bit_identity =
       let kinds s = if strang then s mod 2 else s mod 3 in
       check_panel_matches_scalar ~scheme ~kinds (seed + (7 * ns)) ns;
       true)
-
-let test_panel_reference_fallback () =
-  (* ~reference:true must route every story through the reference
-     stepper — still bit-identical, by the existing scalar contract *)
-  let rng = Rng.create 5 in
-  let stories = Array.init 3 (fun s -> panel_story_of_rng rng (s mod 2)) in
-  let pp =
-    {
-      Pde.pp_xl = 1.;
-      pp_xr = 6.;
-      pp_nx = 25;
-      pp_t0 = 1.;
-      pp_stories = Array.map (fun (st, _, _) -> st) stories;
-    }
-  in
-  let fast =
-    Pde.solve_panel ~scheme:(Pde.Panel_imex 0.5) ~dt:0.01 ~reference:false pp
-      ~times:ragged_times
-  in
-  let slow =
-    Pde.solve_panel ~scheme:(Pde.Panel_imex 0.5) ~dt:0.01 ~reference:true pp
-      ~times:ragged_times
-  in
-  Array.iteri
-    (fun s f ->
-      check_solutions_bit_identical
-        (Printf.sprintf "reference story %d" s)
-        f slow.(s))
-    fast
 
 let test_panel_strang_rejects_custom () =
   let st =
@@ -380,7 +261,7 @@ let test_model_solve_workspace_bit_identical () =
   let params = Dl.Params.paper_hops in
   let r = Dl.Growth.eval params.Dl.Params.r and k = params.Dl.Params.k in
   let scalar scheme =
-    Pde.solve ~scheme ~dt:0.01 ~reference:true
+    Pde.solve ~scheme ~dt:0.01
       {
         Pde.xl = params.Dl.Params.l;
         xr = params.Dl.Params.big_l;
@@ -630,6 +511,67 @@ let test_eval_rejects_nan () =
         (Float.equal (ev ~x ~t) (Pde.eval sol ~x ~t)))
     [ (1.0, 1.0); (3.25, 1.7); (6.0, 2.0); (0.0, 0.0); (99., 99.) ]
 
+(* --- schedule validation --- *)
+
+let test_schedule_rejects_bad_times () =
+  (* A NaN target used to snapshot the unstepped state (at t = 5 after
+     [nan; 5.]), and +inf never returned.  Every entry point rejects
+     non-finite or decreasing times, and a dt that is not > 0, with
+     Invalid_argument before stepping. *)
+  let p, _, _ = dl_problem () in
+  let st, _, _ = panel_story_of_rng (Rng.create 3) 0 in
+  let pp =
+    { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 11; pp_t0 = 1.; pp_stories = [| st |] }
+  in
+  let phi = model_phi () in
+  let linear = Dl.Linear_model.of_dl Dl.Params.paper_hops in
+  let solvers =
+    [
+      ("Pde.solve", fun ~dt times -> ignore (Pde.solve ~dt p ~times));
+      ("Pde.solve ftcs",
+       fun ~dt times -> ignore (Pde.solve ~scheme:Pde.Ftcs ~dt p ~times));
+      ("Pde.solve_panel", fun ~dt times -> ignore (Pde.solve_panel ~dt pp ~times));
+      ("Pde.solve_panel empty",
+       fun ~dt times ->
+         ignore (Pde.solve_panel ~dt { pp with Pde.pp_stories = [||] } ~times));
+      ("Pde.solve_story", fun ~dt times -> ignore (Pde.solve_story ~dt pp ~times));
+      ("Model.solve",
+       fun ~dt times -> ignore (Dl.Model.solve ~dt Dl.Params.paper_hops ~phi ~times));
+      ("Model.solve ftcs",
+       fun ~dt times ->
+         ignore
+           (Dl.Model.solve ~scheme:Dl.Model.Ftcs ~dt Dl.Params.paper_hops ~phi
+              ~times));
+      ("Linear_model.solve",
+       fun ~dt times -> ignore (Dl.Linear_model.solve ~dt linear ~phi ~times));
+      ("Linear_model.solve cn",
+       fun ~dt times ->
+         ignore
+           (Dl.Linear_model.solve ~scheme:Dl.Linear_model.Crank_nicolson ~dt
+              linear ~phi ~times));
+    ]
+  in
+  List.iter
+    (fun (name, solve) ->
+      List.iter
+        (fun (case, dt, times) ->
+          match solve ~dt times with
+          | () -> Alcotest.failf "%s accepted %s" name case
+          | exception Invalid_argument _ -> ())
+        [
+          ("a NaN time", 0.05, [| Float.nan; 5. |]);
+          ("a NaN last time", 0.05, [| 2.; Float.nan |]);
+          ("an infinite time", 0.05, [| Float.infinity |]);
+          ("a -infinite time", 0.05, [| 2.; Float.neg_infinity |]);
+          ("decreasing times", 0.05, [| 3.; 2. |]);
+          ("dt = 0", 0., [| 2. |]);
+          ("dt < 0", -0.05, [| 2. |]);
+          ("dt = NaN", Float.nan, [| 2. |]);
+        ];
+      (* repeated and tolerance-equal times still pass *)
+      solve ~dt:0.05 [| 2.; 2.; 2. -. 1e-13 |])
+    solvers
+
 (* --- mass conservation on the factored diffusion path (qcheck) --- *)
 
 let prop_factored_diffusion_mass =
@@ -637,20 +579,25 @@ let prop_factored_diffusion_mass =
     ~name:"factored Imex diffusion conserves mass"
     QCheck.(pair (float_range 0.05 0.8) (int_range 31 81))
     (fun (d, nx) ->
-      let p =
+      let pp =
         {
-          Pde.xl = 0.;
-          xr = 10.;
-          nx;
-          diffusion = (fun _ -> d);
-          reaction = Pde.Custom (fun ~x:_ ~t:_ ~u:_ -> 0.);
-          initial = (fun x -> exp (-.((x -. 5.) ** 2.)));
-          t0 = 0.;
+          Pde.pp_xl = 0.;
+          pp_xr = 10.;
+          pp_nx = nx;
+          pp_t0 = 0.;
+          pp_stories =
+            [|
+              {
+                Pde.ps_diffusion = (fun _ -> d);
+                ps_reaction = Pde.Custom (fun ~x:_ ~t:_ ~u:_ -> 0.);
+                ps_initial = (fun x -> exp (-.((x -. 5.) ** 2.)));
+              };
+            |];
         }
       in
       let sol =
-        Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:5e-3 ~reference:false p
-          ~times:[| 0.7; 1.9 |]
+        (Pde.solve_panel ~scheme:(Pde.Panel_imex 0.5) ~dt:5e-3 pp
+           ~times:[| 0.7; 1.9 |]).(0)
       in
       let m0 = Pde.mass sol ~it:0 in
       let ok = ref true in
@@ -660,7 +607,7 @@ let prop_factored_diffusion_mass =
       done;
       !ok)
 
-(* --- fitting-objective memo --- *)
+(* --- fitting objective --- *)
 
 let paper_like_phi () =
   Dl.Initial.of_observations ~xs:[| 1.; 2.; 3.; 4.; 5.; 6. |]
@@ -681,30 +628,6 @@ let synthetic_obs params =
         distances;
     population = Array.map (fun _ -> 100) distances;
   }
-
-let test_fit_identical_with_and_without_caches () =
-  (* the acceptance contract: a seeded fit lands on bit-identical
-     parameters with every cache enabled vs the --no-solver-cache
-     configuration (reference stepper) *)
-  let obs = synthetic_obs Dl.Params.paper_hops in
-  let config = { Dl.Fit.default_config with starts = 2 } in
-  let run () = Dl.Fit.fit ~config (Rng.create 3) obs in
-  let cached = run () in
-  Pde.set_use_reference_stepper true;
-  let plain =
-    Fun.protect ~finally:(fun () -> Pde.set_use_reference_stepper false) run
-  in
-  let p1 = cached.Dl.Fit.params and p2 = plain.Dl.Fit.params in
-  let checkbit name a b =
-    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
-      Alcotest.failf "%s differs: %.17g vs %.17g" name a b
-  in
-  checkbit "d" p1.Dl.Params.d p2.Dl.Params.d;
-  checkbit "k" p1.Dl.Params.k p2.Dl.Params.k;
-  checkbit "training error" cached.Dl.Fit.training_error
-    plain.Dl.Fit.training_error;
-  Alcotest.(check int) "same evaluation count" cached.Dl.Fit.evaluations
-    plain.Dl.Fit.evaluations
 
 (* --- objective failure handling --- *)
 
@@ -727,19 +650,9 @@ let suite =
       test_factored_reused_across_rhs;
     Alcotest.test_case "solve_factored in place" `Quick
       test_solve_factored_in_place;
-    Alcotest.test_case "mv_into = mv" `Quick test_mv_into_matches_mv;
     Alcotest.test_case "factorize singular" `Quick
       test_factorize_singular_raises;
-    Alcotest.test_case "workspace bit-identical" `Quick
-      test_workspace_bit_identical;
-    Alcotest.test_case "workspace no state leak" `Quick
-      test_workspace_no_state_leak;
-    Alcotest.test_case "global reference toggle" `Quick
-      test_global_reference_toggle;
-    Alcotest.test_case "workspace counters" `Quick test_workspace_counters;
     QCheck_alcotest.to_alcotest prop_panel_bit_identity;
-    Alcotest.test_case "panel reference fallback" `Quick
-      test_panel_reference_fallback;
     Alcotest.test_case "panel strang rejects custom" `Quick
       test_panel_strang_rejects_custom;
     Alcotest.test_case "panel workspace reuse" `Quick
@@ -756,9 +669,9 @@ let suite =
       test_ftcs_matches_oracle;
     Alcotest.test_case "solve telemetry series" `Quick test_solve_telemetry;
     Alcotest.test_case "eval rejects NaN" `Quick test_eval_rejects_nan;
+    Alcotest.test_case "schedule rejects bad times" `Quick
+      test_schedule_rejects_bad_times;
     QCheck_alcotest.to_alcotest prop_factored_diffusion_mass;
-    Alcotest.test_case "fit identical with/without caches" `Slow
-      test_fit_identical_with_and_without_caches;
     Alcotest.test_case "objective expected failure" `Quick
       test_objective_expected_failure_is_infinite;
   ]

@@ -159,8 +159,7 @@ let test_solver_signature_pinned () =
      drift, or re-posted /fit bodies stop matching their records *)
   Alcotest.(check string) "strang signature"
     "scheme=strang;nx=41;dt=3fa999999999999a;ref=false"
-    (F.solver_signature ~scheme:Dl.Model.Strang ~nx:41 ~dt:0.05
-       ~reference:false)
+    (F.solver_signature ~scheme:Dl.Model.Strang ~nx:41 ~dt:0.05)
 
 let test_frame_corruption_detected () =
   let framed = F.frame (F.encode (sample_record ())) in
