@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate the PDE-solver fast path against the committed baseline.
+"""Gate the fused panel solver against the committed baseline.
 
 Usage: check_bench.py CURRENT_JSON BASELINE_JSON
 
@@ -8,27 +8,8 @@ dlosn-bench/1 harness output or the standalone dlosn-bench-solver/1
 document the DLOSN_BENCH_SOLVER_ONLY mode writes) and fails (exit 1)
 when the fresh run regresses against bench/baseline.json.
 
-Per-scheme checks (scalar workspace path vs reference stepper):
-
-- output divergence: every scheme must report identical=true (the
-  workspace path is only allowed to exist while it is bit-identical to
-  the reference stepper);
-- allocation regression: fast_minor_words_per_solve may not exceed the
-  baseline by more than 20% (minor-word counts are deterministic, so
-  this is a tight absolute check), and alloc_ratio (reference / fast)
-  must stay >= 2 — the headline claim of the optimisation — for every
-  scheme with a cached implicit operator.  A baseline entry may set
-  "min_alloc_ratio" to override the floor: FTCS has no factorization
-  to cache and its remaining allocations (boxed floats crossing the
-  user-supplied reaction closure) are shared with the reference path,
-  so it carries a lower floor;
-- time regression: ns/step is machine-dependent, so the check is
-  relative — fast_ns_per_step / ref_ns_per_step, both measured in the
-  same run on the same machine, may not exceed the baseline ratio by
-  more than 20%.
-
-Panel checks (fused multi-story panel vs a per-story scalar loop,
-both measured in the same run):
+Panel checks (fused multi-story panel vs a per-story loop of the
+scalar stepper Pde.solve, both measured in the same run):
 
 - every panel entry must report identical=true — the fused solver is
   only allowed to exist while each story's output is bit-identical to
@@ -43,7 +24,6 @@ import json
 import sys
 
 TOLERANCE = 1.20
-MIN_ALLOC_RATIO = 2.0
 MIN_PANEL_SPEEDUP = 2.0
 
 SCHEMAS = ("dlosn-bench/1", "dlosn-bench-solver/1")
@@ -54,63 +34,15 @@ def fail(msg):
     sys.exit(1)
 
 
-def solver_of(path):
+def panel_of(path):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") not in SCHEMAS:
         fail(f"{path}: unexpected schema {doc.get('schema')!r}")
     solver = doc.get("solver")
-    if not solver or not solver.get("schemes"):
-        fail(f"{path}: no solver section")
-    schemes = {s["name"]: s for s in solver["schemes"]}
-    panel = {p["name"]: p for p in solver.get("panel", [])}
-    return schemes, panel
-
-
-def check_schemes(current, baseline):
-    checked = 0
-    for name, base in sorted(baseline.items()):
-        cur = current.get(name)
-        if cur is None:
-            fail(f"scheme {name!r} present in baseline but missing from run")
-
-        if cur.get("identical") is not True:
-            fail(f"{name}: fast path is not bit-identical to the reference")
-
-        words = cur["fast_minor_words_per_solve"]
-        base_words = base["fast_minor_words_per_solve"]
-        if words > base_words * TOLERANCE:
-            fail(
-                f"{name}: allocation regression — "
-                f"{words:.0f} minor words/solve vs baseline {base_words:.0f} "
-                f"(>{TOLERANCE:.0%})"
-            )
-
-        ratio = cur["alloc_ratio"]
-        min_ratio = base.get("min_alloc_ratio", MIN_ALLOC_RATIO)
-        if ratio < min_ratio:
-            fail(
-                f"{name}: alloc_ratio {ratio:.2f} below the required "
-                f"{min_ratio}x reference-to-fast reduction"
-            )
-
-        rel = cur["fast_ns_per_step"] / cur["ref_ns_per_step"]
-        base_rel = base["fast_ns_per_step"] / base["ref_ns_per_step"]
-        if rel > base_rel * TOLERANCE:
-            fail(
-                f"{name}: time regression — fast/ref step-time ratio "
-                f"{rel:.3f} vs baseline {base_rel:.3f} (>{TOLERANCE:.0%})"
-            )
-        checked += 1
-        print(
-            f"check_bench: {name}: identical, {words:.0f} words/solve "
-            f"(baseline {base_words:.0f}), alloc x{ratio:.1f}, "
-            f"fast/ref time {rel:.3f} (baseline {base_rel:.3f})"
-        )
-
-    if checked == 0:
-        fail("baseline contained no schemes")
-    return checked
+    if not solver or not solver.get("panel"):
+        fail(f"{path}: no solver panel section")
+    return {p["name"]: p for p in solver["panel"]}
 
 
 def check_panel(current, baseline):
@@ -158,17 +90,12 @@ def check_panel(current, baseline):
 
 
 def main():
-    cur_schemes, cur_panel = solver_of(sys.argv[1])
-    base_schemes, base_panel = solver_of(sys.argv[2])
-
-    checked = check_schemes(cur_schemes, base_schemes)
-    panel_checked = check_panel(cur_panel, base_panel)
-    if base_panel and panel_checked == 0:
-        fail("baseline contained panel entries but none were checked")
-    print(
-        f"check_bench: OK — {checked} schemes and {panel_checked} panels "
-        f"within tolerance"
-    )
+    current = panel_of(sys.argv[1])
+    baseline = panel_of(sys.argv[2])
+    checked = check_panel(current, baseline)
+    if checked == 0:
+        fail("baseline contained no panel entries")
+    print(f"check_bench: OK — {checked} panels within tolerance")
 
 
 if __name__ == "__main__":

@@ -1287,6 +1287,9 @@ let run_live_bench () =
 (* Panel bench: fused multi-story panel vs a per-story scalar loop     *)
 (* ------------------------------------------------------------------ *)
 
+(* The scalar loop runs [Pde.solve], the kernel's bit-identity
+   reference, which allocates its arrays and operators every step. *)
+
 type panel_bench = {
   pn_name : string;
   pn_stories : int;

@@ -657,9 +657,10 @@ let fit_config t spec =
 (* The cache key covers the full request body AND the resolved solver
    configuration (scheme, grid, dt) AND the resolved model name: two
    requests — or a request and a recovered checkpoint — that differ
-   only in solver config or model must never alias to the same fit.  (The model is keyed explicitly because an
-   omitted field and an explicit ["model": "dl"] resolve to the same
-   fit but differ in the raw body.) *)
+   only in solver config or model must never alias to the same fit.
+   (The model is keyed explicitly because an omitted field and an
+   explicit ["model": "dl"] resolve to the same fit but differ in the
+   raw body.) *)
 let fit_key ?(init_id = "") spec body =
   let solver_sig =
     Store.Format.solver_signature ~scheme:spec.fs_scheme ~nx:spec.fs_nx

@@ -607,14 +607,10 @@ let prop_factored_diffusion_mass =
       done;
       !ok)
 
-(* --- fitting objective --- *)
-
-let paper_like_phi () =
-  Dl.Initial.of_observations ~xs:[| 1.; 2.; 3.; 4.; 5.; 6. |]
-    ~densities:[| 6.0; 3.1; 2.3; 1.2; 0.7; 0.4 |]
+(* --- objective failure handling --- *)
 
 let synthetic_obs params =
-  let phi = paper_like_phi () in
+  let phi = model_phi () in
   let times = [| 1.; 2.; 3.; 4.; 5.; 6. |] in
   let sol = Dl.Model.solve params ~phi ~times in
   let distances = [| 1; 2; 3; 4; 5; 6 |] in
@@ -629,13 +625,11 @@ let synthetic_obs params =
     population = Array.map (fun _ -> 100) distances;
   }
 
-(* --- objective failure handling --- *)
-
 let test_objective_expected_failure_is_infinite () =
   (* a fit_times set that starts before t0 = 1 makes Model.solve raise
      Invalid_argument: objective must absorb it as +inf, not crash *)
   let obs = synthetic_obs Dl.Params.paper_hops in
-  let phi = paper_like_phi () in
+  let phi = model_phi () in
   let v =
     Dl.Fit.objective ~phi ~obs ~fit_times:[| 0.5 |] Dl.Params.paper_hops
   in
