@@ -572,6 +572,60 @@ let test_schedule_rejects_bad_times () =
       solve ~dt:0.05 [| 2.; 2.; 2. -. 1e-13 |])
     solvers
 
+(* --- allocation bound on the fused panel --- *)
+
+(* Eight stories on one grid (nx 101, dt 0.01, snapshots at t = 2..6),
+   each with its own d, r(t), K and initial amplitude. *)
+let alloc_panel () =
+  let story i =
+    let fi = float_of_int i in
+    let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
+    let c = 0.2 +. (0.015 *. fi) in
+    let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+    let k = 18. +. (2.5 *. fi) and d = 0.03 +. (0.004 *. fi) in
+    let amp = 6. +. (0.5 *. fi) in
+    {
+      Pde.ps_diffusion = (fun _ -> d);
+      ps_reaction = Pde.Logistic { r; k };
+      ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
+    }
+  in
+  {
+    Pde.pp_xl = 1.;
+    pp_xr = 6.;
+    pp_nx = 101;
+    pp_t0 = 1.;
+    pp_stories = Array.init 8 story;
+  }
+
+let test_panel_allocation_bound () =
+  (* Minor words per story per solve on a shaped workspace, with
+     observability off.  Allocation is deterministic for a given
+     compiler, so the bound is tight: the counts this panel allocated
+     when the kernel was first measured (6,674 IMEX-CN, 40,703 Strang)
+     plus 20 %.  A boxed float per cell and step would add ~100,000. *)
+  Obs.set_enabled false;
+  let pp = alloc_panel () in
+  let ns = Array.length pp.Pde.pp_stories in
+  let ws = Pde.panel_workspace () in
+  let times = [| 2.; 3.; 4.; 5.; 6. |] in
+  List.iter
+    (fun (name, scheme, bound) ->
+      let solve () =
+        ignore (Pde.solve_panel ~scheme ~dt:0.01 ~workspace:ws pp ~times)
+      in
+      solve ();
+      let reps = 10 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to reps do
+        solve ()
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int (reps * ns) in
+      if words > bound then
+        Alcotest.failf "%s: %.0f minor words per story per solve, bound %.0f"
+          name words bound)
+    [ ("imex-cn", Pde.Panel_imex 0.5, 8009.); ("strang", Pde.Panel_strang, 48844.) ]
+
 (* --- mass conservation on the factored diffusion path (qcheck) --- *)
 
 let prop_factored_diffusion_mass =
@@ -665,6 +719,8 @@ let suite =
     Alcotest.test_case "eval rejects NaN" `Quick test_eval_rejects_nan;
     Alcotest.test_case "schedule rejects bad times" `Quick
       test_schedule_rejects_bad_times;
+    Alcotest.test_case "panel allocation bound" `Quick
+      test_panel_allocation_bound;
     QCheck_alcotest.to_alcotest prop_factored_diffusion_mass;
     Alcotest.test_case "objective expected failure" `Quick
       test_objective_expected_failure_is_infinite;

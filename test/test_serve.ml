@@ -447,6 +447,14 @@ let test_duplicate_content_length () =
 
 (* --- keep-alive --- *)
 
+(* dlosn_serve_connections_reused_total from a /metrics body *)
+let reused_total body =
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ "dlosn_serve_connections_reused_total"; v ] -> int_of_string_opt v
+         | _ -> None)
+
 let test_keep_alive_reuse () =
   with_server @@ fun port ->
   let conn =
@@ -467,17 +475,7 @@ let test_keep_alive_reuse () =
   (* the reuse counter must be visible on /metrics — over this very
      connection, which is itself the second and third reuse *)
   let r3 = ok (Serve.Client.request_on conn "GET" "/metrics") in
-  let reused =
-    String.split_on_char '\n' r3.Serve.Client.body
-    |> List.find_map (fun line ->
-           match
-             String.split_on_char ' ' line
-           with
-           | [ "dlosn_serve_connections_reused_total"; v ] ->
-             int_of_string_opt v
-           | _ -> None)
-  in
-  (match reused with
+  (match reused_total r3.Serve.Client.body with
   | Some n when n >= 2 -> ()
   | Some n -> Alcotest.failf "reuse counter %d, wanted >= 2" n
   | None -> Alcotest.fail "dlosn_serve_connections_reused_total not exported")
@@ -593,6 +591,148 @@ let test_connection_close_honoured () =
   | Ok _ -> Alcotest.fail "connection stayed open after Connection: close"
   | Error _ -> ()
 
+(* --- a server process under 1000 keep-alive connections --- *)
+
+(* The server is a child exec'd from the built CLI.  It cannot be
+   forked (OCaml 5 forbids Unix.fork once the test runner has spawned
+   domains) or run in-process (its accepted fds would pass
+   Unix.select's 1024-descriptor limit). *)
+let spawn_dlosn_serve () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/dlosn_cli.exe"
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close out_w;
+        Unix.close devnull)
+      (fun () ->
+        Unix.create_process exe
+          [| exe; "serve"; "--port"; "0"; "--jobs"; "2"; "--log-level"; "error" |]
+          devnull out_w Unix.stderr)
+  in
+  (pid, out_r)
+
+(* The port from the server's "http://127.0.0.1:PORT" banner on [fd],
+   waiting at most until [deadline]. *)
+let read_port ~deadline fd =
+  let marker = "http://127.0.0.1:" in
+  let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+  let port_in text =
+    let m = String.length marker and n = String.length text in
+    let rec find i =
+      if i + m > n then None
+      else if String.sub text i m = marker then Some (i + m)
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> None
+    | Some start ->
+      let stop = ref start in
+      while !stop < n && text.[!stop] >= '0' && text.[!stop] <= '9' do
+        incr stop
+      done;
+      (* digits running to the end of the buffer may still be arriving *)
+      if !stop = start || !stop = n then None
+      else int_of_string_opt (String.sub text start (!stop - start))
+  in
+  let rec wait () =
+    match port_in (Buffer.contents buf) with
+    | Some port -> port
+    | None -> (
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then Alcotest.fail "dlosn serve announced no port";
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> wait ()
+      | _ ->
+        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if n = 0 then Alcotest.fail "dlosn serve exited before announcing a port";
+        Buffer.add_subbytes buf chunk 0 n;
+        wait ())
+  in
+  wait ()
+
+let test_thousand_connection_drain () =
+  (* a write to a socket the server has closed must fail with EPIPE,
+     not kill the test runner *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let nconns = 1000 and rounds = 5 and window = 32 and in_flight = 100 in
+  let pid, out = spawn_dlosn_serve () in
+  let conns = ref [||] and reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Serve.Client.close !conns;
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      Unix.close out)
+  @@ fun () ->
+  let port = read_port ~deadline:(Unix.gettimeofday () +. 30.) out in
+  let expect_200 what = function
+    | Ok r when r.Serve.Client.status = 200 -> r
+    | Ok r -> Alcotest.failf "%s: status %d" what r.Serve.Client.status
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let target_of k = Printf.sprintf "/predict?x=2&t=%d" (2 + (k mod 3)) in
+  ignore (expect_200 "warm /fit" (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
+  conns :=
+    Array.init nconns (fun k ->
+        match Serve.Client.connect ~port () with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connection %d: %s" k e);
+  let conns = !conns in
+  let send k =
+    match Serve.Client.send_request conns.(k) "GET" (target_of k) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "send on connection %d: %s" k e
+  in
+  let recv k =
+    ignore (expect_200 (Printf.sprintf "connection %d" k) (Serve.Client.recv_response conns.(k)))
+  in
+  (* each round walks every connection once, [window] requests in
+     flight across connections at a time *)
+  for _ = 1 to rounds do
+    let i = ref 0 in
+    while !i < nconns do
+      let hi = min nconns (!i + window) in
+      for k = !i to hi - 1 do send k done;
+      for k = !i to hi - 1 do recv k done;
+      i := hi
+    done
+  done;
+  (* read over a live connection: a fresh one would be the 1001st *)
+  let scrape = expect_200 "/metrics" (Serve.Client.request_on conns.(0) "GET" "/metrics") in
+  (match reused_total scrape.Serve.Client.body with
+  | Some n when n >= 2 * nconns -> ()
+  | Some n -> Alcotest.failf "reuse counter %d, wanted >= %d" n (2 * nconns)
+  | None -> Alcotest.fail "dlosn_serve_connections_reused_total not exported");
+  (* SIGTERM under load: every request in flight must still get a 200,
+     then the process must exit 0 *)
+  for k = 0 to in_flight - 1 do send k done;
+  (* let the bytes reach the server's socket buffers before the signal *)
+  ignore (Unix.select [] [] [] 0.05);
+  Unix.kill pid Sys.sigterm;
+  for k = 0 to in_flight - 1 do recv k done;
+  let deadline = Unix.gettimeofday () +. 15. in
+  let rec reap () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      ignore (Unix.select [] [] [] 0.05);
+      reap ()
+    | 0, _ -> Alcotest.fail "server still running 15 s after SIGTERM"
+    | _, status ->
+      reaped := true;
+      status
+  in
+  match reap () with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "server exited %d after SIGTERM" c
+  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+    Alcotest.failf "server stopped by signal %d" s
+
 let suite =
   [
     Alcotest.test_case "json round-trips" `Quick test_json_roundtrip;
@@ -622,4 +762,6 @@ let suite =
     Alcotest.test_case "idle timeout closes" `Quick test_idle_timeout_closes;
     Alcotest.test_case "Connection: close honoured" `Quick
       test_connection_close_honoured;
+    Alcotest.test_case "1000-connection drain" `Slow
+      test_thousand_connection_drain;
   ]
