@@ -8,6 +8,11 @@ type t =
 
 exception Err of int * string
 
+(* The API's deepest document nests 3 levels ({"density":[[...]]});
+   the limit keeps the recursion, and the work a hostile body can
+   demand, bounded. *)
+let max_depth = 32
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -109,10 +114,12 @@ let parse s =
     | Some v -> Number v
     | None -> err "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> err "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+      err (Printf.sprintf "nested deeper than %d levels" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -127,7 +134,7 @@ let parse s =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws ();
           match peek () with
@@ -150,7 +157,7 @@ let parse s =
       else begin
         let items = ref [] in
         let rec elements () =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           items := v :: !items;
           skip_ws ();
           match peek () with
@@ -170,7 +177,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then err "trailing content";
     v

@@ -17,7 +17,9 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; trailing non-whitespace is an
-    error.  The error string carries a byte offset. *)
+    error, and so is nesting arrays and objects more than 32 levels
+    deep (the API's own documents need 3).  The error string carries
+    a byte offset.  [parse] never raises. *)
 
 val to_string : t -> string
 (** Compact rendering.  Non-finite numbers render as [null] (JSON has

@@ -37,6 +37,91 @@ let test_json_errors () =
           (String.length msg > 0))
     [ "{"; "[1,"; {|{"a"}|}; "tru"; "1.2.3"; {|"unterminated|}; "[] []" ]
 
+(* Each unclosed bracket used to cost one level of recursion: a 2 MB
+   body of '[' (the default max_body) held a worker for seconds before
+   the 400.  Past 32 levels the parse now stops at the offending byte. *)
+let test_json_depth_limit () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  (match J.parse (nested 32) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "32 levels rejected: %s" e);
+  (* the error names the byte that opens level 33 *)
+  List.iter
+    (fun (name, s, byte) ->
+      match J.parse s with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error e ->
+        Alcotest.(check int) (name ^ ": error offset") byte
+          (Scanf.sscanf e "JSON parse error at byte %d" Fun.id))
+    [
+      ("33 levels", nested 33, 32);
+      ("2 MB of '['", String.make (2 * 1024 * 1024) '[', 32);
+      ("nested objects", String.concat "" (List.init 40 (fun _ -> {|{"a":|})), 32 * 5);
+    ]
+
+(* Finite documents at most 4 levels deep; strings take any byte, so
+   escaping is exercised too. *)
+let json_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun f -> J.Number (if Float.is_finite f then f else 0.)) float;
+        map (fun s -> J.String s) (string_size (0 -- 8));
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (0 -- 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> J.Object l)
+                   (list_size (0 -- 4) (pair (string_size (0 -- 6)) (self (depth - 1))))
+               );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"json parse inverts to_string"
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v -> J.parse (J.to_string v) = Ok v)
+
+(* Random bytes, biased toward JSON's structural characters, and valid
+   documents with a few bytes replaced, deleted or inserted. *)
+let garbage_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (1, char); (2, oneofl [ '['; ']'; '{'; '}'; '"'; '\\'; ','; ':'; 'u'; '0'; '-'; 'e'; '.'; ' ' ]) ]
+  in
+  let edit s (op, i, c) =
+    let n = String.length s in
+    let i = if n = 0 then 0 else i mod n in
+    match op with
+    | 0 when n > 0 -> String.mapi (fun j d -> if j = i then c else d) s
+    | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  in
+  oneof
+    [
+      string_size ~gen:byte (0 -- 64);
+      map2
+        (fun v edits -> List.fold_left edit (J.to_string v) edits)
+        json_gen
+        (list_size (1 -- 4) (triple (0 -- 2) nat byte));
+    ]
+
+let prop_json_never_raises =
+  QCheck.Test.make ~count:1000 ~name:"json parse never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") garbage_gen)
+    (fun s -> match J.parse s with Ok _ | Error _ -> true)
+
 let test_json_accessors () =
   match J.parse {|{"n":3,"f":2.5,"s":"hi","l":[1,2]}|} with
   | Error e -> Alcotest.fail e
@@ -737,6 +822,9 @@ let suite =
   [
     Alcotest.test_case "json round-trips" `Quick test_json_roundtrip;
     Alcotest.test_case "json reports errors" `Quick test_json_errors;
+    Alcotest.test_case "json nesting depth bounded" `Quick test_json_depth_limit;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_never_raises;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     Alcotest.test_case "prometheus renderer" `Quick test_prometheus_renderer;
     Alcotest.test_case "healthz" `Quick test_healthz;
