@@ -12,8 +12,7 @@ let indicator_initial (story : Socialnet.Types.story) ~n_users ~at =
 
 let solve ?(dt = 0.1) ~laplacian p ~i0 ~times =
   if p.d < 0. || p.k <= 0. then invalid_arg "Network_model.solve: bad params";
-  if Array.exists (fun t -> t < 1.) times then
-    invalid_arg "Network_model.solve: times start at t = 1";
+  Pde.check_schedule "Network_model.solve" ~dt ~t0:1. times;
   let n = Vec.dim i0 in
   if Sparse.rows laplacian <> n then
     invalid_arg "Network_model.solve: laplacian/initial size mismatch";
@@ -42,8 +41,6 @@ let solve ?(dt = 0.1) ~laplacian p ~i0 ~times =
   in
   Array.map
     (fun target ->
-      if target < !t -. 1e-12 then
-        invalid_arg "Network_model.solve: times must be increasing";
       while target -. !t > 1e-12 do
         step (Float.min dt (target -. !t))
       done;

@@ -33,7 +33,9 @@ val solve :
   params -> i0:Numerics.Vec.t -> times:float array ->
   (float * Numerics.Vec.t) array
 (** Integrates from t = 1 (default [dt = 0.1] h) and returns the node
-    field at each requested time (increasing, >= 1). *)
+    field at each requested time (increasing, >= 1).
+    @raise Invalid_argument for a schedule
+    {!Numerics.Pde.check_schedule} rejects from [t0 = 1]. *)
 
 val group_average :
   assignment:int array -> max_distance:int -> Numerics.Vec.t -> float array

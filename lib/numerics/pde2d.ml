@@ -55,7 +55,7 @@ let validate p =
 
 let solve ?(dt = 0.02) p ~times =
   validate p;
-  if dt <= 0. then invalid_arg "Pde2d.solve: dt > 0";
+  Pde.check_schedule "Pde2d.solve" ~dt ~t0:p.t0 times;
   let xs = Vec.linspace p.xl p.xr p.nx in
   let ys = Vec.linspace p.yl p.yr p.ny in
   let hx = (p.xr -. p.xl) /. float_of_int (p.nx - 1) in
@@ -126,8 +126,6 @@ let solve ?(dt = 0.02) p ~times =
   let snapshots = ref [ (p.t0, copy_u ()) ] in
   Array.iter
     (fun target ->
-      if target < !t -. 1e-12 then
-        invalid_arg "Pde2d.solve: times must be increasing and >= t0";
       while target -. !t > 1e-12 do
         step (Float.min dt (target -. !t))
       done;

@@ -40,7 +40,9 @@ type solution = {
 
 val solve : ?dt:float -> problem -> times:float array -> solution
 (** Default [dt = 0.02].  Snapshot at [t0] and each requested
-    (increasing) time. *)
+    (increasing) time.
+    @raise Invalid_argument for a schedule {!Pde.check_schedule}
+    rejects. *)
 
 val value_at : solution -> x:float -> y:float -> t:float -> float
 (** Bilinear in space at the recorded time nearest to [t]; clamped at

@@ -525,6 +525,23 @@ let test_schedule_rejects_bad_times () =
   in
   let phi = model_phi () in
   let linear = Dl.Linear_model.of_dl Dl.Params.paper_hops in
+  let p2d =
+    {
+      Pde2d.xl = 1.;
+      xr = 5.;
+      nx = 5;
+      yl = 1.;
+      yr = 5.;
+      ny = 5;
+      dx_coef = 0.1;
+      dy_coef = 0.1;
+      reaction = (fun ~x:_ ~y:_ ~t:_ ~u -> u *. (1. -. (u /. 10.)));
+      initial = (fun x y -> 10. /. (x +. y));
+      t0 = 1.;
+    }
+  in
+  let lap = Osn_graph.Laplacian.undirected_laplacian (Osn_graph.Generators.line 4) in
+  let net = { Dl.Network_model.d = 0.1; k = 100.; r = Dl.Growth.Constant 0.8 } in
   let solvers =
     [
       ("Pde.solve", fun ~dt times -> ignore (Pde.solve ~dt p ~times));
@@ -549,6 +566,12 @@ let test_schedule_rejects_bad_times () =
          ignore
            (Dl.Linear_model.solve ~scheme:Dl.Linear_model.Crank_nicolson ~dt
               linear ~phi ~times));
+      ("Pde2d.solve", fun ~dt times -> ignore (Pde2d.solve ~dt p2d ~times));
+      ("Network_model.solve",
+       fun ~dt times ->
+         ignore
+           (Dl.Network_model.solve ~dt ~laplacian:lap net
+              ~i0:[| 10.; 0.; 5.; 0. |] ~times));
     ]
   in
   List.iter
