@@ -3,8 +3,7 @@
 
 Usage: check_tournament.py LEADERBOARD_JSON [EXPECTED_MODEL ...]
 
-Checks the schema produced by `dlosn tournament --json` (and embedded
-under "tournament" in bench_results.json):
+Checks the schema produced by `dlosn tournament --json`:
 
 - top-level shape: schema tag, seed/jobs ints, fit_times/stories
   arrays, a non-empty leaderboard;
@@ -39,9 +38,6 @@ def main():
     with open(path) as f:
         doc = json.load(f)
 
-    # the bench file embeds the leaderboard under "tournament"
-    if doc.get("schema") == "dlosn-bench/1":
-        doc = doc.get("tournament") or fail(f"{path}: no tournament section")
     if doc.get("schema") != SCHEMA:
         fail(f"{path}: unexpected schema {doc.get('schema')!r}")
 

@@ -1,16 +1,12 @@
-(* Reproduction + benchmark harness.
+(* Paper reproduction harness.
 
-   Part 1 regenerates, from the synthetic Digg corpus, the data behind
-   every figure and table in the paper's evaluation (Figs 2-7, Tables
-   I-II) plus the ablations called out in DESIGN.md, and prints them.
-   Part 2 times the code path behind each artifact with Bechamel (one
-   Test.make per table/figure, plus substrate micro-benchmarks).
+   Regenerates, from the synthetic Digg corpus, the data behind every
+   figure and table in the paper's evaluation (Figs 2-7, Tables I-II)
+   plus the ablations called out in DESIGN.md, and prints them.  Speed
+   is measured by perfbench/, not here.
 
    Run with: dune exec bench/main.exe
    (set DLOSN_BENCH_SCALE=small for a quick pass, full for paper scale) *)
-
-open Bechamel
-open Toolkit
 
 let scale_of_env () =
   match Sys.getenv_opt "DLOSN_BENCH_SCALE" with
@@ -22,10 +18,6 @@ let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '-')
 
 let fig_times = [| 1.; 2.; 3.; 4.; 5.; 6.; 8.; 10.; 15.; 20.; 30.; 40.; 50. |]
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: reproduction                                                *)
-(* ------------------------------------------------------------------ *)
 
 let print_fig2 ds rep_ids =
   section "Figure 2: distance distribution of the initiators' (in)direct followers";
@@ -739,1262 +731,12 @@ let print_extension exp =
         (100. *. accuracy sol))
     [ 0.05; 0.1; 0.2 ]
 
-(* ------------------------------------------------------------------ *)
-(* Part 1.5: domain-parallel scaling of the batch fit                  *)
-(* ------------------------------------------------------------------ *)
-
-let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let growth_equal a b =
-  match (a, b) with
-  | Dl.Growth.Constant x, Dl.Growth.Constant y -> float_bits_equal x y
-  | ( Dl.Growth.Exp_decay { a = a1; b = b1; c = c1 },
-      Dl.Growth.Exp_decay { a = a2; b = b2; c = c2 } ) ->
-    float_bits_equal a1 a2 && float_bits_equal b1 b2 && float_bits_equal c1 c2
-  | _ -> false
-
-let params_equal (p : Dl.Params.t) (q : Dl.Params.t) =
-  float_bits_equal p.Dl.Params.d q.Dl.Params.d
-  && float_bits_equal p.Dl.Params.k q.Dl.Params.k
-  && growth_equal p.Dl.Params.r q.Dl.Params.r
-  && float_bits_equal p.Dl.Params.l q.Dl.Params.l
-  && float_bits_equal p.Dl.Params.big_l q.Dl.Params.big_l
-
-let story_result_equal (a : Dl.Batch.story_result) (b : Dl.Batch.story_result) =
-  a.Dl.Batch.story_id = b.Dl.Batch.story_id
-  && a.Dl.Batch.votes = b.Dl.Batch.votes
-  && float_bits_equal a.Dl.Batch.overall b.Dl.Batch.overall
-  && params_equal a.Dl.Batch.params b.Dl.Batch.params
-  && a.Dl.Batch.skipped = b.Dl.Batch.skipped
-
-type scaling_run = {
-  run_jobs : int;
-  run_seconds : float;
-  run_speedup : float;
-  run_identical : bool;  (* story_results bit-identical to the jobs=1 run *)
-}
-
-(* The hot path the parallel layer was built for: per-story multi-start
-   calibration across the corpus's top stories.  Timed at 1/2/4 worker
-   domains; the jobs=1 run is the baseline for both the speedup and the
-   bit-identity check (the determinism contract of Parallel.Pool). *)
-let print_parallel_scaling ds =
-  section
-    "Parallel scaling (ours): batch in-sample fit, 1/2/4 worker domains";
-  Format.printf
-    "  Domains available: %b; recommended domain count: %d; \
-     DLOSN_NUM_DOMAINS=%s@."
-    Parallel.Pool.domains_available
-    (Parallel.Pool.recommended_jobs ())
-    (match Sys.getenv_opt Parallel.Pool.env_var with
-    | Some v -> v
-    | None -> "(unset)");
-  let stories = Dl.Batch.top_stories ds ~n:8 in
-  let time_run jobs =
-    let pool = Parallel.Pool.create ~jobs () in
-    let t0 = Unix.gettimeofday () in
-    let summary =
-      (* live bar on interactive runs; a no-op (and zero overhead on
-         the timed region) when stderr is redirected, as in CI *)
-      Obs_progress.with_bar
-        ~label:(Printf.sprintf "batch fit (j=%d)" jobs)
-        ~total:(Array.length stories) ~span:"batch.story"
-      @@ fun () ->
-      Dl.Batch.evaluate ~pool ~mode:(Dl.Batch.In_sample 31) ds ~stories
-    in
-    (Unix.gettimeofday () -. t0, summary)
-  in
-  let t_base, base = time_run 1 in
-  let runs =
-    List.map
-      (fun jobs ->
-        let seconds, summary =
-          if jobs = 1 then (t_base, base) else time_run jobs
-        in
-        let identical =
-          Array.length summary.Dl.Batch.results
-          = Array.length base.Dl.Batch.results
-          && Array.for_all2 story_result_equal summary.Dl.Batch.results
-               base.Dl.Batch.results
-        in
-        { run_jobs = jobs; run_seconds = seconds;
-          run_speedup = t_base /. seconds; run_identical = identical })
-      [ 1; 2; 4 ]
-  in
-  Format.printf "  %d stories, In_sample calibration:@."
-    (Array.length stories);
-  Format.printf "  jobs   wall-clock    speedup   bit-identical to jobs=1@.";
-  List.iter
-    (fun r ->
-      Format.printf "  %-6d %8.2f s   %6.2fx   %b@." r.run_jobs r.run_seconds
-        r.run_speedup r.run_identical)
-    runs;
-  Format.printf
-    "  (identical must hold everywhere: every story seeds its own rng, \
-     so the@.   schedule cannot leak into the numbers; speedup depends \
-     on the machine's@.   core count)@.";
-  runs
-
-(* ------------------------------------------------------------------ *)
-(* Bench JSON: machine-readable timings for CI artifacts               *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-
-(* ------------------------------------------------------------------ *)
-(* Serve load: loopback throughput of the prediction-serving layer     *)
-(* ------------------------------------------------------------------ *)
-
-type serve_load = {
-  sl_requests : int;
-  sl_connections : int;  (* concurrent keep-alive connections held open *)
-  sl_reused : int;  (* requests served on an already-used connection *)
-  sl_dropped : int;  (* requests that errored or got a non-200 *)
-  sl_drained : bool;  (* SIGTERM under load: in-flight answered, exit 0 *)
-  sl_seconds : float;
-  sl_rps : float;
-  sl_p50_ms : float;
-  sl_p99_ms : float;
-}
-
-let serve_fit_body =
-  {|{"distances":[1,2,3,4,5],"times":[1,2,3,4,5,6],
-     "density":[[2.0,3.0,4.0,4.8,5.4,5.8],[1.2,1.9,2.7,3.4,4.0,4.4],
-                [0.7,1.1,1.6,2.1,2.5,2.8],[0.4,0.6,0.9,1.2,1.5,1.7],
-                [0.2,0.3,0.5,0.7,0.9,1.0]],
-     "starts":1,"seed":3}|}
-
-(* The server lives in a forked child: the event loop multiplexes with
-   Unix.select (fds < 1024 only), and a thousand client sockets opened
-   in the same process would push the server's accepted fds past that
-   line.  The fork also makes the SIGTERM drain check honest — a real
-   signal to a real process under real load. *)
-let serve_nconns = 1000
-let serve_rounds = 5
-let serve_window = 32 (* requests in flight at once while measuring *)
-
-let run_serve_load () =
-  section
-    (Printf.sprintf
-       "Serve: %d keep-alive connections, cache-hit /predict latency"
-       serve_nconns);
-  let jobs = if Parallel.Pool.domains_available then 2 else 1 in
-  let config =
-    { Serve.Server.default_config with Serve.Server.port = 0; jobs }
-  in
-  let server = Serve.Server.create ~config () in
-  let port = Serve.Server.port server in
-  let child =
-    match Unix.fork () with
-    | 0 ->
-      (* the child is the server; _exit avoids replaying the parent's
-         at_exit machinery (buffered output, metric dumps) twice *)
-      (try
-         Serve.Server.install_signal_handlers server;
-         Serve.Server.run server;
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  (* warm the fit cache and each /predict t-memo through one-shot
-     requests, so the measured rounds are pure cache hits *)
-  (match Serve.Client.request ~port ~body:serve_fit_body "POST" "/fit" with
-  | Ok r when r.Serve.Client.status = 200 -> ()
-  | Ok r -> failwith (Printf.sprintf "bench fit failed: %d" r.Serve.Client.status)
-  | Error e -> failwith ("bench fit failed: " ^ e));
-  List.iter
-    (fun t ->
-      match
-        Serve.Client.request ~port "GET" (Printf.sprintf "/predict?x=2&t=%d" t)
-      with
-      | Ok r when r.Serve.Client.status = 200 -> ()
-      | Ok r -> failwith (Printf.sprintf "warm predict failed: %d" r.Serve.Client.status)
-      | Error e -> failwith ("warm predict failed: " ^ e))
-    [ 2; 3; 4 ];
-  let dropped = ref 0 in
-  let conns =
-    Array.init serve_nconns (fun i ->
-        match Serve.Client.connect ~port () with
-        | Ok c -> Some c
-        | Error e ->
-          if i = 0 then failwith ("bench connect failed: " ^ e);
-          incr dropped;
-          None)
-  in
-  let live = Array.to_list conns |> List.filter_map Fun.id |> Array.of_list in
-  let nlive = Array.length live in
-  let target_of i = Printf.sprintf "/predict?x=2&t=%d" (2 + (i mod 3)) in
-  (* latencies also land in the Obs registry so the bench metrics dump
-     carries the full histogram, not just the two percentiles below *)
-  let latency = Obs.Metrics.histogram "serve.bench_latency_ns" in
-  let lats = ref [] in
-  let t0 = Unix.gettimeofday () in
-  (* each round walks every connection once, a sliding window of
-     [serve_window] requests pipelined across connections at a time *)
-  for _round = 1 to serve_rounds do
-    let i = ref 0 in
-    while !i < nlive do
-      let hi = min nlive (!i + serve_window) in
-      let sent = Array.make (hi - !i) nan in
-      for k = !i to hi - 1 do
-        sent.(k - !i) <- Unix.gettimeofday ();
-        match Serve.Client.send_request live.(k) "GET" (target_of k) with
-        | Ok () -> ()
-        | Error _ -> incr dropped
-      done;
-      for k = !i to hi - 1 do
-        match Serve.Client.recv_response live.(k) with
-        | Ok r when r.Serve.Client.status = 200 ->
-          let dt = Unix.gettimeofday () -. sent.(k - !i) in
-          lats := (dt *. 1e3) :: !lats;
-          Obs.Metrics.observe latency (dt *. 1e9)
-        | Ok _ | Error _ -> incr dropped
-      done;
-      i := hi
-    done
-  done;
-  let seconds = Unix.gettimeofday () -. t0 in
-  (* reuse as the server counted it, read over one of the live
-     connections (a fresh one would be the 1001st and get shed) *)
-  let reused =
-    match Serve.Client.request_on live.(0) "GET" "/metrics" with
-    | Ok r when r.Serve.Client.status <> 200 -> 0
-    | Error _ -> 0
-    | Ok r ->
-      String.split_on_char '\n' r.Serve.Client.body
-      |> List.find_map (fun line ->
-             match String.split_on_char ' ' line with
-             | [ "dlosn_serve_connections_reused_total"; v ] ->
-               int_of_string_opt v
-             | _ -> None)
-      |> Option.value ~default:0
-  in
-  (* SIGTERM under load: put one more request in flight on a slice of
-     the connections, signal the server, and demand every in-flight
-     request a response (Connection: close) plus a clean child exit *)
-  let in_flight = min 100 nlive in
-  for k = 0 to in_flight - 1 do
-    match Serve.Client.send_request live.(k) "GET" (target_of k) with
-    | Ok () -> ()
-    | Error _ -> incr dropped
-  done;
-  (* let the sent bytes reach the server's kernel before the signal *)
-  ignore (Unix.select [] [] [] 0.05);
-  Unix.kill child Sys.sigterm;
-  let drain_ok = ref true in
-  for k = 0 to in_flight - 1 do
-    match Serve.Client.recv_response live.(k) with
-    | Ok r when r.Serve.Client.status = 200 -> ()
-    | Ok _ | Error _ ->
-      incr dropped;
-      drain_ok := false
-  done;
-  let rec reap tries =
-    if tries = 0 then None
-    else
-      match Unix.waitpid [ Unix.WNOHANG ] child with
-      | 0, _ ->
-        ignore (Unix.select [] [] [] 0.1);
-        reap (tries - 1)
-      | _, status -> Some status
-  in
-  let exited_clean =
-    match reap 150 with
-    | Some (Unix.WEXITED 0) -> true
-    | Some _ -> false
-    | None ->
-      (* wedged: don't leave the child running *)
-      (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] child);
-      false
-  in
-  let drained = !drain_ok && exited_clean in
-  Array.iter Serve.Client.close live;
-  let lat_ms = Array.of_list !lats in
-  Array.sort compare lat_ms;
-  let n = Array.length lat_ms in
-  let pct p =
-    if n = 0 then nan
-    else lat_ms.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let total = (serve_rounds * nlive) + in_flight in
-  let load =
-    {
-      sl_requests = total;
-      sl_connections = nlive;
-      sl_reused = reused;
-      sl_dropped = !dropped;
-      sl_drained = drained;
-      sl_seconds = seconds;
-      sl_rps = float_of_int (serve_rounds * nlive) /. seconds;
-      sl_p50_ms = pct 0.50;
-      sl_p99_ms = pct 0.99;
-    }
-  in
-  Format.printf
-    "  %d requests over %d keep-alive connections (%d worker%s): %.0f req/s, \
-     p50 %.2f ms, p99 %.2f ms@."
-    load.sl_requests load.sl_connections jobs
-    (if jobs = 1 then "" else "s")
-    load.sl_rps load.sl_p50_ms load.sl_p99_ms;
-  Format.printf "  reused %d, dropped %d, SIGTERM drain %s@." load.sl_reused
-    load.sl_dropped
-    (if load.sl_drained then "clean" else "FAILED");
-  load
-
-(* ------------------------------------------------------------------ *)
-(* Live ingestion: /observe throughput and warm vs cold refit cost     *)
-(* ------------------------------------------------------------------ *)
-
-type live_bench = {
-  lb_votes : int;  (* votes accepted by the server *)
-  lb_batches : int;  (* /observe requests sent *)
-  lb_dropped : int;  (* failed requests or non-200s *)
-  lb_seconds : float;
-  lb_votes_per_s : float;
-  lb_p50_ms : float;  (* per-batch /observe round trip *)
-  lb_p99_ms : float;
-  lb_fits : int;  (* daemon fits completed server-side *)
-  lb_refits : int;  (* of which drift-triggered warm refits *)
-  lb_warm_s : float;  (* in-process warm refit wall time *)
-  lb_cold_s : float;  (* in-process cold fit wall time, same data *)
-  lb_warm_evals : int;
-  lb_cold_evals : int;
-}
-
-let live_batch_size = 25
-
-(* Like the serve-load bench, the server lives in a forked child; this
-   must run before any domain spawns (OCaml 5 forbids fork afterwards),
-   and the daemon refits need real worker threads of their own. *)
-let run_live_bench () =
-  section "Live: /observe ingestion throughput, daemon refit cadence";
-  let module J = Serve.Tiny_json in
-  let jobs = if Parallel.Pool.domains_available then 2 else 1 in
-  let config =
-    { Serve.Server.default_config with Serve.Server.port = 0; jobs }
-  in
-  let server = Serve.Server.create ~config () in
-  let port = Serve.Server.port server in
-  let child =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         Serve.Server.install_signal_handlers server;
-         Serve.Server.run server;
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  let stream = Socialnet.Replay.simulate ~seed:7 () in
-  let events = stream.Socialnet.Replay.events in
-  let story = "bench" in
-  let conn =
-    match Serve.Client.connect ~timeout:60. ~port () with
-    | Ok c -> c
-    | Error e -> failwith ("live bench connect failed: " ^ e)
-  in
-  let vote_json (e : Socialnet.Replay.event) =
-    J.Object
-      [
-        ("voter", J.Number (float_of_int e.Socialnet.Replay.voter));
-        ("time", J.Number e.Socialnet.Replay.time);
-        ("distance", J.Number (float_of_int e.Socialnet.Replay.distance));
-      ]
-  in
-  let num_array a = J.List (List.map (fun v -> J.Number v) (Array.to_list a)) in
-  let n = Array.length events in
-  let dropped = ref 0 and accepted = ref 0 and batches = ref 0 in
-  let lats = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let i = ref 0 in
-  while !i < n do
-    let j = min n (!i + live_batch_size) in
-    let votes =
-      Array.sub events !i (j - !i) |> Array.to_list |> List.map vote_json
-    in
-    let fields =
-      [ ("story", J.String story); ("votes", J.List votes) ]
-      @
-      if !i = 0 then
-        [
-          ("times", num_array stream.Socialnet.Replay.times);
-          ( "population",
-            num_array
-              (Array.map float_of_int stream.Socialnet.Replay.population) );
-          ( "max_distance",
-            J.Number (float_of_int stream.Socialnet.Replay.max_distance) );
-        ]
-      else []
-    in
-    let body = J.to_string (J.Object fields) in
-    let sent = Unix.gettimeofday () in
-    (match Serve.Client.request_on conn ~body "POST" "/observe" with
-    | Ok r when r.Serve.Client.status = 200 ->
-      lats := ((Unix.gettimeofday () -. sent) *. 1e3) :: !lats;
-      let ingested =
-        match J.parse r.Serve.Client.body with
-        | Ok doc ->
-          Option.bind (J.member "ingested" doc) J.to_int
-          |> Option.value ~default:0
-        | Error _ -> 0
-      in
-      accepted := !accepted + ingested
-    | Ok _ | Error _ -> incr dropped);
-    incr batches;
-    i := j
-  done;
-  let seconds = Unix.gettimeofday () -. t0 in
-  (* daemon fits run async on the child's workers — poll /live until
-     the last one lands before reading the counters *)
-  let story_status () =
-    match Serve.Client.request_on conn "GET" ("/live?story=" ^ story) with
-    | Ok r when r.Serve.Client.status = 200 -> (
-      match J.parse r.Serve.Client.body with
-      | Ok doc -> (
-        match Option.bind (J.member "stories" doc) J.to_list with
-        | Some [ s ] -> Some s
-        | _ -> None)
-      | Error _ -> None)
-    | Ok _ | Error _ -> None
-  in
-  let deadline = Unix.gettimeofday () +. 60. in
-  let rec settle () =
-    match story_status () with
-    | Some s
-      when J.member "refit_inflight" s = Some (J.Bool false)
-           || Unix.gettimeofday () > deadline ->
-      s
-    | _ ->
-      ignore (Unix.select [] [] [] 0.05);
-      settle ()
-  in
-  let status = settle () in
-  let int_field name =
-    Option.bind (J.member name status) J.to_int |> Option.value ~default:0
-  in
-  let fits = int_field "fits" and refits = int_field "refits" in
-  Serve.Client.close conn;
-  Unix.kill child Sys.sigterm;
-  ignore (Unix.waitpid [] child);
-  (* warm vs cold, in process: a prior fit on the first two thirds of
-     the stream warm-starts a refit on the whole of it — the daemon's
-     exact recipe — against a from-scratch fit on the same data *)
-  let full = Socialnet.Replay.batch_density stream in
-  let horizon = stream.Socialnet.Replay.times.(Array.length stream.Socialnet.Replay.times - 1) in
-  let cut = horizon *. 2. /. 3. in
-  let m =
-    let k = ref 0 in
-    Array.iter
-      (fun t -> if t <= cut then incr k)
-      stream.Socialnet.Replay.times;
-    !k
-  in
-  let prefix =
-    {
-      full with
-      Socialnet.Density.times = Array.sub stream.Socialnet.Replay.times 0 m;
-      density =
-        Array.map
-          (fun row -> Array.sub row 0 m)
-          full.Socialnet.Density.density;
-    }
-  in
-  let keep times = Array.of_list (List.filter (fun t -> t > 1.) (Array.to_list times)) in
-  let prior =
-    Dl.Fit.fit
-      ~config:
-        {
-          Dl.Fit.default_config with
-          Dl.Fit.fit_times = keep prefix.Socialnet.Density.times;
-        }
-      (Numerics.Rng.create 7) prefix
-  in
-  let fit_times = keep stream.Socialnet.Replay.times in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let warm, warm_s =
-    timed (fun () ->
-        Dl.Fit.fit
-          ~config:
-            { Dl.Fit.default_config with Dl.Fit.fit_times; starts = 1 }
-          ~init:(Dl.Fit.Init_params prior.Dl.Fit.params)
-          (Numerics.Rng.create 7) full)
-  in
-  let cold, cold_s =
-    timed (fun () ->
-        Dl.Fit.fit
-          ~config:{ Dl.Fit.default_config with Dl.Fit.fit_times }
-          (Numerics.Rng.create 7) full)
-  in
-  let lat_ms = Array.of_list !lats in
-  Array.sort compare lat_ms;
-  let nlat = Array.length lat_ms in
-  let pct p =
-    if nlat = 0 then nan
-    else lat_ms.(min (nlat - 1) (int_of_float (p *. float_of_int nlat)))
-  in
-  let bench =
-    {
-      lb_votes = !accepted;
-      lb_batches = !batches;
-      lb_dropped = !dropped;
-      lb_seconds = seconds;
-      lb_votes_per_s = float_of_int !accepted /. seconds;
-      lb_p50_ms = pct 0.50;
-      lb_p99_ms = pct 0.99;
-      lb_fits = fits;
-      lb_refits = refits;
-      lb_warm_s = warm_s;
-      lb_cold_s = cold_s;
-      lb_warm_evals = warm.Dl.Fit.evaluations;
-      lb_cold_evals = cold.Dl.Fit.evaluations;
-    }
-  in
-  Format.printf
-    "  %d votes in %d batches (%d worker%s): %.0f votes/s, /observe p50 \
-     %.2f ms, p99 %.2f ms@."
-    bench.lb_votes bench.lb_batches jobs
-    (if jobs = 1 then "" else "s")
-    bench.lb_votes_per_s bench.lb_p50_ms bench.lb_p99_ms;
-  Format.printf "  daemon fits %d (refits %d), dropped %d@." bench.lb_fits
-    bench.lb_refits bench.lb_dropped;
-  Format.printf
-    "  refit on full stream: warm %.3f s (%d evals) vs cold %.3f s (%d \
-     evals)@."
-    bench.lb_warm_s bench.lb_warm_evals bench.lb_cold_s bench.lb_cold_evals;
-  bench
-
-(* ------------------------------------------------------------------ *)
-(* Panel bench: fused multi-story panel vs a per-story scalar loop     *)
-(* ------------------------------------------------------------------ *)
-
-(* The scalar loop runs [Pde.solve], the kernel's bit-identity
-   reference, which allocates its arrays and operators every step. *)
-
-type panel_bench = {
-  pn_name : string;
-  pn_stories : int;
-  pn_steps : int;               (* macro time steps per solve *)
-  pn_panel_ns : float;          (* ns per story per step, fused panel *)
-  pn_scalar_ns : float;         (* ns per story per step, scalar loop *)
-  pn_speedup : float;
-  pn_panel_words : float;       (* minor words per story per solve *)
-  pn_scalar_words : float;
-  pn_alloc_ratio : float;       (* scalar / panel *)
-  pn_identical : bool;          (* per-cell bit equality vs scalar loop *)
-}
-
-let run_panel_bench () =
-  section "Solver: fused multi-story panels vs a per-story scalar loop";
-  let module Pde = Numerics.Pde in
-  let ns = 8 in
-  let dt = 0.01 in
-  let times = [| 2.; 3.; 4.; 5.; 6. |] in
-  (* stories share the grid (the panel precondition) but not the
-     physics: every story gets its own diffusion, growth, K and
-     initial amplitude so the batched sweeps do real per-story work *)
-  let story_bits i =
-    let fi = float_of_int i in
-    let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
-    let c = 0.2 +. (0.015 *. fi) in
-    let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
-    let k = 18. +. (2.5 *. fi) in
-    let d = 0.03 +. (0.004 *. fi) in
-    let amp = 6. +. (0.5 *. fi) in
-    (d, r, k, amp)
-  in
-  let pp =
-    {
-      Pde.pp_xl = 1.;
-      pp_xr = 6.;
-      pp_nx = 101;
-      pp_t0 = 1.;
-      pp_stories =
-        Array.init ns (fun i ->
-            let d, r, k, amp = story_bits i in
-            {
-              Pde.ps_diffusion = (fun _ -> d);
-              ps_reaction = Pde.Logistic { r; k };
-              ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-            });
-    }
-  in
-  let ws = Pde.panel_workspace () in
-  let panel_solve name =
-    let scheme =
-      match name with
-      | "imex-cn" -> Pde.Panel_imex 0.5
-      | "strang" -> Pde.Panel_strang
-      | _ -> assert false
-    in
-    Pde.solve_panel ~scheme ~dt ~workspace:ws pp ~times
-  in
-  let scalar_solve name i =
-    let d, r, k, amp = story_bits i in
-    let p =
-      {
-        Pde.xl = 1.;
-        xr = 6.;
-        nx = 101;
-        diffusion = (fun _ -> d);
-        reaction = Pde.Logistic { r; k };
-        initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-        t0 = 1.;
-      }
-    in
-    (* fresh scheme value per solve: the Strang reaction closure is
-       stateful (memoized r-integral) *)
-    let scheme =
-      match name with
-      | "imex-cn" -> Pde.Imex 0.5
-      | "strang" -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-      | _ -> assert false
-    in
-    Pde.solve ~scheme ~dt p ~times
-  in
-  let identical (a : Pde.solution) (b : Pde.solution) =
-    let ok = ref (Array.length a.Pde.values = Array.length b.Pde.values) in
-    Array.iteri
-      (fun it row ->
-        Array.iteri
-          (fun ix v ->
-            if
-              not
-                (Int64.equal (Int64.bits_of_float v)
-                   (Int64.bits_of_float b.Pde.values.(it).(ix)))
-            then ok := false)
-          row)
-      a.Pde.values;
-    !ok
-  in
-  let reps = 10 in
-  let bench name =
-    let c_steps = Obs.Metrics.counter "pde.panel_steps" in
-    let before = Obs.Metrics.counter_value c_steps in
-    let panel_sols = panel_solve name in
-    let steps = Obs.Metrics.counter_value c_steps - before in
-    let scalar_sols = Array.init ns (scalar_solve name) in
-    let pn_identical =
-      let ok = ref (Array.length panel_sols = ns) in
-      Array.iteri
-        (fun i sol -> if not (identical sol scalar_sols.(i)) then ok := false)
-        panel_sols;
-      !ok
-    in
-    Obs.set_enabled false;
-    ignore (panel_solve name);
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (panel_solve name)
-    done;
-    let panel_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let panel_w = (Gc.minor_words () -. w0) /. float_of_int reps in
-    for i = 0 to ns - 1 do
-      ignore (scalar_solve name i)
-    done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      for i = 0 to ns - 1 do
-        ignore (scalar_solve name i)
-      done
-    done;
-    let scalar_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    let scalar_w = (Gc.minor_words () -. w0) /. float_of_int reps in
-    Obs.set_enabled true;
-    let fns = float_of_int ns in
-    let per s = s *. 1e9 /. (float_of_int steps *. fns) in
-    {
-      pn_name = name;
-      pn_stories = ns;
-      pn_steps = steps;
-      pn_panel_ns = per panel_s;
-      pn_scalar_ns = per scalar_s;
-      pn_speedup = scalar_s /. panel_s;
-      pn_panel_words = panel_w /. fns;
-      pn_scalar_words = scalar_w /. fns;
-      pn_alloc_ratio = scalar_w /. panel_w;
-      pn_identical;
-    }
-  in
-  let rows = List.map bench [ "imex-cn"; "strang" ] in
-  Format.printf "  %-10s %7s %5s %13s %14s %8s %12s %12s %7s %s@." "scheme"
-    "stories" "steps" "panel ns/s/st" "scalar ns/s/st" "speedup" "panel w/st"
-    "scalar w/st" "alloc x" "identical";
-  List.iter
-    (fun b ->
-      Format.printf
-        "  %-10s %7d %5d %13.0f %14.0f %8.2f %12.0f %12.0f %7.1f %b@."
-        b.pn_name b.pn_stories b.pn_steps b.pn_panel_ns b.pn_scalar_ns
-        b.pn_speedup b.pn_panel_words b.pn_scalar_words b.pn_alloc_ratio
-        b.pn_identical)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* Store: append throughput and recovery time                          *)
-(* ------------------------------------------------------------------ *)
-
-type store_bench = {
-  sb_records : int;
-  sb_appends_per_s : float;       (* fsync off: raw framing + write cost *)
-  sb_fsync_appends_per_s : float; (* fsync on: the durable serve path *)
-  sb_wal_recovery_s : float;      (* reopen with every record in the WAL *)
-  sb_snapshot_recovery_s : float; (* reopen after gc folded the WAL in *)
-  sb_wal_bytes : int;
-}
-
-let run_store_bench () =
-  section "Store: WAL append throughput and recovery time";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dlosn-store-bench-%d" (Unix.getpid ()))
-  in
-  let rmrf () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  rmrf ();
-  let synth i =
-    {
-      Store.Format.id = Printf.sprintf "bench-%06d" i;
-      story = Printf.sprintf "story-%d" (i mod 97);
-      source = "bench";
-      model = "dl";
-      created_ns = i;
-      params =
-        Dl.Params.make ~d:0.01 ~k:25.
-          ~r:(Dl.Growth.Exp_decay { a = 1.4; b = 1.5; c = 0.25 })
-          ~l:1. ~big_l:6.;
-      phi_xs = [| 1.; 2.; 3.; 4.; 5. |];
-      phi_densities = [| 11.1; 6.1; 2.1; 1.6; 0. |];
-      phi_construction = `Pchip;
-      scheme = Dl.Model.Strang;
-      nx = 41;
-      dt = 0.05;
-      reference_stepper = false;
-      fit_times = [| 2.; 3.; 4. |];
-      training_error = 0.05 +. (float_of_int i *. 1e-9);
-      evaluations = 1200 + i;
-      starts = 4;
-      trace_id = "";
-      obs_cursor = 0.;
-    }
-  in
-  let n = 10_000 in
-  (* fsync off: how fast the WAL itself goes *)
-  let store = Store.open_ ~fsync:false ~source:"bench" dir in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n do
-    Store.append store (synth i)
-  done;
-  let append_s = Unix.gettimeofday () -. t0 in
-  let wal_bytes = Store.wal_bytes store in
-  Store.close store;
-  (* recovery: replay the full WAL *)
-  let t0 = Unix.gettimeofday () in
-  let store = Store.open_ ~fsync:false ~source:"bench" dir in
-  let wal_recovery_s = Unix.gettimeofday () -. t0 in
-  assert (Store.record_count store = n);
-  (* recovery again, this time from the gc'd snapshot *)
-  Store.gc store;
-  Store.close store;
-  let t0 = Unix.gettimeofday () in
-  let store = Store.open_ ~fsync:false ~source:"bench" dir in
-  let snapshot_recovery_s = Unix.gettimeofday () -. t0 in
-  assert (Store.record_count store = n);
-  Store.close store;
-  (* a small fsync-on batch: the per-fit durable append the server pays *)
-  let store = Store.open_ ~source:"bench" dir in
-  let n_sync = 64 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n_sync do
-    Store.append store (synth (n + i))
-  done;
-  let sync_s = Unix.gettimeofday () -. t0 in
-  Store.close store;
-  rmrf ();
-  let b =
-    {
-      sb_records = n;
-      sb_appends_per_s = float_of_int n /. append_s;
-      sb_fsync_appends_per_s = float_of_int n_sync /. sync_s;
-      sb_wal_recovery_s = wal_recovery_s;
-      sb_snapshot_recovery_s = snapshot_recovery_s;
-      sb_wal_bytes = wal_bytes;
-    }
-  in
-  Format.printf
-    "  %d records (%.1f MiB WAL)@.  appends/s: %.0f (no fsync), %.0f \
-     (fsync)@.  recovery: %.3f s from WAL, %.3f s from snapshot@."
-    b.sb_records
-    (float_of_int b.sb_wal_bytes /. 1024. /. 1024.)
-    b.sb_appends_per_s b.sb_fsync_appends_per_s b.sb_wal_recovery_s
-    b.sb_snapshot_recovery_s;
-  b
-
-let run_tournament_bench () =
-  section
-    "Tournament: model zoo ranked on held-out error (synthetic story set)";
-  let pool = Parallel.Pool.create () in
-  let stories = Dl.Tournament.synthetic_stories ~n:3 ~seed:7 () in
-  let lb =
-    Obs_progress.with_bar ~label:"tournament"
-      ~total:(List.length Dl.Tournament.default_models * List.length stories)
-      ~span:"tournament.item"
-    @@ fun () -> Dl.Tournament.run ~pool ~seed:42 stories
-  in
-  Format.printf "%a" Dl.Tournament.pp lb;
-  lb
-
-(* the "solver" object shared by the full bench JSON and the
-   standalone solver-only JSON CI gates on *)
-let write_solver_obj oc ~panel =
-  let out fmt = Printf.fprintf oc fmt in
-  out "  \"solver\": {\"nx\": 101, \"dt\": 0.01, \"panel\": [\n";
-  List.iteri
-    (fun i b ->
-      out
-        "    {\"name\": \"%s\", \"stories\": %d, \"steps_per_solve\": %d, \
-         \"panel_ns_per_story_step\": %s, \"scalar_ns_per_story_step\": %s, \
-         \"speedup\": %s, \"panel_minor_words_per_story\": %s, \
-         \"scalar_minor_words_per_story\": %s, \"alloc_ratio\": %s, \
-         \"identical\": %b}%s\n"
-        (json_escape b.pn_name) b.pn_stories b.pn_steps
-        (json_float b.pn_panel_ns) (json_float b.pn_scalar_ns)
-        (json_float b.pn_speedup)
-        (json_float b.pn_panel_words)
-        (json_float b.pn_scalar_words)
-        (json_float b.pn_alloc_ratio) b.pn_identical
-        (if i = List.length panel - 1 then "" else ","))
-    panel;
-  out "  ]}"
-
-let write_bench_json ~path ~scale_name ~scaling ~micro ~serve_load ~live
-    ~panel ~store ~tournament =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"dlosn-bench/1\",\n";
-  out "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  out "  \"domains_available\": %b,\n" Parallel.Pool.domains_available;
-  out "  \"recommended_domains\": %d,\n" (Parallel.Pool.recommended_jobs ());
-  out "  \"num_domains_env\": %s,\n"
-    (match Sys.getenv_opt Parallel.Pool.env_var with
-    | Some v -> Printf.sprintf "\"%s\"" (json_escape v)
-    | None -> "null");
-  out "  \"batch_fit_scaling\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"jobs\": %d, \"seconds\": %s, \"speedup\": %s, \
-         \"identical_to_jobs1\": %b}%s\n"
-        r.run_jobs (json_float r.run_seconds) (json_float r.run_speedup)
-        r.run_identical
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  out "  ],\n";
-  out "  \"microbench_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "    {\"name\": \"%s\", \"ns\": %s}%s\n" (json_escape name)
-        (json_float ns)
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n";
-  out
-    "  \"serve\": {\"requests\": %d, \"connections\": %d, \"reused\": %d, \
-     \"dropped\": %d, \"drained\": %b, \"seconds\": %s, \"rps\": %s, \
-     \"p50_ms\": %s, \"p99_ms\": %s},\n"
-    serve_load.sl_requests serve_load.sl_connections serve_load.sl_reused
-    serve_load.sl_dropped serve_load.sl_drained
-    (json_float serve_load.sl_seconds)
-    (json_float serve_load.sl_rps)
-    (json_float serve_load.sl_p50_ms)
-    (json_float serve_load.sl_p99_ms);
-  out
-    "  \"live\": {\"votes\": %d, \"batches\": %d, \"dropped\": %d, \
-     \"seconds\": %s, \"votes_per_s\": %s, \"observe_p50_ms\": %s, \
-     \"observe_p99_ms\": %s, \"fits\": %d, \"refits\": %d, \
-     \"warm_refit_s\": %s, \"cold_refit_s\": %s, \"warm_evals\": %d, \
-     \"cold_evals\": %d},\n"
-    live.lb_votes live.lb_batches live.lb_dropped
-    (json_float live.lb_seconds)
-    (json_float live.lb_votes_per_s)
-    (json_float live.lb_p50_ms)
-    (json_float live.lb_p99_ms)
-    live.lb_fits live.lb_refits
-    (json_float live.lb_warm_s)
-    (json_float live.lb_cold_s)
-    live.lb_warm_evals live.lb_cold_evals;
-  write_solver_obj oc ~panel;
-  out ",\n";
-  (* the leaderboard document (schema dlosn-tournament/1) embeds as-is *)
-  out "  \"tournament\": %s,\n"
-    (String.trim (Dl.Tournament.json_string tournament));
-  out
-    "  \"store\": {\"records\": %d, \"appends_per_s\": %s, \
-     \"fsync_appends_per_s\": %s, \"wal_recovery_s\": %s, \
-     \"snapshot_recovery_s\": %s, \"wal_bytes\": %d}\n"
-    store.sb_records
-    (json_float store.sb_appends_per_s)
-    (json_float store.sb_fsync_appends_per_s)
-    (json_float store.sb_wal_recovery_s)
-    (json_float store.sb_snapshot_recovery_s)
-    store.sb_wal_bytes;
-  out "}\n";
-  close_out oc;
-  Format.printf "@.bench JSON written to %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bench_tests small =
-  let ds = small.Socialnet.Digg.dataset in
-  let s1 = Socialnet.Dataset.story ds small.Socialnet.Digg.rep_ids.(0) in
-  let hops = Socialnet.Distance.friendship_hops ds ~story:s1 in
-  let phi_obs = observe_hops ds s1 5 [| 1.; 2.; 3.; 4.; 5.; 6. |] in
-  let phi =
-    Dl.Initial.of_observations
-      ~xs:(Array.map float_of_int phi_obs.Socialnet.Density.distances)
-      ~densities:(Array.map (fun row -> row.(0)) phi_obs.Socialnet.Density.density)
-  in
-  let times = [| 2.; 3.; 4.; 5.; 6. |] in
-  let stage = Staged.stage in
-  [
-    Test.make ~name:"fig2:hop-distribution"
-      (stage (fun () ->
-           let h = Socialnet.Distance.friendship_hops ds ~story:s1 in
-           Socialnet.Density.distance_distribution ~assignment:h
-             ~max_distance:10));
-    Test.make ~name:"fig3:hops-density-50h"
-      (stage (fun () ->
-           Socialnet.Density.observe s1 ~assignment:hops ~max_distance:5
-             ~times:fig_times));
-    Test.make ~name:"fig4:profiles-50h"
-      (stage (fun () ->
-           let obs =
-             Socialnet.Density.observe s1 ~assignment:hops ~max_distance:5
-               ~times:fig_times
-           in
-           Array.map
-             (fun t -> Socialnet.Density.profile_at_time obs ~time:t)
-             fig_times));
-    Test.make ~name:"fig5:interest-density-50h"
-      (stage (fun () -> observe_interest ds s1 fig_times));
-    Test.make ~name:"fig6:growth-rate-curve"
-      (stage (fun () ->
-           Array.init 101 (fun i ->
-               Dl.Growth.eval Dl.Growth.paper_hops
-                 (1. +. (float_of_int i /. 25.)))));
-    Test.make ~name:"fig7a:dl-solve-hops"
-      (stage (fun () -> Dl.Model.solve Dl.Params.paper_hops ~phi ~times));
-    Test.make ~name:"fig7b:dl-solve-interest"
-      (stage (fun () ->
-           Dl.Model.solve
-             (Dl.Params.with_domain Dl.Params.paper_interest ~l:1. ~big_l:5.)
-             ~phi ~times));
-    Test.make ~name:"table1:pipeline-hops"
-      (stage (fun () -> run_pipeline ds s1 Dl.Pipeline.hops));
-    Test.make ~name:"table2:pipeline-interest"
-      (stage (fun () -> run_pipeline ds s1 Dl.Pipeline.interest));
-    Test.make ~name:"ablationA:logistic-baseline"
-      (stage (fun () ->
-           Dl.Baselines.logistic_per_distance phi_obs ~fit_times:[| 2.; 3.; 4. |]));
-    Test.make ~name:"ablationB:ftcs-solve"
-      (stage (fun () ->
-           Dl.Model.solve ~scheme:Dl.Model.Ftcs Dl.Params.paper_hops ~phi ~times));
-    Test.make ~name:"extension:rx-solve"
-      (stage (fun () ->
-           Dl.Model.solve_extended Dl.Params.paper_hops
-             ~diffusion:(fun _ -> 0.01)
-             ~growth:(fun ~x ~t ->
-               Dl.Growth.eval Dl.Growth.paper_hops t /. (1. +. (0.1 *. x)))
-             ~phi ~times));
-    Test.make ~name:"extension2:joint-2d-solve"
-      (stage
-         (let problem =
-            {
-              Numerics.Pde2d.xl = 1.;
-              xr = 5.;
-              nx = 17;
-              yl = 1.;
-              yr = 5.;
-              ny = 17;
-              dx_coef = 0.01;
-              dy_coef = 0.01;
-              reaction =
-                (fun ~x:_ ~y:_ ~t ~u ->
-                  Dl.Growth.eval Dl.Growth.paper_hops t *. u
-                  *. (1. -. (u /. 25.)));
-              initial = (fun x y -> 10. *. exp (-.(x +. y -. 2.) /. 2.));
-              t0 = 1.;
-            }
-          in
-          fun () -> Numerics.Pde2d.solve ~dt:0.02 problem ~times:[| 6. |]));
-    Test.make ~name:"substrate:spline-build-eval"
-      (stage (fun () ->
-           let s =
-             Numerics.Spline.flat_ends
-               ~xs:[| 1.; 2.; 3.; 4.; 5.; 6. |]
-               ~ys:[| 6.0; 3.1; 2.3; 1.2; 0.7; 0.4 |]
-           in
-           let acc = ref 0. in
-           for i = 0 to 100 do
-             acc := !acc +. Numerics.Spline.eval s (1. +. (float_of_int i /. 20.))
-           done;
-           !acc));
-    Test.make ~name:"substrate:tridiag-solve-101"
-      (stage
-         (let n = 101 in
-          let sys =
-            Numerics.Tridiag.make
-              ~sub:(Array.make (n - 1) (-1.))
-              ~diag:(Array.make n 4.)
-              ~sup:(Array.make (n - 1) (-1.))
-          in
-          let b = Array.init n float_of_int in
-          fun () -> Numerics.Tridiag.solve sys b));
-    Test.make ~name:"substrate:bfs-hops"
-      (stage (fun () ->
-           Osn_graph.Traversal.bfs_distances
-             (Socialnet.Dataset.influence ds)
-             s1.Socialnet.Types.initiator));
-    Test.make ~name:"table3:batch-paper-params"
-      (stage
-         (let stories = Dl.Batch.top_stories ds ~n:6 in
-          fun () ->
-            Dl.Batch.evaluate ~mode:Dl.Batch.Paper_params ds ~stories));
-    Test.make ~name:"wavefront:track"
-      (stage
-         (let sol =
-            Dl.Model.solve Dl.Params.paper_hops ~phi
-              ~times:(Array.init 10 (fun i -> 1.5 +. (0.5 *. float_of_int i)))
-          in
-          fun () -> Dl.Wavefront.track sol ~threshold:3.));
-    Test.make ~name:"related:si-epidemic-simulate"
-      (stage
-         (let p =
-            {
-              Dl.Epidemic.beta_local = 0.6;
-              beta_cross = 0.1;
-              mixing_decay = 0.6;
-            }
-          in
-          fun () ->
-            Dl.Epidemic.simulate p
-              ~i0:[| 8.; 4.; 2.; 1.; 0.5 |]
-              ~times:[| 2.; 3.; 4.; 5.; 6. |]));
-    Test.make ~name:"ablationC:network-dl-solve"
-      (stage
-         (let lap =
-            Osn_graph.Laplacian.undirected_laplacian
-              (Socialnet.Dataset.follows ds)
-          in
-          let i0 =
-            Dl.Network_model.indicator_initial s1
-              ~n_users:(Socialnet.Dataset.n_users ds) ~at:1.
-          in
-          let p =
-            { Dl.Network_model.d = 0.02; k = 100.;
-              r = Dl.Growth.Constant 0.5 }
-          in
-          fun () ->
-            Dl.Network_model.solve ~dt:0.5 ~laplacian:lap p ~i0
-              ~times:[| 3.; 6. |]));
-    Test.make ~name:"substrate:conjugate-gradient"
-      (stage
-         (let lap =
-            Osn_graph.Laplacian.undirected_laplacian
-              (Socialnet.Dataset.follows ds)
-          in
-          let a = Numerics.Sparse.add_identity 1. (Numerics.Sparse.scale 0.01 lap) in
-          let b = Array.make (Numerics.Sparse.rows a) 1. in
-          fun () -> Numerics.Sparse.conjugate_gradient ~tol:1e-8 a b));
-    Test.make ~name:"substrate:pagerank"
-      (stage (fun () ->
-           Osn_graph.Centrality.pagerank (Socialnet.Dataset.follows ds)));
-    Test.make ~name:"substrate:cascade-simulate"
-      (stage
-         (let influence = Socialnet.Dataset.influence ds in
-          let params =
-            {
-              Socialnet.Cascade.default with
-              promote_threshold = 1;
-              front_page_rate = 10.;
-              duration = 25.;
-            }
-          in
-          fun () ->
-            let rng = Numerics.Rng.create 42 in
-            Socialnet.Cascade.simulate rng ~influence
-              ~affinity:(fun _ -> 0.3)
-              ~params ~initiator:0 ~story_id:0 ~topic:0 ()));
-  ]
-
-let run_benchmarks () =
-  section "Bechamel micro-benchmarks (small corpus; time per run)";
-  let small = Socialnet.Digg.build ~scale:Socialnet.Digg.small ~seed:5 () in
-  let tests = Test.make_grouped ~name:"dlosn" (bench_tests small) in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (v :: _) -> v
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  let rows = List.sort compare rows in
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.0f ns" ns
-      in
-      Format.printf "  %-38s %s@." name pretty)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-
-(* Serve-only JSON: the same "serve" object write_bench_json embeds,
-   standalone — what CI gates on and uploads without paying for the
-   full harness. *)
-let write_serve_json ~path serve_load =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"dlosn-bench-serve/1\",\n  \"serve\": {\"requests\": \
-     %d, \"connections\": %d, \"reused\": %d, \"dropped\": %d, \"drained\": \
-     %b, \"seconds\": %s, \"rps\": %s, \"p50_ms\": %s, \"p99_ms\": %s}\n}\n"
-    serve_load.sl_requests serve_load.sl_connections serve_load.sl_reused
-    serve_load.sl_dropped serve_load.sl_drained
-    (json_float serve_load.sl_seconds)
-    (json_float serve_load.sl_rps)
-    (json_float serve_load.sl_p50_ms)
-    (json_float serve_load.sl_p99_ms);
-  close_out oc
-
-(* Live-only JSON: the same "live" object write_bench_json embeds,
-   standalone — CI's streaming-ingestion gate. *)
-let write_live_json ~path live =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"dlosn-bench-live/1\",\n  \"live\": {\"votes\": %d, \
-     \"batches\": %d, \"dropped\": %d, \"seconds\": %s, \"votes_per_s\": \
-     %s, \"observe_p50_ms\": %s, \"observe_p99_ms\": %s, \"fits\": %d, \
-     \"refits\": %d, \"warm_refit_s\": %s, \"cold_refit_s\": %s, \
-     \"warm_evals\": %d, \"cold_evals\": %d}\n}\n"
-    live.lb_votes live.lb_batches live.lb_dropped
-    (json_float live.lb_seconds)
-    (json_float live.lb_votes_per_s)
-    (json_float live.lb_p50_ms)
-    (json_float live.lb_p99_ms)
-    live.lb_fits live.lb_refits
-    (json_float live.lb_warm_s)
-    (json_float live.lb_cold_s)
-    live.lb_warm_evals live.lb_cold_evals;
-  close_out oc
-
-(* Solver-only JSON: the same "solver" object write_bench_json embeds,
-   standalone — lets CI gate the panel bit-identity and speedup at
-   several domain counts without paying for the full harness. *)
-let write_solver_json ~path ~panel =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"dlosn-bench-solver/1\",\n";
-  write_solver_obj oc ~panel;
-  Printf.fprintf oc "\n}\n";
-  close_out oc
-
 let () =
-  (* The harness always records internal counters (fit iterations, PDE
-     steps, pool balance) so BENCH_*.json trajectories carry more than
-     end-to-end timings; the metrics land next to the bench JSON. *)
-  Obs.set_enabled true;
-  if Sys.getenv_opt "DLOSN_BENCH_SERVE_ONLY" <> None then begin
-    let serve_load = run_serve_load () in
-    let json_path =
-      match Sys.getenv_opt "DLOSN_BENCH_JSON" with
-      | Some p -> p
-      | None -> "bench_serve.json"
-    in
-    write_serve_json ~path:json_path serve_load;
-    Format.printf "serve bench written to %s@." json_path;
-    exit (if serve_load.sl_dropped = 0 && serve_load.sl_drained then 0 else 1)
-  end;
-  if Sys.getenv_opt "DLOSN_BENCH_LIVE_ONLY" <> None then begin
-    let live = run_live_bench () in
-    let json_path =
-      match Sys.getenv_opt "DLOSN_BENCH_JSON" with
-      | Some p -> p
-      | None -> "bench_live.json"
-    in
-    write_live_json ~path:json_path live;
-    Format.printf "live bench written to %s@." json_path;
-    let ok =
-      live.lb_dropped = 0 && live.lb_votes > 0 && live.lb_fits >= 1
-      && live.lb_warm_evals < live.lb_cold_evals
-    in
-    exit (if ok then 0 else 1)
-  end;
-  if Sys.getenv_opt "DLOSN_BENCH_SOLVER_ONLY" <> None then begin
-    let panel = run_panel_bench () in
-    let json_path =
-      match Sys.getenv_opt "DLOSN_BENCH_JSON" with
-      | Some p -> p
-      | None -> "bench_solver.json"
-    in
-    write_solver_json ~path:json_path ~panel;
-    Format.printf "solver bench written to %s@." json_path;
-    exit (if List.for_all (fun b -> b.pn_identical) panel then 0 else 1)
-  end;
   let scale_name, scale = scale_of_env () in
   Format.printf
     "dlosn reproduction harness — corpus scale: %s (set \
      DLOSN_BENCH_SCALE to change)@."
     scale_name;
-  (* first, before anything spawns a domain: the serve load forks the
-     server into a child process, and OCaml 5 forbids Unix.fork once
-     other domains have ever existed *)
-  let serve_load = run_serve_load () in
-  let live = run_live_bench () in
   let t0 = Unix.gettimeofday () in
   let corpus = Socialnet.Digg.build ~scale ~seed:7 () in
   let ds = corpus.Socialnet.Digg.dataset in
@@ -2079,32 +821,4 @@ let () =
   print_initiator_influence ds;
   print_parameter_uncertainty hops_insample;
   if scale_name <> "full" then print_seed_robustness scale;
-  print_future_work_twitter ();
-
-  let scaling = print_parallel_scaling ds in
-  let panel = run_panel_bench () in
-  let store = run_store_bench () in
-  let tournament = run_tournament_bench () in
-  let micro = run_benchmarks () in
-  let json_path =
-    match Sys.getenv_opt "DLOSN_BENCH_JSON" with
-    | Some p -> p
-    | None -> "bench_results.json"
-  in
-  write_bench_json ~path:json_path ~scale_name ~scaling ~micro ~serve_load
-    ~live ~panel ~store ~tournament;
-  let metrics_path =
-    match Sys.getenv_opt "DLOSN_BENCH_METRICS" with
-    | Some p -> p
-    | None -> "bench_metrics.json"
-  in
-  Obs.Metrics.write_json ~path:metrics_path;
-  Format.printf "metrics written to %s (schema %s)@." metrics_path
-    Obs.Metrics.schema_version;
-  match Sys.getenv_opt "DLOSN_BENCH_FLAME" with
-  | None -> ()
-  | Some flame_path ->
-    let oc = open_out flame_path in
-    output_string oc (Obs.Span.to_folded (Obs.Span.roots ()));
-    close_out oc;
-    Format.printf "flame (folded stacks) written to %s@." flame_path
+  print_future_work_twitter ()

@@ -12,8 +12,6 @@ let default_jobs () =
 
 let domains_available = Pool_scheduler.domains_available
 
-let recommended_jobs () = Pool_scheduler.recommended_jobs ()
-
 let sequential = { jobs = 1 }
 
 let create ?jobs () =

@@ -44,19 +44,12 @@ type t
     and joined before the call returns, so a [t] is cheap, immutable
     and safe to share. *)
 
-val env_var : string
-(** ["DLOSN_NUM_DOMAINS"] — the environment variable consulted by
-    {!default_jobs}. *)
-
 val default_jobs : unit -> int
 (** Value of [DLOSN_NUM_DOMAINS] when set to a positive integer, [1]
     otherwise (parallelism is strictly opt-in). *)
 
 val domains_available : bool
 (** Whether this build can run workers concurrently (OCaml >= 5.0). *)
-
-val recommended_jobs : unit -> int
-(** The runtime's recommended domain count ([1] without Domains). *)
 
 val sequential : t
 (** The one-worker pool: all loops run inline on the caller. *)

@@ -14,9 +14,6 @@
 val domains_available : bool
 (** [true] iff this build can actually run workers concurrently. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] on OCaml 5, [1] otherwise. *)
-
 val run : (unit -> unit) array -> unit
 (** Run every thunk to completion and return once all have finished.
     Concurrent on OCaml 5 (one domain per extra thunk), sequential

@@ -3,8 +3,6 @@
 
 let domains_available = true
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 let run thunks =
   match Array.length thunks with
   | 0 -> ()

@@ -4,6 +4,4 @@
 
 let domains_available = false
 
-let recommended_jobs () = 1
-
 let run thunks = Array.iter (fun thunk -> thunk ()) thunks
