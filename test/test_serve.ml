@@ -237,12 +237,17 @@ let json_of (r : Serve.Client.response) =
   | Ok v -> v
   | Error e -> Alcotest.failf "bad JSON body %S: %s" r.Serve.Client.body e
 
-(* a small observation a fit converges on quickly (single NM start) *)
-let fit_body =
-  {|{"distances":[1,2,3,4],"times":[1,2,3,4,5],
+(* a small observation; with one Nelder-Mead start a fit converges
+   quickly *)
+let fit_body_with ~starts ~seed =
+  Printf.sprintf
+    {|{"distances":[1,2,3,4],"times":[1,2,3,4,5],
      "density":[[2.0,3.0,4.0,4.8,5.4],[1.2,1.9,2.7,3.4,4.0],
                 [0.7,1.1,1.6,2.1,2.5],[0.4,0.6,0.9,1.2,1.5]],
-     "starts":1,"seed":3}|}
+     "starts":%d,"seed":%d}|}
+    starts seed
+
+let fit_body = fit_body_with ~starts:1 ~seed:3
 
 let test_healthz () =
   with_server @@ fun port ->
@@ -769,8 +774,8 @@ let test_thousand_connection_drain () =
         | Ok c -> c
         | Error e -> Alcotest.failf "connection %d: %s" k e);
   let conns = !conns in
-  let send k =
-    match Serve.Client.send_request conns.(k) "GET" (target_of k) with
+  let send ?body k meth target =
+    match Serve.Client.send_request conns.(k) ?body meth target with
     | Ok () -> ()
     | Error e -> Alcotest.failf "send on connection %d: %s" k e
   in
@@ -783,7 +788,7 @@ let test_thousand_connection_drain () =
     let i = ref 0 in
     while !i < nconns do
       let hi = min nconns (!i + window) in
-      for k = !i to hi - 1 do send k done;
+      for k = !i to hi - 1 do send k "GET" (target_of k) done;
       for k = !i to hi - 1 do recv k done;
       i := hi
     done
@@ -794,10 +799,14 @@ let test_thousand_connection_drain () =
   | Some n when n >= 2 * nconns -> ()
   | Some n -> Alcotest.failf "reuse counter %d, wanted >= %d" n (2 * nconns)
   | None -> Alcotest.fail "dlosn_serve_connections_reused_total not exported");
-  (* SIGTERM under load: every request in flight must still get a 200,
-     then the process must exit 0 *)
-  for k = 0 to in_flight - 1 do send k done;
-  (* let the bytes reach the server's socket buffers before the signal *)
+  (* SIGTERM under load.  Two cold fits of 8 restarts (~0.4 s each on
+     a 2-core x86-64 host) hold both workers, so the /predicts behind
+     them are still queued when the signal lands.  The drain must
+     answer all [in_flight] requests with a 200, then exit 0. *)
+  send 0 ~body:(fit_body_with ~starts:8 ~seed:101) "POST" "/fit";
+  send 1 ~body:(fit_body_with ~starts:8 ~seed:102) "POST" "/fit";
+  for k = 2 to in_flight - 1 do send k "GET" (target_of k) done;
+  (* let the requests reach the server before the signal *)
   ignore (Unix.select [] [] [] 0.05);
   Unix.kill pid Sys.sigterm;
   for k = 0 to in_flight - 1 do recv k done;
