@@ -10,7 +10,7 @@ build:
 test:
 	dune runtest
 
-# full reproduction harness (default medium corpus, ~4 min)
+# full reproduction harness (default medium corpus, ~30 s)
 bench:
 	dune exec bench/main.exe
 

@@ -705,28 +705,18 @@ let spawn_dlosn_serve () =
   in
   (pid, out_r)
 
-(* The port from the server's "http://127.0.0.1:PORT" banner on [fd],
-   waiting at most until [deadline]. *)
+(* The port from the server's first stdout line, "dlosn serving on
+   http://127.0.0.1:PORT ...", read from [fd] until [deadline]. *)
 let read_port ~deadline fd =
-  let marker = "http://127.0.0.1:" in
   let buf = Buffer.create 256 and chunk = Bytes.create 256 in
   let port_in text =
-    let m = String.length marker and n = String.length text in
-    let rec find i =
-      if i + m > n then None
-      else if String.sub text i m = marker then Some (i + m)
-      else find (i + 1)
-    in
-    match find 0 with
+    match String.index_opt text '\n' with
     | None -> None
-    | Some start ->
-      let stop = ref start in
-      while !stop < n && text.[!stop] >= '0' && text.[!stop] <= '9' do
-        incr stop
-      done;
-      (* digits running to the end of the buffer may still be arriving *)
-      if !stop = start || !stop = n then None
-      else int_of_string_opt (String.sub text start (!stop - start))
+    | Some eol -> (
+      try
+        Scanf.sscanf (String.sub text 0 eol) "dlosn serving on http://127.0.0.1:%d"
+          Option.some
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
   in
   let rec wait () =
     match port_in (Buffer.contents buf) with
