@@ -125,7 +125,7 @@ let reaction_rk2 p xs t dt u =
       dt *. (k1 +. k2) /. 2.)
     u
 
-(* The schedule both time loops march: a step [dt > 0] and finite
+(* The schedule every time loop marches: a step [dt > 0] and finite
    snapshot times, each no earlier than [t0] or the one before (to the
    loops' 1e-12 snap tolerance).  A NaN target compares false against
    every bound, so the loops would record the current state unstepped;

@@ -80,9 +80,10 @@ val cfl_limit : problem -> float
 val check_schedule : string -> dt:float -> t0:float -> float array -> unit
 (** [check_schedule fn ~dt ~t0 times] validates the schedule a time
     loop marches: [dt > 0] and finite times, each no earlier than [t0]
-    or the time before it (to a 1e-12 tolerance).  Every solver in
-    this library runs it before stepping; without it a NaN time
-    records the unstepped state and an infinite one never returns.
+    or the time before it (to a 1e-12 tolerance).  The solvers here,
+    {!Pde2d.solve} and [Dl.Network_model.solve] run it before stepping;
+    without it a NaN time records the unstepped state and an infinite
+    one never returns.
     @raise Invalid_argument naming [fn] otherwise. *)
 
 val solve :
