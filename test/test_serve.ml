@@ -37,9 +37,9 @@ let test_json_errors () =
           (String.length msg > 0))
     [ "{"; "[1,"; {|{"a"}|}; "tru"; "1.2.3"; {|"unterminated|}; "[] []" ]
 
-(* Each unclosed bracket used to cost one level of recursion: a 2 MB
-   body of '[' (the default max_body) held a worker for seconds before
-   the 400.  Past 32 levels the parse now stops at the offending byte. *)
+(* Nesting is capped so that a hostile body, such as 2 MB of '[' (the
+   default max_body), cannot make the parser recurse once per byte: the
+   parse stops at the byte that opens level 33. *)
 let test_json_depth_limit () =
   let nested k = String.make k '[' ^ String.make k ']' in
   (match J.parse (nested 32) with
