@@ -11,9 +11,12 @@ let integral r ~t0 ~t1 =
   match r with
   | Constant c -> c *. (t1 -. t0)
   | Exp_decay { a; b; c } ->
+    (* a/b (e^{-b(t0-1)} - e^{-b(t1-1)}) as a product: the difference
+       of two nearly equal exponentials cancels when b (t1 - t0) is
+       small, expm1 does not *)
     if b = 0. then (a +. c) *. (t1 -. t0)
     else
-      (a /. b *. (exp (-.b *. (t0 -. 1.)) -. exp (-.b *. (t1 -. 1.))))
+      (-.a /. b *. exp (-.b *. (t0 -. 1.)) *. Float.expm1 (-.b *. (t1 -. t0)))
       +. (c *. (t1 -. t0))
 
 let paper_hops = Exp_decay { a = 1.4; b = 1.5; c = 0.25 }

@@ -16,7 +16,8 @@ val eval : t -> float -> float
 
 val integral : t -> t0:float -> t1:float -> float
 (** Exact integral of [r] over [\[t0, t1\]] (closed form in both
-    cases). *)
+    cases), accurate to rounding for every [b], including [b] near 0
+    and short intervals.  The models' exact Strang flows use it. *)
 
 val paper_hops : t
 (** Eq. 7: [1.4 e^{-1.5 (t-1)} + 0.25] (Fig. 6). *)

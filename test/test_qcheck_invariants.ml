@@ -397,6 +397,32 @@ let prop_growth_integral_additive =
       in
       Float.abs (whole -. parts) < 1e-9)
 
+let prop_growth_integral_matches_simpson =
+  (* The closed form against a fine Simpson rule on the short spans a
+     Strang half step integrates over.  With b log-uniform down to 1e-15
+     (and b = 0), a difference of two nearly equal exponentials lost
+     most of its digits; the expm1 product keeps them. *)
+  QCheck.Test.make ~count:2000 ~name:"growth integral matches Simpson for any b"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of seed in
+      let b =
+        if Rng.int rng 10 = 0 then 0.
+        else 10. ** Rng.uniform rng (-15.) (Float.log10 3.)
+      in
+      let a = Rng.uniform rng 0.01 3. and c = Rng.uniform rng 0. 1. in
+      let t0 = Rng.uniform rng 1. 10. in
+      let t1 = t0 +. Rng.uniform rng 1e-4 0.1 in
+      let r = Dl.Growth.Exp_decay { a; b; c } in
+      let exact = Dl.Growth.integral r ~t0 ~t1 in
+      let numeric = Quadrature.simpson (Dl.Growth.eval r) ~a:t0 ~b:t1 ~n:200 in
+      let rel = Float.abs (exact -. numeric) /. Float.abs numeric in
+      rel <= 1e-12
+      || QCheck.Test.fail_reportf
+           "a=%h b=%h c=%h t0=%h t1=%h: closed form %.17g, Simpson %.17g \
+            (relative error %.3g)"
+           a b c t0 t1 exact numeric rel)
+
 let prop_epidemic_monotone =
   QCheck.Test.make ~count:40 ~name:"SI epidemic is monotone non-decreasing"
     QCheck.(int_range 0 1_000_000)
@@ -443,6 +469,7 @@ let suite =
       prop_accuracy_bounds;
       prop_accuracy_perfect_iff_equal;
       prop_growth_integral_additive;
+      prop_growth_integral_matches_simpson;
       prop_epidemic_monotone;
       prop_interest_distances_match_merge;
     ]
