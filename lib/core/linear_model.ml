@@ -40,7 +40,12 @@ let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
         [|
           {
             Pde.ps_diffusion = (fun _ -> params.d);
-            ps_reaction = Pde.Linear { r = Growth.eval params.r };
+            ps_reaction =
+              Pde.Linear
+                {
+                  r = Growth.eval params.r;
+                  integral = (fun t0 t1 -> Growth.integral params.r ~t0 ~t1);
+                };
             ps_initial = Initial.to_function phi;
           };
         |];

@@ -13,10 +13,16 @@ let check_times times =
 
 (* The DL reaction as the solver's specialised shape: evaluates as
    exactly [r(t) u (1 - u/K)], the same bits as a [Custom] closure with
-   that body, but unboxed on the panel path. *)
+   that body, but unboxed on the panel path; Strang's exact flow takes
+   [∫r] from [Growth.integral]'s closed form. *)
 let dl_reaction params =
+  let r = params.Params.r in
   Pde.Logistic
-    { r = Growth.eval params.Params.r; k = params.Params.k }
+    {
+      r = Growth.eval r;
+      integral = (fun t0 t1 -> Growth.integral r ~t0 ~t1);
+      k = params.Params.k;
+    }
 
 let panel_story_of params ~phi =
   {

@@ -3,8 +3,8 @@
     Wraps {!Numerics.Pde} with the DL-specific right-hand side and
     exposes predictions at the (distance, time) points the paper
     reports.  The default scheme is Strang splitting with the exact
-    logistic reaction flow, which is both unconditionally stable and
-    second-order for this equation. *)
+    logistic reaction flow ([∫r] from {!Growth.integral}), which is
+    both unconditionally stable and second-order for this equation. *)
 
 type scheme = Ftcs | Crank_nicolson | Strang
 

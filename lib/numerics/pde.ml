@@ -4,16 +4,22 @@
    fully general closure (floats box at every call — the per-cell
    closure-call floor the panel path removes for the named shapes).
    [reaction_eval] is the single semantics: the scalar stepper and the
-   panel kernel both compute exactly its floating-point expressions. *)
+   panel kernel both compute exactly its floating-point expressions.
+   [integral a b] is the integral of [r] over [a, b], which the exact
+   Strang flows need. *)
 type reaction =
-  | Logistic of { r : float -> float; k : float }
-  | Linear of { r : float -> float }
+  | Logistic of {
+      r : float -> float;
+      integral : float -> float -> float;
+      k : float;
+    }
+  | Linear of { r : float -> float; integral : float -> float -> float }
   | Custom of (x:float -> t:float -> u:float -> float)
 
 let reaction_eval re ~x ~t ~u =
   match re with
-  | Logistic { r; k } -> r t *. u *. (1. -. (u /. k))
-  | Linear { r } -> r t *. u
+  | Logistic { r; k; _ } -> r t *. u *. (1. -. (u /. k))
+  | Linear { r; _ } -> r t *. u
   | Custom f -> f ~x ~t ~u
 
 type problem = {
@@ -91,29 +97,16 @@ let shifted c l =
     ~diag:(Array.init n (fun i -> 1. +. (c *. l.Tridiag.diag.(i))))
     ~sup:(Array.map (fun v -> c *. v) l.Tridiag.sup)
 
-let logistic_reaction_step ~r ~k : reaction_step =
-  (* The r(t)-integral is x-independent, so the one-slot memo turns the
-     per-cell Simpson evaluation into a per-(t, dt) one — same value,
-     bit for bit, since a hit returns the previously computed float.
-     [current] feeds the cached value through Ode's closed form without
-     allocating a fresh closure per cell.  Stateful: build one step
-     closure per solve; do not share across domains. *)
-  let integral = Quadrature.simpson_memo r ~n:8 in
-  let current = ref 0. in
-  let r_integral _ = !current in
+let logistic_reaction_step ~integral ~k : reaction_step =
   fun ~x:_ ~t ~dt ~u ->
     if u = 0. then 0.
-    else begin
-      current := integral ~a:t ~b:(t +. dt);
-      Ode.logistic_varying_r ~r_integral ~k ~n0:u dt
-    end
+    else
+      let i = integral t (t +. dt) in
+      Ode.logistic_varying_r ~r_integral:(fun _ -> i) ~k ~n0:u dt
 
-let linear_reaction_step ~r : reaction_step =
-  (* Exact flow of u' = r(t) u: u e^{int r}.  Same one-slot memo trick
-     as [logistic_reaction_step]; stateful, one closure per solve. *)
-  let integral = Quadrature.simpson_memo r ~n:8 in
-  fun ~x:_ ~t ~dt ~u ->
-    if u = 0. then 0. else u *. exp (integral ~a:t ~b:(t +. dt))
+(* Exact flow of u' = r(t) u: u e^{int r}. *)
+let linear_reaction_step ~integral : reaction_step =
+  fun ~x:_ ~t ~dt ~u -> if u = 0. then 0. else u *. exp (integral t (t +. dt))
 
 (* Second-order (Heun) increment of the reaction term over [t, t+dt]. *)
 let reaction_rk2 p xs t dt u =
@@ -257,14 +250,13 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
    increment), the explicit Crank--Nicolson product and the forward
    Thomas sweep; a descending pass back-substitutes and applies the
    second half-reaction, writing the next state over the current one.
-   The x-independent per-step scalars (r(t), Simpson integrals of r,
-   their exponentials) are computed once per story, and the
+   The x-independent per-step scalars (r(t), the reaction's integrals
+   of r, their exponentials) are computed once per story, and the
    [Logistic]/[Linear] reactions run as unboxed float arithmetic.
    Story [s] of the result is bit-identical to [solve] on story [s]
    alone: the sweeps fuse the scalar stepper's loops but perform each
    story's floating-point operations in the same order, and the hoisted
-   scalars are exactly the values the scalar path computes per cell (or
-   memoizes, for the Strang Simpson integral). *)
+   scalars are exactly the values the scalar path computes per cell. *)
 
 type panel_story = {
   ps_diffusion : float -> float;
@@ -492,7 +484,7 @@ let imex_step b stories xs t dt =
   let u = b.pb_u and d = b.pb_d in
   for s = 0 to ns - 1 do
     match stories.(s).ps_reaction with
-    | Logistic { r; _ } | Linear { r } ->
+    | Logistic { r; _ } | Linear { r; _ } ->
       b.pb_f1.(s) <- r t;
       b.pb_f2.(s) <- r (t +. dt)
     | Custom _ -> ()
@@ -564,14 +556,14 @@ let strang_step b stories t dt =
   let half = dt /. 2. in
   let t2 = t +. half in
   for s = 0 to ns - 1 do
-    (* the integrals the scalar step's Simpson memo hands every cell *)
+    (* the integrals the scalar step's flow computes in every cell *)
     match stories.(s).ps_reaction with
-    | Logistic { r; _ } ->
-      b.pb_f1.(s) <- exp (-.Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-      b.pb_f2.(s) <- exp (-.Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
-    | Linear { r } ->
-      b.pb_f1.(s) <- exp (Quadrature.simpson r ~a:t ~b:(t +. half) ~n:8);
-      b.pb_f2.(s) <- exp (Quadrature.simpson r ~a:t2 ~b:(t2 +. half) ~n:8)
+    | Logistic { integral; _ } ->
+      b.pb_f1.(s) <- exp (-.integral t (t +. half));
+      b.pb_f2.(s) <- exp (-.integral t2 (t2 +. half))
+    | Linear { integral; _ } ->
+      b.pb_f1.(s) <- exp (integral t (t +. half));
+      b.pb_f2.(s) <- exp (integral t2 (t2 +. half))
     | Custom _ -> strang_needs_flow ()
   done;
   for s = 0 to ns - 1 do

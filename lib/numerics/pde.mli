@@ -37,11 +37,17 @@
     [r t *. u *. (1. -. (u /. k))] and [r t *. u] — building a
     [Custom] closure with the same body produces the same bits, just
     slower.  [r] must be a pure function of [t] (it is hoisted out of
-    cell loops). *)
+    cell loops).  [integral a b] is [∫_a^b r], the x-independent
+    quantity the exact Strang flows of both shapes need; the models
+    pass [r]'s closed form.  It too must be pure, and it is trusted:
+    neither solver checks it against [r]. *)
 type reaction =
-  | Logistic of { r : float -> float; k : float }
-      (** [f = r(t) u (1 - u/K)] — the paper's Eq. 4. *)
-  | Linear of { r : float -> float }
+  | Logistic of {
+      r : float -> float;
+      integral : float -> float -> float;
+      k : float;
+    }  (** [f = r(t) u (1 - u/K)] — the paper's Eq. 4. *)
+  | Linear of { r : float -> float; integral : float -> float -> float }
       (** [f = r(t) u] — the authors' follow-up linear model. *)
   | Custom of (x:float -> t:float -> u:float -> float)
 
@@ -102,21 +108,17 @@ val solve :
     infinite or earlier than the one before (or [t0]), or an IMEX
     theta lies outside [\[0.5, 1\]]. *)
 
-val logistic_reaction_step : r:(float -> float) -> k:float -> reaction_step
-(** Exact flow of the logistic reaction [u' = r(t) u (1 - u/K)], using
-    the closed form with the integral of [r] evaluated by Simpson's
-    rule on the sub-step.  Intended for [Strang].  The returned closure
-    memoizes the (x-independent) integral per [(t, dt)], so it is
-    stateful: build one per solve and do not share it across domains. *)
+val logistic_reaction_step :
+  integral:(float -> float -> float) -> k:float -> reaction_step
+(** Exact flow of the logistic reaction [u' = r(t) u (1 - u/K)]: the
+    closed form with [integral t (t +. dt)] as [∫r] over the sub-step
+    (pass a [Logistic] reaction's [integral] to reproduce the kernel).
+    Intended for [Strang]. *)
 
-val linear_reaction_step : r:(float -> float) -> reaction_step
+val linear_reaction_step : integral:(float -> float -> float) -> reaction_step
 (** Exact flow of the {e linear} reaction [u' = r(t) u] (the authors'
     follow-up linear diffusive model, arXiv:1310.0505):
-    [u e^{int_t^{t+dt} r}], with the integral evaluated by Simpson's
-    rule on the sub-step.  Intended for [Strang].  Like
-    {!logistic_reaction_step} the closure memoizes the x-independent
-    integral per [(t, dt)], so it is stateful: build one per solve and
-    do not share it across domains. *)
+    [u e^{integral t (t +. dt)}].  Intended for [Strang]. *)
 
 (** {2 Fused panel solves}
 
@@ -128,11 +130,11 @@ val linear_reaction_step : r:(float -> float) -> reaction_step
     pass doing the first half-reaction (IMEX: the RK2 reaction), the
     explicit Crank--Nicolson product and the forward Thomas sweep, and
     a descending pass doing back-substitution and the second
-    half-reaction.  The x-independent per-step scalars (r(t), Simpson
-    [∫r], their exponentials) are hoisted out of the cell loops, and
-    [Logistic]/[Linear] reactions run unboxed.  Story [s] of the result
-    is {e bit-identical} to {!solve} on that story alone (enforced by
-    test_pde_perf and the CI bench gate): fusing the sweeps never
+    half-reaction.  The x-independent per-step scalars (r(t), the
+    reaction's [integral], their exponentials) are hoisted out of the
+    cell loops, and [Logistic]/[Linear] reactions run unboxed.  Story
+    [s] of the result is {e bit-identical} to {!solve} on that story
+    alone (enforced by test_pde_perf): fusing the sweeps never
     changes any story's floating-point operations or their order.  It
     validates [dt] and [times] as {!solve} does. *)
 
@@ -155,7 +157,8 @@ type panel_scheme =
   | Panel_strang
       (** Strang splitting with the {e exact} reaction flow derived
           from each story's reaction shape ([Logistic] -> closed-form
-          logistic flow, [Linear] -> [u e^{∫r}]).  [Custom] reactions
+          logistic flow, [Linear] -> [u e^{∫r}], both with the
+          reaction's [integral]).  [Custom] reactions
           are rejected ([Invalid_argument]): no flow is derivable from
           a closure — use [Panel_imex] or the scalar {!solve}. *)
 

@@ -18,22 +18,6 @@ let simpson f ~a ~b ~n =
   done;
   !acc *. h /. 3.
 
-let simpson_memo f ~n =
-  (* One-slot memo: time-stepping loops integrate the same x-independent
-     interval once per grid cell; remembering the last (a, b) collapses
-     that to once per step.  NaN sentinels never compare equal, so the
-     first call always computes. *)
-  let last_a = ref nan and last_b = ref nan and last_v = ref 0. in
-  fun ~a ~b ->
-    if !last_a = a && !last_b = b then !last_v
-    else begin
-      let v = simpson f ~a ~b ~n in
-      last_a := a;
-      last_b := b;
-      last_v := v;
-      v
-    end
-
 let trapezoid_sampled ~xs ~ys =
   let n = Array.length xs in
   assert (Array.length ys = n);

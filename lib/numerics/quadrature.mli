@@ -1,22 +1,16 @@
 (** Numerical integration.
 
-    Used for the exact time-varying-rate logistic solution (which needs
-    the integral of [r]), for mass-conservation checks of the pure
-    diffusion operator, and in tests. *)
+    Used for the travelling front's position (the integral of its
+    speed), for mass-conservation checks of the pure diffusion
+    operator, and in tests, which integrate growth rates that have no
+    closed form.  The PDE's exact reaction flows take [∫r] from the
+    reaction itself ({!Pde.reaction}), not from here. *)
 
 val trapezoid : (float -> float) -> a:float -> b:float -> n:int -> float
 (** Composite trapezoid rule with [n >= 1] sub-intervals. *)
 
 val simpson : (float -> float) -> a:float -> b:float -> n:int -> float
 (** Composite Simpson rule; [n] is rounded up to an even count. *)
-
-val simpson_memo : (float -> float) -> n:int -> (a:float -> b:float -> float)
-(** [simpson_memo f ~n] is {!simpson} behind a one-slot memo on
-    [(a, b)]: a repeat of the previous interval returns the cached
-    value (bit-identical — it {e is} the previous value).  Built for
-    per-time-step integrals that are re-requested once per grid cell.
-    The returned closure is stateful: create one per solve and do not
-    share it across domains. *)
 
 val trapezoid_sampled : xs:float array -> ys:float array -> float
 (** Trapezoid rule over an already-sampled (possibly non-uniform)

@@ -197,7 +197,8 @@ let test_reaction_only_logistic () =
             sol.Pde.values.(1).(i))
         sol.Pde.xs)
     [ Pde.Ftcs; Pde.Imex 0.5;
-      Pde.Strang (Pde.logistic_reaction_step ~r:(fun _ -> r0) ~k) ]
+      Pde.Strang
+        (Pde.logistic_reaction_step ~integral:(fun a b -> r0 *. (b -. a)) ~k) ]
 
 let test_schemes_agree () =
   (* Full DL-type problem: all three schemes converge to the same
@@ -220,7 +221,11 @@ let test_schemes_agree () =
   let imex = Pde.solve ~scheme:(Pde.Imex 0.5) ~dt:2e-4 p ~times in
   let strang =
     Pde.solve
-      ~scheme:(Pde.Strang (Pde.logistic_reaction_step ~r ~k))
+      ~scheme:
+        (Pde.Strang
+           (Pde.logistic_reaction_step
+              ~integral:(fun a b -> Quadrature.simpson r ~a ~b ~n:8)
+              ~k))
       ~dt:2e-4 p ~times
   in
   for it = 1 to 2 do

@@ -123,39 +123,41 @@ let with_obs_enabled f =
 
 (* --- fused panel solves vs per-story scalar solves --- *)
 
-(* A pseudo-random story: paper-shaped r(t), per-story (d, k,
-   amplitude).  [kind] selects the reaction representation; the
-   [Custom] closure computes the same logistic formula through the
-   boxed path. *)
+(* A pseudo-random story: paper-shaped r(t) with its closed-form
+   integral, as the models build it, and per-story (d, k, amplitude).
+   [kind] selects the reaction representation; the [Custom] closure
+   computes the same logistic formula through the boxed path. *)
 let panel_story_of_rng rng kind =
   let d = Rng.uniform rng 0.01 0.3 in
   let a = Rng.uniform rng 0.3 1.8 in
   let b = Rng.uniform rng 0.5 2.0 in
   let c = Rng.uniform rng 0.1 0.5 in
-  let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+  let growth = Dl.Growth.Exp_decay { a; b; c } in
+  let r = Dl.Growth.eval growth in
+  let integral t0 t1 = Dl.Growth.integral growth ~t0 ~t1 in
   let k = Rng.uniform rng 5. 40. in
   let amp = Rng.uniform rng 2. 10. in
   let reaction =
     match kind with
-    | 0 -> Pde.Logistic { r; k }
-    | 1 -> Pde.Linear { r }
+    | 0 -> Pde.Logistic { r; integral; k }
+    | 1 -> Pde.Linear { r; integral }
     | _ -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)))
   in
-  ( {
-      Pde.ps_diffusion = (fun _ -> d);
-      ps_reaction = reaction;
-      ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-    },
-    r,
-    k )
+  {
+    Pde.ps_diffusion = (fun _ -> d);
+    ps_reaction = reaction;
+    ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
+  }
 
-let scalar_scheme_for st r k =
-  function
+(* The scalar stepper's scheme for a story: Strang's reference flow
+   reads the same [integral] field the kernel does. *)
+let scalar_scheme_for st = function
   | Pde.Panel_imex theta -> Pde.Imex theta
   | Pde.Panel_strang -> (
     match st.Pde.ps_reaction with
-    | Pde.Logistic _ -> Pde.Strang (Pde.logistic_reaction_step ~r ~k)
-    | Pde.Linear _ -> Pde.Strang (Pde.linear_reaction_step ~r)
+    | Pde.Logistic { integral; k; _ } ->
+      Pde.Strang (Pde.logistic_reaction_step ~integral ~k)
+    | Pde.Linear { integral; _ } -> Pde.Strang (Pde.linear_reaction_step ~integral)
     | Pde.Custom _ -> assert false)
 
 let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
@@ -167,13 +169,13 @@ let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
       pp_xr = 6.;
       pp_nx = 25;
       pp_t0 = 1.;
-      pp_stories = Array.map (fun (st, _, _) -> st) stories;
+      pp_stories = stories;
     }
   in
   let sols = Pde.solve_panel ~scheme ~dt:0.01 ?workspace pp ~times:ragged_times in
   Alcotest.(check int) "panel story count" ns (Array.length sols);
   Array.iteri
-    (fun s (st, r, k) ->
+    (fun s st ->
       let p =
         {
           Pde.xl = 1.;
@@ -186,7 +188,7 @@ let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
         }
       in
       let expect =
-        Pde.solve ~scheme:(scalar_scheme_for st r k scheme) ~dt:0.01 p
+        Pde.solve ~scheme:(scalar_scheme_for st scheme) ~dt:0.01 p
           ~times:ragged_times
       in
       check_solutions_bit_identical (Printf.sprintf "panel story %d" s) sols.(s)
@@ -260,6 +262,7 @@ let test_model_solve_workspace_bit_identical () =
   let times = [| 2.; 3.5; 4.017 |] in
   let params = Dl.Params.paper_hops in
   let r = Dl.Growth.eval params.Dl.Params.r and k = params.Dl.Params.k in
+  let integral t0 t1 = Dl.Growth.integral params.Dl.Params.r ~t0 ~t1 in
   let scalar scheme =
     Pde.solve ~scheme ~dt:0.01
       {
@@ -267,7 +270,7 @@ let test_model_solve_workspace_bit_identical () =
         xr = params.Dl.Params.big_l;
         nx = 101;
         diffusion = (fun _ -> params.Dl.Params.d);
-        reaction = Pde.Logistic { r; k };
+        reaction = Pde.Logistic { r; integral; k };
         initial = Dl.Initial.to_function phi;
         t0 = 1.;
       }
@@ -283,7 +286,7 @@ let test_model_solve_workspace_bit_identical () =
       check_solutions_bit_identical "model workspace" panel.Dl.Model.pde expect)
     [
       (Dl.Model.Crank_nicolson, Pde.Imex 0.5);
-      (Dl.Model.Strang, Pde.Strang (Pde.logistic_reaction_step ~r ~k));
+      (Dl.Model.Strang, Pde.Strang (Pde.logistic_reaction_step ~integral ~k));
     ]
 
 let test_linear_model_solve_bit_identical () =
@@ -292,14 +295,14 @@ let test_linear_model_solve_bit_identical () =
   let phi = model_phi () in
   let r = Dl.Growth.Exp_decay { a = 1.2; b = 1.4; c = 0.3 } in
   let params = Dl.Linear_model.make ~d:0.07 ~r ~l:1. ~big_l:6. in
-  let r_fn = Dl.Growth.eval r in
+  let integral t0 t1 = Dl.Growth.integral r ~t0 ~t1 in
   let p =
     {
       Pde.xl = 1.;
       xr = 6.;
       nx = 41;
       diffusion = (fun _ -> 0.07);
-      reaction = Pde.Linear { r = r_fn };
+      reaction = Pde.Linear { r = Dl.Growth.eval r; integral };
       initial = Dl.Initial.to_function phi;
       t0 = 1.;
     }
@@ -314,10 +317,62 @@ let test_linear_model_solve_bit_identical () =
         (Pde.solve ~scheme:(scalar_scheme ()) ~dt:0.01 p ~times:ragged_times))
     [
       ("linear strang", Dl.Linear_model.Strang,
-       fun () -> Pde.Strang (Pde.linear_reaction_step ~r:r_fn));
+       fun () -> Pde.Strang (Pde.linear_reaction_step ~integral));
       ("linear crank-nicolson", Dl.Linear_model.Crank_nicolson,
        fun () -> Pde.Imex 0.5);
     ]
+
+(* The bit-identity tests above share the integral between their two
+   sides, so they cannot see what the closed form changed.  This pins
+   the models' Strang solves to the Simpson rule (n = 8) their flows
+   used before [Growth.integral]: per cell to a relative 1e-10, at the
+   fit's resolution and at serving resolution. *)
+let test_closed_form_moves_last_bits () =
+  let phi = model_phi () in
+  let times = [| 2.; 3.; 4.; 5.; 6. |] in
+  List.iter
+    (fun ((nx, dt), (name, (params : Dl.Params.t))) ->
+      let name = Printf.sprintf "%s nx=%d dt=%g" name nx dt in
+      let r = Dl.Growth.eval params.r and k = params.k in
+      let integral a b = Quadrature.simpson r ~a ~b ~n:8 in
+      let simpson reaction react =
+        Pde.solve ~scheme:(Pde.Strang react) ~dt
+          {
+            Pde.xl = params.l;
+            xr = params.big_l;
+            nx;
+            diffusion = (fun _ -> params.d);
+            reaction;
+            initial = Dl.Initial.to_function phi;
+            t0 = 1.;
+          }
+          ~times
+      in
+      let check what (got : Pde.solution) (want : Pde.solution) =
+        Array.iteri
+          (fun it row ->
+            Array.iteri
+              (fun ix v ->
+                let w = want.Pde.values.(it).(ix) in
+                if not (Float.abs (v -. w) <= 1e-10 *. Float.abs w) then
+                  Alcotest.failf "%s %s: cell (it=%d, ix=%d): %.17g vs %.17g"
+                    what name it ix v w)
+              row)
+          got.Pde.values
+      in
+      check "logistic"
+        (Dl.Model.solve ~scheme:Dl.Model.Strang ~nx ~dt params ~phi ~times).Dl.Model.pde
+        (simpson (Pde.Logistic { r; integral; k }) (Pde.logistic_reaction_step ~integral ~k));
+      check "linear"
+        (Dl.Linear_model.solve ~scheme:Dl.Linear_model.Strang ~nx ~dt
+           (Dl.Linear_model.of_dl params) ~phi ~times)
+          .Dl.Linear_model.pde
+        (simpson (Pde.Linear { r; integral }) (Pde.linear_reaction_step ~integral)))
+    (List.concat_map
+       (fun grid ->
+         [ (grid, ("hops", Dl.Params.paper_hops));
+           (grid, ("interest", Dl.Params.paper_interest)) ])
+       [ (41, 0.05); (101, 0.01) ])
 
 let test_solve_extended_bit_identical () =
   (* the future-work model: d(x) and r(x, t) vary with distance, and
@@ -423,7 +478,13 @@ let test_ftcs_matches_oracle () =
         (ftcs_oracle p ~dt:0.01 ~times:ragged_times))
     [
       ("ftcs custom", p);
-      ("ftcs logistic", { p with Pde.reaction = Pde.Logistic { r; k } });
+      ( "ftcs logistic",
+        {
+          p with
+          Pde.reaction =
+            Pde.Logistic
+              { r; integral = (fun a b -> Quadrature.simpson r ~a ~b ~n:8); k };
+        } );
       ("ftcs sub-stepped", steep);
     ]
 
@@ -461,7 +522,7 @@ let test_solve_telemetry () =
       Alcotest.(check int) "workspace: no plain steps" 0 (st2 - st1);
       Alcotest.(check int) "workspace: pde.panel_solves" 1 (p2 - p1);
       Alcotest.(check int) "workspace: pde.panel_steps" 40 (pst2 - pst1));
-  let st, _, _ = panel_story_of_rng (Rng.create 3) 0 in
+  let st = panel_story_of_rng (Rng.create 3) 0 in
   let pp =
     { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 11; pp_t0 = 1.; pp_stories = [| st; st |] }
   in
@@ -519,7 +580,7 @@ let test_schedule_rejects_bad_times () =
      non-finite or decreasing times, and a dt that is not > 0, with
      Invalid_argument before stepping. *)
   let p, _, _ = dl_problem () in
-  let st, _, _ = panel_story_of_rng (Rng.create 3) 0 in
+  let st = panel_story_of_rng (Rng.create 3) 0 in
   let pp =
     { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 11; pp_t0 = 1.; pp_stories = [| st |] }
   in
@@ -598,18 +659,21 @@ let test_schedule_rejects_bad_times () =
 (* --- allocation bound on the fused panel --- *)
 
 (* Eight stories on one grid (nx 101, dt 0.01, snapshots at t = 2..6),
-   each with its own d, r(t), K and initial amplitude. *)
+   each with its own d, r(t), K and initial amplitude, and r's
+   closed-form integral as [Model] passes it. *)
 let alloc_panel () =
   let story i =
     let fi = float_of_int i in
     let a = 1.1 +. (0.07 *. fi) and b = 1.2 +. (0.05 *. fi) in
     let c = 0.2 +. (0.015 *. fi) in
-    let r t = (a *. exp (-.b *. (t -. 1.))) +. c in
+    let growth = Dl.Growth.Exp_decay { a; b; c } in
+    let r = Dl.Growth.eval growth in
+    let integral t0 t1 = Dl.Growth.integral growth ~t0 ~t1 in
     let k = 18. +. (2.5 *. fi) and d = 0.03 +. (0.004 *. fi) in
     let amp = 6. +. (0.5 *. fi) in
     {
       Pde.ps_diffusion = (fun _ -> d);
-      ps_reaction = Pde.Logistic { r; k };
+      ps_reaction = Pde.Logistic { r; integral; k };
       ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
     }
   in
@@ -624,9 +688,11 @@ let alloc_panel () =
 let test_panel_allocation_bound () =
   (* Minor words per story per solve on a shaped workspace, with
      observability off.  Allocation is deterministic for a given
-     compiler, so the bound is tight: the counts this panel allocated
-     when the kernel was first measured (6,674 IMEX-CN, 40,703 Strang)
-     plus 20 %.  A boxed float per cell and step would add ~100,000. *)
+     compiler, so each bound is a measured count plus 20 %: IMEX-CN's
+     6,674 from when the kernel was first measured, and Strang's 8,110
+     from when its flow began taking ∫r from the reaction's closed form
+     (40,110 with the Simpson rule it replaced).  A boxed float per cell
+     and step would add ~100,000. *)
   Obs.set_enabled false;
   let pp = alloc_panel () in
   let ns = Array.length pp.Pde.pp_stories in
@@ -647,7 +713,7 @@ let test_panel_allocation_bound () =
       if words > bound then
         Alcotest.failf "%s: %.0f minor words per story per solve, bound %.0f"
           name words bound)
-    [ ("imex-cn", Pde.Panel_imex 0.5, 8009.); ("strang", Pde.Panel_strang, 48844.) ]
+    [ ("imex-cn", Pde.Panel_imex 0.5, 8009.); ("strang", Pde.Panel_strang, 9733.) ]
 
 (* --- mass conservation on the factored diffusion path (qcheck) --- *)
 
@@ -734,6 +800,8 @@ let suite =
       test_model_solve_panel_shared_domain;
     Alcotest.test_case "linear model solve bit-identical" `Quick
       test_linear_model_solve_bit_identical;
+    Alcotest.test_case "closed-form integral moves only last bits" `Quick
+      test_closed_form_moves_last_bits;
     Alcotest.test_case "solve_extended bit-identical" `Quick
       test_solve_extended_bit_identical;
     Alcotest.test_case "ftcs matches three-array oracle" `Quick

@@ -82,7 +82,8 @@ let test_strang_reaction_diffusion_convergence () =
       t0 = 1.;
     }
   in
-  let scheme = Pde.Strang (Pde.logistic_reaction_step ~r ~k) in
+  let integral a b = Quadrature.simpson r ~a ~b ~n:8 in
+  let scheme = Pde.Strang (Pde.logistic_reaction_step ~integral ~k) in
   let solve dt = (Pde.solve ~scheme ~dt p ~times:[| 3. |]).Pde.values.(1) in
   let reference = solve 1e-3 in
   let err dt =
