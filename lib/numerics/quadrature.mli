@@ -2,9 +2,7 @@
 
     Used for the travelling front's position (the integral of its
     speed), for mass-conservation checks of the pure diffusion
-    operator, and in tests, which integrate growth rates that have no
-    closed form.  The PDE's exact reaction flows take [∫r] from the
-    reaction itself ({!Pde.reaction}), not from here. *)
+    operator, and in tests. *)
 
 val trapezoid : (float -> float) -> a:float -> b:float -> n:int -> float
 (** Composite trapezoid rule with [n >= 1] sub-intervals. *)

@@ -4,7 +4,8 @@
    re-factorizations removed.  These tests enforce that contract
    (per-cell Int64 bit equality, not approximate checks) for the panel
    solves and every model solve on the kernel, pin [Pde.solve]'s FTCS
-   arm to a three-array oracle, and cover the factored-solve algebra,
+   arm to a three-array oracle and the models' closed-form ∫r to a
+   Simpson reference, and cover the factored-solve algebra,
    the panel workspace, the solve telemetry and the schedule checks. *)
 
 open Numerics
@@ -323,10 +324,10 @@ let test_linear_model_solve_bit_identical () =
     ]
 
 (* The bit-identity tests above share the integral between their two
-   sides, so they cannot see what the closed form changed.  This pins
-   the models' Strang solves to the Simpson rule (n = 8) their flows
-   used before [Growth.integral]: per cell to a relative 1e-10, at the
-   fit's resolution and at serving resolution. *)
+   sides, so they cannot see an error in it.  This pins the models'
+   Strang solves, whose flows take ∫r from [Growth.integral], to the
+   same flows with ∫r by Simpson's rule (n = 8): per cell to a relative
+   1e-10, at the fit's resolution and at serving resolution. *)
 let test_closed_form_moves_last_bits () =
   let phi = model_phi () in
   let times = [| 2.; 3.; 4.; 5.; 6. |] in
@@ -690,9 +691,8 @@ let test_panel_allocation_bound () =
      observability off.  Allocation is deterministic for a given
      compiler, so each bound is a measured count plus 20 %: IMEX-CN's
      6,674 from when the kernel was first measured, and Strang's 8,110
-     from when its flow began taking ∫r from the reaction's closed form
-     (40,110 with the Simpson rule it replaced).  A boxed float per cell
-     and step would add ~100,000. *)
+     from when its flow began taking ∫r from the reaction's closed
+     form.  A boxed float per cell and step would add ~100,000. *)
   Obs.set_enabled false;
   let pp = alloc_panel () in
   let ns = Array.length pp.Pde.pp_stories in
