@@ -55,8 +55,7 @@ let jobs_arg =
         ~doc:"Worker domains for the parallel sections (calibration \
               restarts, per-story batch evaluation, sweeps).  Defaults \
               to the $(b,DLOSN_NUM_DOMAINS) environment variable, or 1. \
-              Results are bit-identical whatever the value; on OCaml 4 \
-              the value is clamped to 1.")
+              Results are bit-identical whatever the value.")
 
 let pool_of_jobs = function
   | Some j -> Parallel.Pool.create ~jobs:j ()

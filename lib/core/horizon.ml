@@ -16,11 +16,7 @@ let fit_hours ~train_until =
 
 let curve ?(config = Fit.default_config) rng (obs : Socialnet.Density.t)
     ~train_untils ~horizons =
-  let phi =
-    Initial.of_observations
-      ~xs:(Array.map float_of_int obs.Socialnet.Density.distances)
-      ~densities:(Array.map (fun row -> row.(0)) obs.Socialnet.Density.density)
-  in
+  let phi = Fit.phi_of_obs obs in
   let points = ref [] in
   Array.iter
     (fun train_until ->

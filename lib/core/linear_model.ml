@@ -90,14 +90,6 @@ type fit_result = {
   evaluations : int;
 }
 
-let phi_of_obs (obs : Socialnet.Density.t) =
-  let t1 = obs.Socialnet.Density.times.(0) in
-  if Float.abs (t1 -. 1.) > 1e-9 then
-    invalid_arg "Linear_model.fit: observations must start at t = 1 (they define phi)";
-  let xs = Array.map float_of_int obs.Socialnet.Density.distances in
-  let densities = Array.map (fun row -> row.(0)) obs.Socialnet.Density.density in
-  Initial.of_observations ~xs ~densities
-
 let objective ~nx ~dt ~phi ~obs ~fit_times params =
   try
     let sol = solve ~nx ~dt params ~phi ~times:fit_times in
@@ -134,7 +126,7 @@ let fit ?(config = default_fit_config) ?(pool = Parallel.Pool.sequential) rng
   let distances = obs.Socialnet.Density.distances in
   if Array.length distances < 2 then
     invalid_arg "Linear_model.fit: need at least two distance groups";
-  let phi = phi_of_obs obs in
+  let phi = Fit.phi_of_obs obs in
   let l = float_of_int distances.(0) in
   let big_l = float_of_int distances.(Array.length distances - 1) in
   let lo = [| fst config.d_bounds; fst config.a_bounds;

@@ -84,12 +84,6 @@ type fit_result = {
   evaluations : int;  (** PDE solves spent *)
 }
 
-val phi_of_obs : Socialnet.Density.t -> Initial.t
-(** The t = 1 snapshot of an observation as an initial density (same
-    construction as {!Fit.phi_of_obs}).
-    @raise Invalid_argument if the first recorded time is not 1
-    ([Linear_model.fit: …] form). *)
-
 val fit :
   ?config:fit_config -> ?pool:Parallel.Pool.t ->
   Numerics.Rng.t -> Socialnet.Density.t -> fit_result

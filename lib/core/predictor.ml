@@ -148,7 +148,7 @@ let dl_linear =
         in
         let rng = Rng.create spec.seed in
         let r = Linear_model.fit ~config ~pool:spec.pool rng spec.obs in
-        let phi = Linear_model.phi_of_obs spec.obs in
+        let phi = Fit.phi_of_obs spec.obs in
         let sol =
           Linear_model.solve r.Linear_model.params ~phi
             ~times:spec.obs.Socialnet.Density.times

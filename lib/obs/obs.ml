@@ -287,8 +287,8 @@ type context = {
 let new_context () =
   { cells = [||]; open_spans = []; done_spans = []; trace = None }
 
-let ctx_key = Obs_tls.new_key new_context
-let current () = Obs_tls.get ctx_key
+let ctx_key = Domain.DLS.new_key new_context
+let current () = Domain.DLS.get ctx_key
 let () = current_trace := fun () -> (current ()).trace
 
 let cell_of_def ctx (d : def) =
@@ -923,9 +923,9 @@ module Shard = struct
   let create () = new_context ()
 
   let with_shard (t : t) f =
-    let saved = Obs_tls.get ctx_key in
-    Obs_tls.set ctx_key t;
-    Fun.protect ~finally:(fun () -> Obs_tls.set ctx_key saved) f
+    let saved = Domain.DLS.get ctx_key in
+    Domain.DLS.set ctx_key t;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set ctx_key saved) f
 
   let merge (src : t) =
     let dst = current () in

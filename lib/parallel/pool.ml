@@ -10,16 +10,25 @@ let default_jobs () =
     | Some n when n >= 1 -> n
     | _ -> 1)
 
-let domains_available = Pool_scheduler.domains_available
-
 let sequential = { jobs = 1 }
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs must be >= 1";
-  { jobs = (if domains_available then jobs else 1) }
+  { jobs }
 
 let jobs t = t.jobs
+
+(* Run every thunk to completion.  The first runs on the calling domain,
+   so a batch of [w] workers costs [w - 1] spawns. *)
+let run thunks =
+  match Array.length thunks with
+  | 0 -> ()
+  | 1 -> thunks.(0) ()
+  | n ->
+    let spawned = Array.init (n - 1) (fun i -> Domain.spawn thunks.(i + 1)) in
+    thunks.(0) ();
+    Array.iter Domain.join spawned
 
 (* Contiguous static partition: worker [k] of [w] owns indices
    [k*n/w .. (k+1)*n/w - 1].  Independent of timing, so the work an
@@ -105,7 +114,7 @@ let parallel_for t ~n body =
               (run_block k))
       else run_block k ()
     in
-    Pool_scheduler.run (Array.init workers worker);
+    run (Array.init workers worker);
     if obs_on then begin
       Array.iter Obs.Shard.merge shards;
       Obs.Metrics.incr m_parallel_calls;
@@ -134,4 +143,4 @@ let map_reduce t ~map ~fold ~init xs =
 
 let run_workers ~jobs body =
   if jobs < 1 then invalid_arg "Parallel.Pool.run_workers: jobs must be >= 1";
-  Pool_scheduler.run (Array.init jobs (fun k () -> body k))
+  run (Array.init jobs (fun k () -> body k))

@@ -24,10 +24,6 @@
       backtrace), matching what a sequential left-to-right loop would
       have reported first.
 
-    On OCaml 4.x (no Domains) every pool degrades to [jobs = 1] and the
-    loops run sequentially on the calling thread; results are identical
-    by the same contract.
-
     {2 Observability}
 
     When {!Obs.enabled} is on, each worker domain records metrics and
@@ -48,20 +44,16 @@ val default_jobs : unit -> int
 (** Value of [DLOSN_NUM_DOMAINS] when set to a positive integer, [1]
     otherwise (parallelism is strictly opt-in). *)
 
-val domains_available : bool
-(** Whether this build can run workers concurrently (OCaml >= 5.0). *)
-
 val sequential : t
 (** The one-worker pool: all loops run inline on the caller. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] makes a pool of [jobs] workers ([jobs] defaults
-    to {!default_jobs}[ ()]).  Clamped to [1] when Domains are
-    unavailable.
+    to {!default_jobs}[ ()]).
     @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
-(** Effective worker count of the pool. *)
+(** Worker count of the pool. *)
 
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n body] runs [body i] for every
@@ -89,7 +81,5 @@ val run_workers : jobs:int -> (int -> unit) -> unit
     independence promises: it is the raw scheduler hook for components
     that coordinate through their own synchronisation — e.g. a server's
     accept loop feeding connection handlers.  [body 0] runs on the
-    calling domain.  On OCaml 4.x (or [jobs = 1]) the bodies run
-    {e sequentially in order}, so they must be written to terminate
-    without relying on each other running concurrently.
+    calling domain and each other body on a domain of its own.
     @raise Invalid_argument if [jobs < 1]. *)

@@ -284,13 +284,15 @@ let rec parser_next p =
     end
     else `More
   | None -> (
+    (* the bound holds however the bytes arrived: a complete oversized
+       head in one read fails exactly as one trickling in does *)
+    let too_large () =
+      `Error
+        (Too_large (Printf.sprintf "header block over %d bytes" p.p_max_header))
+    in
     match find_header_end p with
-    | None ->
-      if p.p_len > p.p_max_header then
-        `Error
-          (Too_large
-             (Printf.sprintf "header block over %d bytes" p.p_max_header))
-      else `More
+    | None -> if p.p_len > p.p_max_header then too_large () else `More
+    | Some head_end when head_end > p.p_max_header -> too_large ()
     | Some head_end -> (
       match parse_head p head_end with
       | Error e -> `Error e

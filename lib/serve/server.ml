@@ -53,6 +53,12 @@ let default_config =
 let max_header = 16 * 1024
 let max_cached_solutions = 64
 
+(* Latest model hour a request may ask for.  A solve's cost grows
+   linearly with its target hour, so without a cap one /predict or
+   /observe could hold a worker for days; 200 h is four times the
+   paper's 50-hour window. *)
+let max_hours = 200.
+
 (* Parsed requests a connection may queue ahead of the one in flight
    (HTTP/1.1 pipelining); past this the event loop stops reading the
    socket until responses drain — backpressure, not disconnection. *)
@@ -174,7 +180,6 @@ type t = {
   live_cursors : (string, string * float) Hashtbl.t;
       (* story -> (record id, obs cursor) recovered from the store:
          where live ingestion left off before the restart *)
-  mutable live_workers : bool;  (* refit tasks may go to the queue *)
 }
 
 (* --- serve.* metrics (handles are idempotent to register) --- *)
@@ -406,7 +411,6 @@ let create ?(config = default_config) () =
       live = Hashtbl.create 8;
       live_mutex = Mutex.create ();
       live_cursors;
-      live_workers = false;
     }
   in
   (match config.otlp_endpoint with
@@ -681,17 +685,11 @@ type persistable = {
   ps_result : Dl.Fit.result;
 }
 
-let phi_of_spec spec =
-  let obs = spec.fs_obs in
-  Dl.Initial.of_observations
-    ~xs:(Array.map float_of_int obs.Socialnet.Density.distances)
-    ~densities:(Array.map (fun row -> row.(0)) obs.Socialnet.Density.density)
-
 let run_fit ?init ~id ~config spec =
   let obs = spec.fs_obs in
   match spec.fs_model with
   | "dl" ->
-    let phi = phi_of_spec spec in
+    let phi = Dl.Fit.phi_of_obs obs in
     let rng = Numerics.Rng.create spec.fs_seed in
     let result = Dl.Fit.fit ~config ~id ?init rng obs in
     ( {
@@ -706,7 +704,7 @@ let run_fit ?init ~id ~config spec =
       },
       Some { ps_phi = phi; ps_config = config; ps_result = result } )
   | "dl-linear" ->
-    let phi = phi_of_spec spec in
+    let phi = Dl.Fit.phi_of_obs obs in
     let rng = Numerics.Rng.create spec.fs_seed in
     let lconfig =
       {
@@ -958,6 +956,10 @@ let predict_point t entry ~x ~tq =
   let l, big_l = domain_of entry in
   if tq < 1. then
     Error "t must be >= 1 (the model starts at the t = 1 snapshot)"
+  else if tq > max_hours then
+    Error
+      (Printf.sprintf "t must be <= %g (the serving horizon, in hours)"
+         max_hours)
   else if x < l || x > big_l then
     Error
       (Printf.sprintf "x must lie in the fitted domain [%g, %g]" l big_l)
@@ -1053,6 +1055,14 @@ let handle_predict_batch t (req : Http.request) =
       if points = [] then Error "field \"points\" is empty"
       else if List.length points > max_batch_points then
         Error (Printf.sprintf "at most %d points per request" max_batch_points)
+      else if
+        (* past the memo's size a batch would evict its own solutions *)
+        List.length (List.sort_uniq Float.compare (List.map snd points))
+        > max_cached_solutions
+      then
+        Error
+          (Printf.sprintf "at most %d distinct t values per request"
+             max_cached_solutions)
       else Ok ()
     in
     Ok (fit, points)
@@ -1253,7 +1263,15 @@ let parse_observe_spec body =
     | None -> Ok None
     | Some _ ->
       let* ts = json_field_list json "times" Tiny_json.to_float in
-      Ok (Some ts)
+      (* the drift check solves at every time: bounded like /predict *)
+      if Array.length ts > max_cached_solutions then
+        Error
+          (Printf.sprintf "field \"times\" holds at most %d hours"
+             max_cached_solutions)
+      else if Array.exists (fun tm -> tm > max_hours) ts then
+        Error
+          (Printf.sprintf "field \"times\" must not pass t = %g hours" max_hours)
+      else Ok (Some ts)
   in
   let* population =
     match Tiny_json.member "population" json with
@@ -1374,10 +1392,10 @@ let create_live_story t spec =
       | None -> ());
       Ok ls)
 
-(* The refit itself: runs on a worker domain (or inline when the pool
-   is unavailable), under its own metrics shard and a daemon-minted
-   trace id.  Reads the live profile fresh — a task whose generation no
-   longer matches the story's is stale and dropped. *)
+(* The refit itself: runs on a worker domain, under its own metrics
+   shard and a daemon-minted trace id.  Reads the live profile fresh —
+   a task whose generation no longer matches the story's is stale and
+   dropped. *)
 let run_refit t task =
   let shard = Obs.Shard.create () in
   let trace_id = Obs.Span.gen_trace_id () in
@@ -1491,15 +1509,7 @@ let run_refit t task =
               Obs.Log.int "votes" votes;
             ])
           (fun () ->
-            let phi =
-              Dl.Initial.of_observations
-                ~xs:
-                  (Array.map float_of_int obs.Socialnet.Density.distances)
-                ~densities:
-                  (Array.map
-                     (fun row -> row.(0))
-                     obs.Socialnet.Density.density)
-            in
+            let phi = Dl.Fit.phi_of_obs obs in
             let rng = Numerics.Rng.create t.cfg.live_seed in
             let result = Dl.Fit.fit ~config ~id ?init rng obs in
             (phi, result))
@@ -1557,16 +1567,12 @@ let run_refit t task =
             ])
     end)
 
-(* Hand a refit task to the worker pool, or run it right here when the
-   server is single-threaded (jobs = 0 fallback). *)
-let schedule_refit t task =
-  if t.live_workers then begin
-    Mutex.lock t.qmutex;
-    Queue.push (Jb_refit task) t.queue;
-    Condition.signal t.qcond;
-    Mutex.unlock t.qmutex
-  end
-  else run_refit t task
+(* Hand a request or a refit to the worker pool. *)
+let enqueue t job =
+  Mutex.lock t.qmutex;
+  Queue.push job t.queue;
+  Condition.signal t.qcond;
+  Mutex.unlock t.qmutex
 
 let drift_config t =
   {
@@ -1716,7 +1722,7 @@ let handle_observe t (req : Http.request) =
             Mutex.unlock t.live_mutex;
             match task with
             | Some task ->
-              schedule_refit t task;
+              enqueue t (Jb_refit task);
               true
             | None -> false
           end
@@ -1840,8 +1846,7 @@ let route t (req : Http.request) =
 
 (* Everything between "a parsed request" and "serialized response
    bytes": routing, tracing, per-request metrics, the trace ring.  Runs
-   on a worker domain, or inline on the event-loop thread when no
-   workers are available.  Socket I/O happens elsewhere — this function
+   on a worker domain.  Socket I/O happens elsewhere — this function
    never blocks on the network. *)
 let process_request t (job : request_job) =
   let req = job.jb_req in
@@ -2010,7 +2015,7 @@ let shed_response () =
    parsers, fully parsed requests go to the worker queue, responses
    come back over [done_q] and are flushed through per-connection
    output buffers.  Worker domains never see a socket. *)
-let event_loop t ~inline =
+let event_loop t =
   let conns_by_id : (int, conn) Hashtbl.t = Hashtbl.create 64 in
   let conns_by_fd : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
@@ -2120,16 +2125,9 @@ let event_loop t ~inline =
       c.cn_busy <- true;
       update_deadline c;
       Atomic.incr t.inflight;
-      let job =
-        { jb_conn = c.cn_id; jb_req = req; jb_keep_alive = keep_alive }
-      in
-      if inline then complete c (process_request t job)
-      else begin
-        Mutex.lock t.qmutex;
-        Queue.push (Jb_request job) t.queue;
-        Condition.signal t.qcond;
-        Mutex.unlock t.qmutex
-      end
+      enqueue t
+        (Jb_request
+           { jb_conn = c.cn_id; jb_req = req; jb_keep_alive = keep_alive })
     end
 
   (* a worker's response arrives for this connection *)
@@ -2428,20 +2426,14 @@ let event_loop t ~inline =
 let run t =
   (* a peer closing mid-write must not kill the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let jobs =
-    if Parallel.Pool.domains_available then Stdlib.max 1 t.cfg.jobs else 0
-  in
-  t.live_workers <- jobs > 0;
   Obs.Log.info "serve.listening" ~fields:(fun () ->
       [
         Obs.Log.str "host" t.cfg.host;
         Obs.Log.int "port" t.bound_port;
-        Obs.Log.int "jobs" (Stdlib.max 1 jobs);
+        Obs.Log.int "jobs" t.cfg.jobs;
       ]);
-  if jobs = 0 then event_loop t ~inline:true
-  else
-    Parallel.Pool.run_workers ~jobs:(jobs + 1) (fun k ->
-        if k = 0 then event_loop t ~inline:false else worker_loop t);
+  Parallel.Pool.run_workers ~jobs:(t.cfg.jobs + 1) (fun k ->
+      if k = 0 then event_loop t else worker_loop t);
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   Option.iter Store.close t.store;

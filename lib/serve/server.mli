@@ -77,8 +77,8 @@
     connection with [Unix.select]: sockets are non-blocking, each
     connection owns an incremental {!Http.parser} and a buffered output
     queue, and only {e fully parsed} requests are handed to the worker
-    pool (run via {!Parallel.Pool.run_workers}; handled inline on the
-    event loop when Domains are unavailable).  Serialized responses
+    pool (run via {!Parallel.Pool.run_workers}), as are live refits.
+    Serialized responses
     travel back over a wake pipe, so worker domains never touch a
     socket and a slow or stalled peer can never block a worker.
 
@@ -120,7 +120,8 @@ type config = {
   host : string;  (** bind address (default ["127.0.0.1"]) *)
   port : int;  (** 0 picks an ephemeral port, see {!port} *)
   jobs : int;
-      (** request-handling workers; clamped to 1 without Domains *)
+      (** worker domains that handle requests and live refits (default
+          1; {!create} rejects fewer than 1) *)
   max_conns : int;
       (** live-connection cap before 503 shedding (default 1000; the
           event loop's [Unix.select] cannot watch fds ≥ 1024, so caps
@@ -191,7 +192,7 @@ val port : t -> int
 
 val run : t -> unit
 (** Serve until {!stop}.  Blocks the calling domain; spawns
-    [config.jobs] worker domains when available. *)
+    [config.jobs] worker domains. *)
 
 val stop : t -> unit
 (** Request shutdown: stop accepting, drain in-flight requests, make

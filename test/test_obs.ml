@@ -323,10 +323,6 @@ let test_merge_equals_sequential () =
 
 let test_per_domain_task_counters () =
   with_obs_enabled @@ fun () ->
-  (* On OCaml 4.x pools clamp to one worker and the instrumented
-     parallel path never runs — nothing to assert. *)
-  if Pool.jobs pool4 < 2 then ()
-  else begin
   Obs.Metrics.reset ();
   let n = 100 in
   Pool.parallel_for pool4 ~n (fun i -> Obs.Metrics.incr ~by:i merge_counter);
@@ -344,7 +340,6 @@ let test_per_domain_task_counters () =
     per_domain;
   Alcotest.(check int) "per-domain tasks sum to n" n
     (List.fold_left ( + ) 0 per_domain)
-  end
 
 (* --- span nesting --- *)
 

@@ -319,6 +319,39 @@ let test_input_rejection () =
   Alcotest.(check int) "wrong method" 405
     (ok (Serve.Client.request ~port "GET" "/fit")).Serve.Client.status
 
+(* A solve's cost grows with its target hour, so hours past the serving
+   horizon (200) and batches naming more hours than the per-fit
+   solution memo holds (64) are refused before any solve. *)
+let test_serving_limits () =
+  with_server @@ fun port ->
+  ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
+  let get target = ok (Serve.Client.request ~port "GET" target) in
+  let post path body = ok (Serve.Client.request ~port ~body "POST" path) in
+  let accepted name (r : Serve.Client.response) =
+    Alcotest.(check int) name 200 r.Serve.Client.status
+  in
+  let rejected name ~limit (r : Serve.Client.response) =
+    Alcotest.(check int) name 400 r.Serve.Client.status;
+    Alcotest.(check bool) (name ^ " names the limit") true
+      (contains ~needle:limit r.Serve.Client.body)
+  in
+  let nums fmt xs = String.concat "," (List.map (Printf.sprintf fmt) xs) in
+  let batch ts = Printf.sprintf {|{"points":[%s]}|} (nums "[2,%g]" ts) in
+  let hours n = List.init n (fun k -> 2. +. (0.01 *. float_of_int k)) in
+  let observe times =
+    Printf.sprintf {|{"story":"s","votes":[],"times":[%s],"population":[10]}|}
+      (nums "%g" times)
+  in
+  let first n = List.init n (fun k -> float_of_int (k + 1)) in
+  accepted "GET t = 200" (get "/predict?x=2&t=200");
+  rejected "GET t = 201" ~limit:"<= 200" (get "/predict?x=2&t=201");
+  rejected "batch point at t = 201" ~limit:"<= 200" (post "/predict" (batch [ 2.; 201. ]));
+  accepted "batch of 64 distinct t" (post "/predict" (batch (hours 64)));
+  rejected "batch of 65 distinct t" ~limit:"64" (post "/predict" (batch (hours 65)));
+  rejected "observe times past 200 h" ~limit:"200" (post "/observe" (observe [ 1.; 2.; 201. ]));
+  rejected "observe 65 times" ~limit:"64" (post "/observe" (observe (first 65)));
+  accepted "observe 64 times" (post "/observe" (observe (first 64)))
+
 let test_metrics_endpoint () =
   with_server @@ fun port ->
   ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
@@ -402,31 +435,28 @@ let test_graceful_drain () =
     (Serve.Server.requests_handled server >= 1)
 
 let test_parallel_workers () =
-  if not Parallel.Pool.domains_available then ()
-  else begin
-    let config = { base_config with Serve.Server.jobs = 2 } in
-    with_server ~config @@ fun port ->
-    ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
-    (* several concurrent predicts through the worker queue *)
-    let results = Array.make 8 0 in
-    let threads =
-      Array.init 8 (fun i ->
-          Thread.create
-            (fun i ->
-              let r =
-                ok
-                  (Serve.Client.request ~port "GET"
-                     (Printf.sprintf "/predict?x=2&t=%d" (2 + (i mod 3))))
-              in
-              results.(i) <- r.Serve.Client.status)
-            i)
-    in
-    Array.iter Thread.join threads;
-    Array.iteri
-      (fun i status ->
-        Alcotest.(check int) (Printf.sprintf "predict %d" i) 200 status)
-      results
-  end
+  let config = { base_config with Serve.Server.jobs = 2 } in
+  with_server ~config @@ fun port ->
+  ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
+  (* several concurrent predicts through the worker queue *)
+  let results = Array.make 8 0 in
+  let threads =
+    Array.init 8 (fun i ->
+        Thread.create
+          (fun i ->
+            let r =
+              ok
+                (Serve.Client.request ~port "GET"
+                   (Printf.sprintf "/predict?x=2&t=%d" (2 + (i mod 3))))
+            in
+            results.(i) <- r.Serve.Client.status)
+          i)
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun i status ->
+      Alcotest.(check int) (Printf.sprintf "predict %d" i) 200 status)
+    results
 
 (* --- socket-layer correctness --- *)
 
@@ -534,6 +564,131 @@ let test_duplicate_content_length () =
   in
   Alcotest.(check int) "duplicate Content-Length is a 400" 400
     r.Serve.Client.status
+
+(* --- incremental parsing under any chunking --- *)
+
+(* Feed [chunks] in order, draining the parser after each feed, and
+   stop at the first error: the requests parsed, that error, and (when
+   there is none) whether a partial request is left and how many bytes
+   are buffered. *)
+let parse_outcome ~max_header ~max_body chunks =
+  let p = Serve.Http.parser ~max_header ~max_body in
+  let requests = ref [] in
+  let rec drain () =
+    match Serve.Http.parser_next p with
+    | `Request r ->
+      requests := r :: !requests;
+      drain ()
+    | `More -> None
+    | `Error e -> Some e
+  in
+  let rec feed = function
+    | [] -> None
+    | chunk :: rest -> (
+      Serve.Http.parser_feed p (Bytes.of_string chunk) 0 (String.length chunk);
+      match drain () with Some e -> Some e | None -> feed rest)
+  in
+  let error = feed chunks in
+  let partial =
+    if error = None then
+      Some (Serve.Http.parser_partial p, Serve.Http.parser_buffered p)
+    else None
+  in
+  (List.rev !requests, error, partial)
+
+(* A complete head over max_header is refused even when it arrives in
+   one read, as it is when it trickles in. *)
+let test_one_read_head_bound () =
+  let head =
+    "GET /healthz HTTP/1.1\r\n"
+    ^ String.concat ""
+        (List.init 160 (fun i ->
+             Printf.sprintf "X-Filler-%03d: %s\r\n" i (String.make 110 'f')))
+    ^ "\r\n"
+  in
+  let outcome chunk =
+    let n = String.length head in
+    parse_outcome ~max_header:(16 * 1024) ~max_body:0
+      (List.init ((n + chunk - 1) / chunk) (fun k ->
+           String.sub head (k * chunk) (min chunk (n - (k * chunk)))))
+  in
+  List.iter
+    (fun chunk ->
+      match outcome chunk with
+      | [], Some (Serve.Http.Too_large _), None -> ()
+      | _ -> Alcotest.failf "a %d-byte head in %d-byte reads was not Too_large"
+               (String.length head) chunk)
+    [ String.length head; 1024 ]
+
+(* Streams of 1-4 pipelined requests: valid and malformed request
+   lines, 0-5 headers (some long), a Content-Length that is missing,
+   duplicated, non-numeric or over the body bound, and sometimes a cut
+   tail.  Bounds of 256 and 200 bytes make oversize cases common. *)
+let http_stream_gen =
+  let open QCheck.Gen in
+  let token = string_size ~gen:(char_range 'a' 'z') (1 -- 8) in
+  let request_line =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun meth path version -> Printf.sprintf "%s /%s %s" meth path version)
+            (oneofl [ "GET"; "POST" ])
+            token
+            (oneofl [ "HTTP/1.1"; "HTTP/1.0" ]) );
+        (1, oneofl [ ""; "GET /x"; "GET / HTTP/2.0"; "GET  / HTTP/1.1" ]);
+      ]
+  in
+  let header =
+    map2
+      (fun name len -> Printf.sprintf "X-%s: %s" name (String.make len 'v'))
+      token
+      (frequency [ (3, 0 -- 20); (1, 50 -- 300) ])
+  in
+  let content_length =
+    frequency
+      [
+        (3, map (fun n -> ([ Printf.sprintf "Content-Length: %d" n ], n)) (0 -- 250));
+        (1, return ([], 0));
+        ( 1,
+          map
+            (fun n ->
+              ([ Printf.sprintf "Content-Length: %d" n; Printf.sprintf "Content-Length: %d" n ], n))
+            (0 -- 20) );
+        (1, map (fun v -> ([ "Content-Length: " ^ v ], 0)) (oneofl [ "abc"; "-1"; "1x"; "" ]));
+      ]
+  in
+  let request =
+    map3
+      (fun line headers (cl, body_len) ->
+        String.concat "\r\n" ((line :: headers) @ cl)
+        ^ "\r\n\r\n" ^ String.make body_len 'b')
+      request_line
+      (list_size (0 -- 5) header)
+      content_length
+  in
+  let* whole = map (String.concat "") (list_size (1 -- 4) request) in
+  let* stream =
+    frequency
+      [ (2, return whole); (1, map (String.sub whole 0) (0 -- String.length whole)) ]
+  in
+  let+ cuts = list_size (0 -- 8) (0 -- String.length stream) in
+  (stream, List.sort_uniq compare cuts)
+
+let prop_http_chunking =
+  QCheck.Test.make ~count:2000 ~name:"http parse is independent of chunking"
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut at [%s]" s
+           (String.concat "; " (List.map string_of_int cuts)))
+       http_stream_gen)
+    (fun (stream, cuts) ->
+      let rec chunks lo = function
+        | [] -> [ String.sub stream lo (String.length stream - lo) ]
+        | cut :: rest -> String.sub stream lo (cut - lo) :: chunks cut rest
+      in
+      let outcome = parse_outcome ~max_header:256 ~max_body:200 in
+      outcome (chunks 0 cuts) = outcome [ stream ])
 
 (* --- keep-alive --- *)
 
@@ -830,6 +985,8 @@ let suite =
     Alcotest.test_case "fit, predict and cache" `Slow
       test_fit_predict_and_cache;
     Alcotest.test_case "input rejection" `Quick test_input_rejection;
+    Alcotest.test_case "serving horizon and batch limits" `Quick
+      test_serving_limits;
     Alcotest.test_case "metrics endpoint" `Slow test_metrics_endpoint;
     Alcotest.test_case "oversized body rejected" `Quick
       test_oversized_body_rejected;
@@ -842,6 +999,9 @@ let suite =
     Alcotest.test_case "plus decoding" `Quick test_plus_decoding;
     Alcotest.test_case "duplicate Content-Length" `Quick
       test_duplicate_content_length;
+    Alcotest.test_case "one-read head over max_header" `Quick
+      test_one_read_head_bound;
+    QCheck_alcotest.to_alcotest prop_http_chunking;
     Alcotest.test_case "keep-alive reuse" `Quick test_keep_alive_reuse;
     Alcotest.test_case "pipelined pair" `Quick test_pipelined_pair;
     Alcotest.test_case "pipeline beyond window" `Quick

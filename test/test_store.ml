@@ -154,6 +154,44 @@ let test_decode_rejects_garbage () =
   | Ok _ -> Alcotest.fail "truncated payload must not decode"
   | Error _ -> ()
 
+(* Store records are untrusted bytes once the CRC passes (a hand-edited
+   or foreign file): decode answers Ok or Error for anything, and phi of
+   a decoded record raises at most Invalid_argument, which the server's
+   warm start catches.  Inputs: the fixture's encoding with 1-4 bytes
+   replaced and maybe truncated, and random bytes after a valid version
+   byte. *)
+let decode_input_gen =
+  let open QCheck.Gen in
+  let enc = F.encode (sample_record ()) in
+  let mutated =
+    map2
+      (fun edits cut ->
+        let b = Bytes.of_string enc in
+        List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) edits;
+        let s = Bytes.to_string b in
+        match cut with
+        | None -> s
+        | Some k -> String.sub s 0 (k mod (String.length s + 1)))
+      (list_size (1 -- 4) (pair nat char))
+      (opt nat)
+  in
+  let random =
+    map2
+      (fun v tail -> String.make 1 (Char.chr v) ^ tail)
+      (F.min_version -- F.version)
+      (string_size (0 -- 200))
+  in
+  oneof [ mutated; random ]
+
+let prop_decode_never_raises =
+  QCheck.Test.make ~count:2000 ~name:"format decode never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") decode_input_gen)
+    (fun s ->
+      match F.decode s with
+      | Error _ -> true
+      | Ok r -> (
+        match F.phi r with _ -> true | exception Invalid_argument _ -> true))
+
 let test_solver_signature_pinned () =
   (* fit ids already saved in a store hash this string: it must not
      drift, or re-posted /fit bodies stop matching their records *)
@@ -583,6 +621,7 @@ let suite =
     Alcotest.test_case "codec round-trip is bit-exact" `Quick
       test_encode_decode_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_decode_rejects_garbage;
+    QCheck_alcotest.to_alcotest prop_decode_never_raises;
     Alcotest.test_case "solver signature pinned" `Quick
       test_solver_signature_pinned;
     Alcotest.test_case "v1 payload decodes with model=dl" `Quick
