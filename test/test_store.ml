@@ -163,17 +163,15 @@ let test_decode_rejects_garbage () =
 let decode_input_gen =
   let open QCheck.Gen in
   let enc = F.encode (sample_record ()) in
+  let n = String.length enc in
   let mutated =
     map2
       (fun edits cut ->
         let b = Bytes.of_string enc in
-        List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) edits;
-        let s = Bytes.to_string b in
-        match cut with
-        | None -> s
-        | Some k -> String.sub s 0 (k mod (String.length s + 1)))
-      (list_size (1 -- 4) (pair nat char))
-      (opt nat)
+        List.iter (fun (i, c) -> Bytes.set b i c) edits;
+        Bytes.sub_string b 0 (Option.value cut ~default:n))
+      (list_size (1 -- 4) (pair (0 -- (n - 1)) char))
+      (opt (0 -- n))
   in
   let random =
     map2
@@ -184,7 +182,7 @@ let decode_input_gen =
   oneof [ mutated; random ]
 
 let prop_decode_never_raises =
-  QCheck.Test.make ~count:2000 ~name:"format decode never raises"
+  QCheck.Test.make ~count:10_000 ~name:"format decode never raises"
     (QCheck.make ~print:(Printf.sprintf "%S") decode_input_gen)
     (fun s ->
       match F.decode s with
