@@ -78,9 +78,9 @@
     connection owns an incremental {!Http.parser} and a buffered output
     queue, and only {e fully parsed} requests are handed to the worker
     pool (run via {!Parallel.Pool.run_workers}), as are live refits.
-    Serialized responses
-    travel back over a wake pipe, so worker domains never touch a
-    socket and a slow or stalled peer can never block a worker.
+    Serialized responses travel back over a wake pipe, so worker
+    domains never touch a socket and a slow or stalled peer can never
+    block a worker.
 
     Connections are HTTP/1.1 keep-alive by default ([Connection:]
     headers honoured on both 1.0 and 1.1; see {!Http.keep_alive}), with
