@@ -93,6 +93,6 @@ val fit :
     but without the carrying-capacity dimension.  [pool] (default
     sequential) distributes the restarts; results are bit-identical
     for any pool size.
-    @raise Invalid_argument if [obs] lacks a t = 1 snapshot or has
-    fewer than two distances (message in
-    [Linear_model.fit: reason] form). *)
+    @raise Invalid_argument if [obs] lacks a t = 1 snapshot (from
+    {!Fit.phi_of_obs}, which builds phi) or has fewer than two
+    distances ([Linear_model.fit: reason] form). *)
