@@ -38,26 +38,28 @@ let simulate p ~i0 ~times =
 
 type fit_result = { params : params; training_error : float }
 
+let group_index distances x =
+  let found = ref (-1) in
+  Array.iteri (fun i d -> if d = x then found := i) distances;
+  if !found < 0 then invalid_arg "Epidemic.predictor: unknown distance"
+  else !found
+
 let error_against (obs : Socialnet.Density.t) ~fit_times p =
   let i0 = Array.map (fun row -> row.(0)) obs.Socialnet.Density.density in
   match simulate p ~i0 ~times:fit_times with
-  | result ->
-    let err = ref 0. and count = ref 0 in
-    Array.iteri
-      (fun ix _ ->
-        Array.iteri
-          (fun it t ->
-            let actual =
-              Socialnet.Density.at obs
-                ~distance:obs.Socialnet.Density.distances.(ix) ~time:t
-            in
-            if actual > 0. then begin
-              err := !err +. (Float.abs (result.(ix).(it) -. actual) /. actual);
-              incr count
-            end)
-          fit_times)
-      obs.Socialnet.Density.distances;
-    if !count = 0 then infinity else !err /. float_of_int !count
+  | result -> (
+    (* the simulated value at a cell: the row of its group, the column
+       of its fitting hour *)
+    let predict ~x ~t =
+      let it = ref 0 in
+      while fit_times.(!it) <> t do incr it done;
+      result.(group_index obs.Socialnet.Density.distances (int_of_float x)).(!it)
+    in
+    match
+      Socialnet.Density.mean_relative_error obs ~times:fit_times ~predict
+    with
+    | _, 0 -> infinity
+    | err, _ -> err)
   | exception _ -> infinity
 
 let fit ?(fit_times = [| 2.; 3.; 4. |]) rng (obs : Socialnet.Density.t) =
@@ -72,11 +74,9 @@ let fit ?(fit_times = [| 2.; 3.; 4. |]) rng (obs : Socialnet.Density.t) =
     }
   in
   let objective v = error_against obs ~fit_times (of_vector v) in
-  let best =
-    Optimize.multi_start_nelder_mead ~rng ~starts:6 ~tol:1e-8 ~max_iter:400
-      objective
-      ~lo:[| 0.; 0.; 0.05 |]
-      ~hi:[| 3.; 1.; 1. |]
+  let best, _ =
+    Fit.multi_start ~tol:1e-8 ~max_iter:400 ~starts:6
+      ~lo:[| 0.; 0.; 0.05 |] ~hi:[| 3.; 1.; 1. |] rng (fun () -> objective)
   in
   let params = of_vector best.Optimize.x in
   { params; training_error = error_against obs ~fit_times params }
@@ -88,12 +88,4 @@ let predictor p ~(obs : Socialnet.Density.t) =
   let horizon = 72 in
   let times = Array.init horizon (fun i -> 1. +. float_of_int i) in
   let table = simulate p ~i0 ~times in
-  let index_of x =
-    let found = ref (-1) in
-    Array.iteri (fun i d -> if d = x then found := i) distances;
-    if !found < 0 then invalid_arg "Epidemic.predictor: unknown distance"
-    else !found
-  in
-  fun ~x ~t ->
-    let ix = index_of x in
-    Interp.linear ~xs:times ~ys:table.(ix) t
+  fun ~x ~t -> Interp.linear ~xs:times ~ys:table.(group_index distances x) t

@@ -38,8 +38,9 @@ type fit_result = {
 val fit :
   ?fit_times:float array -> Numerics.Rng.t -> Socialnet.Density.t -> fit_result
 (** Calibrates the three rates against an observation (t = 1 snapshot
-    required, default fit window [2; 3; 4]) by multi-start
-    Nelder--Mead. *)
+    required, default fit window [2; 3; 4]) with the search {!Fit.fit}
+    uses ({!Fit.multi_start}: 6 starts, tolerance [1e-8], at most 400
+    iterations each), minimising the mean relative error. *)
 
 val predictor :
   params -> obs:Socialnet.Density.t -> Baselines.predictor

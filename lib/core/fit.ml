@@ -51,21 +51,12 @@ let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
     let sol =
       Model.solve ~scheme ~nx ~dt ?workspace params ~phi ~times:fit_times
     in
-    let predict = Model.predictor sol in
-    let err = ref 0. and count = ref 0 in
-    Array.iter
-      (fun x ->
-        Array.iter
-          (fun t ->
-            let actual = Socialnet.Density.at obs ~distance:x ~time:t in
-            if actual > 0. then begin
-              let predicted = predict ~x:(float_of_int x) ~t in
-              err := !err +. (Float.abs (predicted -. actual) /. actual);
-              incr count
-            end)
-          fit_times)
-      obs.Socialnet.Density.distances;
-    if !count = 0 then infinity else !err /. float_of_int !count
+    match
+      Socialnet.Density.mean_relative_error obs ~times:fit_times
+        ~predict:(Model.predictor sol)
+    with
+    | _, 0 -> infinity
+    | err, _ -> err
   with
   | (Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e ->
     (* expected blow-ups of a bad trial point (diverged solve, singular
@@ -111,125 +102,42 @@ let m_nm_iterations = Obs.Metrics.counter "fit.nm_iterations"
 let m_objective_evals = Obs.Metrics.counter "fit.objective_evals"
 let m_bootstrap_resamples = Obs.Metrics.counter "fit.bootstrap_resamples"
 
-let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
-    ?init ?on_fit rng (obs : Socialnet.Density.t) =
- Obs.Span.with_span "fit.fit" @@ fun () ->
-  let distances = obs.Socialnet.Density.distances in
-  if Array.length distances < 2 then
-    invalid_arg "Fit: need at least two distance groups";
-  let phi = phi_of_obs obs in
-  let max_density =
-    Array.fold_left
-      (fun acc row -> Array.fold_left Float.max acc row)
-      0. obs.Socialnet.Density.density
+let box_penalty ~lo ~hi v =
+  (* quadratic penalty keeps the simplex near the box; the parameters
+     themselves are always clamped into it *)
+  let penalty = ref 0. in
+  Array.iteri
+    (fun i x ->
+      let excess = Float.max 0. (Float.max (lo.(i) -. x) (x -. hi.(i))) in
+      penalty := !penalty +. (excess *. excess))
+    v;
+  !penalty
+
+(* Restarts may run on separate domains; each reports its own
+   evaluation count through [Optimize.result], so the sum is exact and
+   race-free.  Each restart is deterministic given its x0, so the
+   counts are too. *)
+let multi_start ?(pool = Parallel.Pool.sequential) ?(tol = 1e-6)
+    ?(max_iter = 250) ?simplex ~starts ~lo ~hi rng make_f =
+  let starts = Stdlib.max 1 starts in
+  (* Starting points are drawn sequentially up front, so the rng stream
+     (and therefore the result) is independent of the pool size.  A
+     warm [simplex] replaces restart 0's midpoint, the only start not
+     drawn from [rng], so every other restart is the cold one. *)
+  let x0s =
+    Array.init starts (fun k ->
+        Array.mapi
+          (fun i lo_i ->
+            if k = 0 then (lo_i +. hi.(i)) /. 2. else Rng.uniform rng lo_i hi.(i))
+          lo)
   in
-  let l = float_of_int distances.(0) in
-  let big_l = float_of_int distances.(Array.length distances - 1) in
-  (* densities are percentages: K above ~100 is unphysical, whatever
-     the headroom multiplier says *)
-  let k_lo = Float.min 100. (fst config.k_headroom *. max_density) in
-  let k_hi = Float.max (k_lo +. 1e-6)
-      (Float.min 105. (snd config.k_headroom *. max_density))
-  in
-  let lo = [| fst config.d_bounds; k_lo; fst config.a_bounds;
-              fst config.b_bounds; fst config.c_bounds |] in
-  let hi = [| snd config.d_bounds; k_hi; snd config.a_bounds;
-              snd config.b_bounds; snd config.c_bounds |] in
-  let clamp i v = Float.max lo.(i) (Float.min hi.(i) v) in
-  let of_vector v =
-    let d = clamp 0 v.(0) and k = clamp 1 v.(1) in
-    let a = clamp 2 v.(2) and b = clamp 3 v.(3) and c = clamp 4 v.(4) in
-    Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l
-  in
-  let starts = Stdlib.max 1 config.starts in
-  let penalty_of v =
-    (* quadratic penalty keeps the simplex near the box; the params
-       themselves are always clamped into it *)
-    let penalty = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let excess = Float.max 0. (Float.max (lo.(i) -. x) (x -. hi.(i))) in
-        penalty := !penalty +. (excess *. excess))
-      v;
-    !penalty
-  in
-  let objective_at ?workspace ~d ~k ~a ~b ~c () =
-    objective ~scheme:config.solver_scheme ~nx:config.solver_nx
-      ~dt:config.solver_dt ?workspace ~phi ~obs ~fit_times:config.fit_times
-      (Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l)
-  in
-  let make_f () =
-    (* One panel workspace per restart, captured by the closure: the
-       pool hands a restart to exactly one worker domain, so the
-       workspace is domain-private, and every objective evaluation of
-       the restart's Nelder--Mead loop reuses the same solver buffers
-       (counted by pde.panel_reuses).  Reuse is bit-invisible: the
-       panel path is bit-identical to the scalar solve. *)
-    let workspace = Pde.panel_workspace () in
-    fun v ->
-      let d = clamp 0 v.(0) and k = clamp 1 v.(1) in
-      let a = clamp 2 v.(2) and b = clamp 3 v.(3) and c = clamp 4 v.(4) in
-      objective_at ~workspace ~d ~k ~a ~b ~c () +. penalty_of v
-  in
-  (* Starting points are drawn sequentially up front, in the same order
-     the sequential multi-start used, so the rng stream (and therefore
-     the result) is independent of the pool size. *)
-  let n = Array.length lo in
-  let x0s = Array.make starts [||] in
-  x0s.(0) <- Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.);
-  for k = 1 to starts - 1 do
-    x0s.(k) <- Array.init n (fun i -> Rng.uniform rng lo.(i) hi.(i))
-  done;
-  (* A warm start replaces restart 0's midpoint x0 (the only start not
-     drawn from [rng]), so the rng stream — and every other restart —
-     is bit-identical to a cold fit with the same seed. *)
-  let vector_of_params (p : Params.t) =
-    let a, b, c =
-      match p.Params.r with
-      | Growth.Exp_decay { a; b; c } -> (a, b, c)
-      | Growth.Constant v ->
-        (0., (fst config.b_bounds +. snd config.b_bounds) /. 2., v)
-    in
-    Array.mapi (fun i x -> clamp i x) [| p.Params.d; p.Params.k; a; b; c |]
-  in
-  let warm_simplex =
-    match init with
-    | None -> None
-    | Some (Init_simplex vs) ->
-      if Array.length vs <> n + 1
-         || Array.exists (fun v -> Array.length v <> n) vs
-      then
-        invalid_arg
-          (Printf.sprintf "Fit: init simplex must be %d vertices of length %d"
-             (n + 1) n);
-      x0s.(0) <- Array.copy vs.(0);
-      Some (Array.map Array.copy vs)
-    | Some (Init_params p) ->
-      (* a local simplex around the prior optimum: small edges so the
-         polish stays near the checkpoint and converges in few solves *)
-      let v0 = vector_of_params p in
-      x0s.(0) <- v0;
-      let edge i = Float.max 0.02 (0.02 *. Float.abs v0.(i)) in
-      Some
-        (Array.init (n + 1) (fun k ->
-             let v = Array.copy v0 in
-             if k > 0 then v.(k - 1) <- v.(k - 1) +. edge (k - 1);
-             v))
-  in
-  if warm_simplex <> None then Obs.Metrics.incr m_warm_starts;
-  (* Restarts may run on separate domains; each reports its own
-     evaluation count through [Optimize.result], so the sum below is
-     exact and race-free.  Each restart is deterministic given its x0,
-     so the counts are too. *)
   let run_restart k =
     Obs.Span.with_span "fit.restart"
       ~attrs:(fun () -> [ Obs.Log.int "restart" k ])
       (fun () ->
         let f = make_f () in
-        let simplex = if k = 0 then warm_simplex else None in
-        let r =
-          Optimize.nelder_mead ~tol:1e-6 ~max_iter:250 ?simplex f ~x0:x0s.(k)
-        in
+        let simplex = if k = 0 then simplex else None in
+        let r = Optimize.nelder_mead ~tol ~max_iter ?simplex f ~x0:x0s.(k) in
         if simplex <> None then
           Obs.Span.add_attr "warm" (Obs.Log.Bool true);
         Obs.Span.add_attr "iterations" (Obs.Log.Int r.Optimize.iterations);
@@ -254,10 +162,89 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
   in
   let best = ref runs.(0) in
   Array.iter (fun r -> if r.Optimize.f < !best.Optimize.f then best := r) runs;
-  let params = of_vector !best.Optimize.x in
-  let evaluations =
-    Array.fold_left (fun acc r -> acc + r.Optimize.evaluations) 0 runs
+  (!best, Array.fold_left (fun acc r -> acc + r.Optimize.evaluations) 0 runs)
+
+let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
+    ?init ?on_fit ?phi rng (obs : Socialnet.Density.t) =
+ Obs.Span.with_span "fit.fit" @@ fun () ->
+  let distances = obs.Socialnet.Density.distances in
+  if Array.length distances < 2 then
+    invalid_arg "Fit: need at least two distance groups";
+  let phi = match phi with Some p -> p | None -> phi_of_obs obs in
+  let max_density =
+    Array.fold_left
+      (fun acc row -> Array.fold_left Float.max acc row)
+      0. obs.Socialnet.Density.density
   in
+  let l = float_of_int distances.(0) in
+  let big_l = float_of_int distances.(Array.length distances - 1) in
+  (* densities are percentages: K above ~100 is unphysical, whatever
+     the headroom multiplier says *)
+  let k_lo = Float.min 100. (fst config.k_headroom *. max_density) in
+  let k_hi = Float.max (k_lo +. 1e-6)
+      (Float.min 105. (snd config.k_headroom *. max_density))
+  in
+  let lo = [| fst config.d_bounds; k_lo; fst config.a_bounds;
+              fst config.b_bounds; fst config.c_bounds |] in
+  let hi = [| snd config.d_bounds; k_hi; snd config.a_bounds;
+              snd config.b_bounds; snd config.c_bounds |] in
+  let clamp i v = Float.max lo.(i) (Float.min hi.(i) v) in
+  let of_vector v =
+    let d = clamp 0 v.(0) and k = clamp 1 v.(1) in
+    let a = clamp 2 v.(2) and b = clamp 3 v.(3) and c = clamp 4 v.(4) in
+    Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l
+  in
+  let make_f () =
+    (* One panel workspace per restart, captured by the closure: the
+       pool hands a restart to exactly one worker domain, so the
+       workspace is domain-private, and every objective evaluation of
+       the restart's Nelder--Mead loop reuses the same solver buffers
+       (counted by pde.panel_reuses).  Reuse is bit-invisible: the
+       panel path is bit-identical to the scalar solve. *)
+    let workspace = Pde.panel_workspace () in
+    fun v ->
+      objective ~scheme:config.solver_scheme ~nx:config.solver_nx
+        ~dt:config.solver_dt ~workspace ~phi ~obs ~fit_times:config.fit_times
+        (of_vector v)
+      +. box_penalty ~lo ~hi v
+  in
+  let n = Array.length lo in
+  let vector_of_params (p : Params.t) =
+    let a, b, c =
+      match p.Params.r with
+      | Growth.Exp_decay { a; b; c } -> (a, b, c)
+      | Growth.Constant v ->
+        (0., (fst config.b_bounds +. snd config.b_bounds) /. 2., v)
+    in
+    Array.mapi (fun i x -> clamp i x) [| p.Params.d; p.Params.k; a; b; c |]
+  in
+  let simplex =
+    match init with
+    | None -> None
+    | Some (Init_simplex vs) ->
+      if Array.length vs <> n + 1
+         || Array.exists (fun v -> Array.length v <> n) vs
+      then
+        invalid_arg
+          (Printf.sprintf "Fit: init simplex must be %d vertices of length %d"
+             (n + 1) n);
+      Some vs
+    | Some (Init_params p) ->
+      (* a local simplex around the prior optimum: small edges so the
+         polish stays near the checkpoint and converges in few solves *)
+      let v0 = vector_of_params p in
+      let edge i = Float.max 0.02 (0.02 *. Float.abs v0.(i)) in
+      Some
+        (Array.init (n + 1) (fun k ->
+             let v = Array.copy v0 in
+             if k > 0 then v.(k - 1) <- v.(k - 1) +. edge (k - 1);
+             v))
+  in
+  if simplex <> None then Obs.Metrics.incr m_warm_starts;
+  let best, evaluations =
+    multi_start ~pool ?simplex ~starts:config.starts ~lo ~hi rng make_f
+  in
+  let params = of_vector best.Optimize.x in
   let training_error =
     objective ~scheme:config.solver_scheme ~phi ~obs
       ~fit_times:config.fit_times params
@@ -265,10 +252,10 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
   Obs.Metrics.incr m_fits;
   Obs.Log.debug "fit.done" ~fields:(fun () ->
       [
-        Obs.Log.int "starts" starts;
-        Obs.Log.bool "warm" (warm_simplex <> None);
+        Obs.Log.int "starts" (Stdlib.max 1 config.starts);
+        Obs.Log.bool "warm" (simplex <> None);
         Obs.Log.int "evaluations" evaluations;
-        Obs.Log.float "best_objective" !best.Optimize.f;
+        Obs.Log.float "best_objective" best.Optimize.f;
         Obs.Log.float "training_error" training_error;
       ]);
   let result = { params; training_error; evaluations } in
@@ -289,8 +276,8 @@ let bootstrap ?(config = default_config) ?(pool = Parallel.Pool.sequential)
  Obs.Span.with_span "fit.bootstrap"
    ~attrs:(fun () -> [ Obs.Log.int "resamples" resamples ])
  @@ fun () ->
-  let base = fit ~config ~pool rng obs in
   let phi = phi_of_obs obs in
+  let base = fit ~config ~pool ~phi rng obs in
   let times = obs.Socialnet.Density.times in
   let sol = Model.solve base.params ~phi ~times in
   (* residuals of the base fit at every observed cell (t > 1) *)
@@ -324,7 +311,8 @@ let bootstrap ?(config = default_config) ?(pool = Parallel.Pool.sequential)
                 row)
             obs.Socialnet.Density.density
         in
-        fit ~config ~pool rng { obs with Socialnet.Density.density })
+        (* resampling keeps the t = 1 column, and with it phi *)
+        fit ~config ~pool ~phi rng { obs with Socialnet.Density.density })
   in
   let ci of_params =
     let values = Array.map (fun r -> of_params r.params) refits in

@@ -72,15 +72,16 @@ val on_fit_installed : unit -> bool
 val fit :
   ?config:config -> ?pool:Parallel.Pool.t ->
   ?id:string -> ?init:init -> ?on_fit:(event -> unit) ->
+  ?phi:Initial.t ->
   Numerics.Rng.t -> Socialnet.Density.t -> result
 (** [fit rng obs] calibrates against [obs], whose first recorded time
     must be 1 (it provides phi).  The domain [\[l, L\]] is taken from
-    the observed distance labels.
-
-    [pool] (default sequential) distributes the Nelder--Mead restarts
-    over worker domains.  Starting points are drawn from [rng] up
-    front in the sequential order, and each restart is deterministic
-    given its start, so the result is bit-identical for any pool size.
+    the observed distance labels.  [phi] (default [phi_of_obs obs]) is
+    the initial density every solve starts from; a caller that built
+    phi another way (a PCHIP construction) or already holds it passes
+    it here, so the fit is calibrated on the phi it will be solved
+    from.  The search is {!multi_start} with [pool] (default
+    sequential), so the result is bit-identical for any pool size.
 
     [init] warm-starts restart 0 from a prior optimum
     ([Init_params], polished with a small local simplex) or an
@@ -93,9 +94,36 @@ val fit :
 
     [id] labels the completed-fit {!event}; [on_fit] overrides the
     global {!set_on_fit} observer for this call only.
-    @raise Invalid_argument if [obs] lacks a t = 1 snapshot or has
-    fewer than two distances, or if an [Init_simplex] has the wrong
-    shape. *)
+    @raise Invalid_argument if [obs] has fewer than two distances,
+    lacks a t = 1 snapshot while no [phi] is given, or if an
+    [Init_simplex] has the wrong shape. *)
+
+val multi_start :
+  ?pool:Parallel.Pool.t -> ?tol:float -> ?max_iter:int ->
+  ?simplex:float array array ->
+  starts:int -> lo:float array -> hi:float array -> Numerics.Rng.t ->
+  (unit -> float array -> float) -> Numerics.Optimize.result * int
+(** The calibration search every model fitter shares ({!fit},
+    {!Linear_model.fit}, {!Epidemic.fit}): [multi_start ~starts ~lo ~hi
+    rng make_f] runs Nelder--Mead ([tol] default [1e-6], [max_iter]
+    default 250) from [max 1 starts] points and returns the best run
+    and the objective evaluations summed over every run.
+
+    Restart 0 starts from the midpoint of the box [\[lo, hi\]], or from
+    the warm [simplex] when one is given; the others start from points
+    drawn uniformly in the box from [rng], all drawn up front in
+    restart order.  [pool] (default sequential) spreads the restarts
+    over worker domains; [make_f ()] builds each restart's objective
+    on the domain that runs it, so it may own mutable state such as a
+    solver workspace.  The first run with the lowest objective wins,
+    so the result is bit-identical for any pool size.  Each restart is
+    a [fit.restart] span and counts towards the [fit.restarts],
+    [fit.nm_iterations] and [fit.objective_evals] metrics. *)
+
+val box_penalty : lo:float array -> hi:float array -> float array -> float
+(** Sum of squared excursions of a point outside the box
+    [\[lo, hi\]]: added to an objective that clamps its parameters into
+    the box, it keeps the simplex near the box. *)
 
 type uncertainty = {
   d_ci : float * float;

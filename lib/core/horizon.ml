@@ -21,7 +21,7 @@ let curve ?(config = Fit.default_config) rng (obs : Socialnet.Density.t)
   Array.iter
     (fun train_until ->
       let fit_times = fit_hours ~train_until in
-      let result = Fit.fit ~config:{ config with Fit.fit_times } rng obs in
+      let result = Fit.fit ~config:{ config with Fit.fit_times } ~phi rng obs in
       Array.iter
         (fun horizon ->
           let t = train_until +. horizon in

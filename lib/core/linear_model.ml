@@ -90,35 +90,7 @@ type fit_result = {
   evaluations : int;
 }
 
-let objective ~nx ~dt ~phi ~obs ~fit_times params =
-  try
-    let sol = solve ~nx ~dt params ~phi ~times:fit_times in
-    let predict = predictor sol in
-    let err = ref 0. and count = ref 0 in
-    Array.iter
-      (fun x ->
-        Array.iter
-          (fun t ->
-            let actual = Socialnet.Density.at obs ~distance:x ~time:t in
-            if actual > 0. then begin
-              let predicted = predict ~x:(float_of_int x) ~t in
-              err := !err +. (Float.abs (predicted -. actual) /. actual);
-              incr count
-            end)
-          fit_times)
-      obs.Socialnet.Density.distances;
-    if !count = 0 then infinity else !err /. float_of_int !count
-  with
-  | (Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e ->
-    (* same blow-up policy as [Fit.objective]: bad trial points are
-       penalised, genuine bugs propagate *)
-    Obs.Log.warn "linear_model.objective_failed" ~fields:(fun () ->
-        [ Obs.Log.str "exn" (Printexc.to_string e) ]);
-    infinity
-
 let m_fits = Obs.Metrics.counter "linear_model.fits"
-let m_restarts = Obs.Metrics.counter "linear_model.restarts"
-let m_objective_evals = Obs.Metrics.counter "linear_model.objective_evals"
 
 let fit ?(config = default_fit_config) ?(pool = Parallel.Pool.sequential) rng
     (obs : Socialnet.Density.t) =
@@ -139,55 +111,35 @@ let fit ?(config = default_fit_config) ?(pool = Parallel.Pool.sequential) rng
     let a = clamp 1 v.(1) and b = clamp 2 v.(2) and c = clamp 3 v.(3) in
     make ~d ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l
   in
-  let starts = Stdlib.max 1 config.starts in
-  let penalty_of v =
-    let penalty = ref 0. in
-    Array.iteri
-      (fun i x ->
-        let excess = Float.max 0. (Float.max (lo.(i) -. x) (x -. hi.(i))) in
-        penalty := !penalty +. (excess *. excess))
-      v;
-    !penalty
+  (* the same blow-up policy as [Fit.objective]: a bad trial point
+     scores infinity, a genuine bug propagates *)
+  let objective params =
+    match
+      let sol =
+        solve ~nx:config.solver_nx ~dt:config.solver_dt params ~phi
+          ~times:config.fit_times
+      in
+      Socialnet.Density.mean_relative_error obs ~times:config.fit_times
+        ~predict:(predictor sol)
+    with
+    | _, 0 -> infinity
+    | err, _ -> err
+    | exception ((Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e)
+      ->
+      Obs.Log.warn "linear_model.objective_failed" ~fields:(fun () ->
+          [ Obs.Log.str "exn" (Printexc.to_string e) ]);
+      infinity
   in
-  let f v =
-    objective ~nx:config.solver_nx ~dt:config.solver_dt ~phi ~obs
-      ~fit_times:config.fit_times (of_vector v)
-    +. penalty_of v
+  let f v = objective (of_vector v) +. Fit.box_penalty ~lo ~hi v in
+  let best, evaluations =
+    Fit.multi_start ~pool ~starts:config.starts ~lo ~hi rng (fun () -> f)
   in
-  (* starting points drawn sequentially up front so the rng stream (and
-     the result) is independent of the pool size, as in [Fit.fit] *)
-  let n = Array.length lo in
-  let x0s = Array.make starts [||] in
-  x0s.(0) <- Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.);
-  for k = 1 to starts - 1 do
-    x0s.(k) <- Array.init n (fun i -> Rng.uniform rng lo.(i) hi.(i))
-  done;
-  let run_restart k =
-    Obs.Span.with_span "linear_model.restart"
-      ~attrs:(fun () -> [ Obs.Log.int "restart" k ])
-      (fun () ->
-        let r = Optimize.nelder_mead ~tol:1e-6 ~max_iter:250 f ~x0:x0s.(k) in
-        Obs.Metrics.incr m_restarts;
-        Obs.Metrics.incr ~by:r.Optimize.evaluations m_objective_evals;
-        r)
-  in
-  let runs =
-    Parallel.Pool.parallel_map pool run_restart (Array.init starts Fun.id)
-  in
-  let best = ref runs.(0) in
-  Array.iter (fun r -> if r.Optimize.f < !best.Optimize.f then best := r) runs;
-  let params = of_vector !best.Optimize.x in
-  let evaluations =
-    Array.fold_left (fun acc r -> acc + r.Optimize.evaluations) 0 runs
-  in
-  let training_error =
-    objective ~nx:config.solver_nx ~dt:config.solver_dt ~phi ~obs
-      ~fit_times:config.fit_times params
-  in
+  let params = of_vector best.Optimize.x in
+  let training_error = objective params in
   Obs.Metrics.incr m_fits;
   Obs.Log.debug "linear_model.fit_done" ~fields:(fun () ->
       [
-        Obs.Log.int "starts" starts;
+        Obs.Log.int "starts" (Stdlib.max 1 config.starts);
         Obs.Log.int "evaluations" evaluations;
         Obs.Log.float "training_error" training_error;
       ]);

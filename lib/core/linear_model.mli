@@ -87,12 +87,12 @@ type fit_result = {
 val fit :
   ?config:fit_config -> ?pool:Parallel.Pool.t ->
   Numerics.Rng.t -> Socialnet.Density.t -> fit_result
-(** Calibrate (d, a, b, c) with [r(t) = a e^{-b(t-1)} + c] by
-    multi-start Nelder--Mead against the densities observed at the
-    configured fitting hours, exactly like {!Fit.fit} for the DL model
-    but without the carrying-capacity dimension.  [pool] (default
-    sequential) distributes the restarts; results are bit-identical
-    for any pool size.
+(** Calibrate (d, a, b, c) with [r(t) = a e^{-b(t-1)} + c] against the
+    densities observed at the configured fitting hours with the search
+    {!Fit.fit} uses ({!Fit.multi_start}), on the same objective (the
+    mean relative error) without the carrying-capacity dimension.
+    [pool] (default sequential) distributes the restarts; results are
+    bit-identical for any pool size.
     @raise Invalid_argument if [obs] lacks a t = 1 snapshot (from
     {!Fit.phi_of_obs}, which builds phi) or has fewer than two
     distances ([Linear_model.fit: reason] form). *)

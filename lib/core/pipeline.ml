@@ -149,7 +149,7 @@ let run ?(params = Paper) ?(pool = Parallel.Pool.sequential)
         | None -> "story-" ^ string_of_int story.Types.id
       in
       let r =
-        Fit.fit ~config ~pool ~id ?init:fit_init ?on_fit rng
+        Fit.fit ~config ~pool ~id ?init:fit_init ?on_fit ~phi:pre.pr_phi rng
           pre.pr_observation
       in
       (r.Fit.params, Some r.Fit.training_error)

@@ -62,25 +62,6 @@ let growth_params = function
   | Growth.Constant r -> [ ("r", r) ]
   | Growth.Exp_decay { a; b; c } -> [ ("a", a); ("b", b); ("c", c) ]
 
-(* Mean relative error of [predict] over the cells at [times] with a
-   positive observed density — the same accuracy measure every fitter
-   in the repo optimises. *)
-let mean_rel_err ~(obs : Socialnet.Density.t) ~times predict =
-  let err = ref 0. and count = ref 0 in
-  Array.iter
-    (fun x ->
-      Array.iter
-        (fun t ->
-          let actual = Socialnet.Density.at obs ~distance:x ~time:t in
-          if actual > 0. then begin
-            let predicted = predict ~x:(float_of_int x) ~t in
-            err := !err +. (Float.abs (predicted -. actual) /. actual);
-            incr count
-          end)
-        times)
-      obs.Socialnet.Density.distances;
-  if !count = 0 then Float.nan else !err /. float_of_int !count
-
 (* Baseline predictors take integer distance labels; the common
    interface is float-valued, so round to the nearest label. *)
 let of_baseline (p : Baselines.predictor) ~x ~t =
@@ -104,7 +85,9 @@ let baseline name build =
           predict;
           params = [];
           training_error =
-            mean_rel_err ~obs:spec.obs ~times:spec.fit_times predict;
+            fst
+              (Socialnet.Density.mean_relative_error spec.obs
+                 ~times:spec.fit_times ~predict);
           evaluations = 0;
         });
   }
@@ -119,8 +102,8 @@ let dl =
       (fun spec ->
         let config = { Fit.default_config with Fit.fit_times = spec.fit_times } in
         let rng = Rng.create spec.seed in
-        let r = Fit.fit ~config ~pool:spec.pool rng spec.obs in
         let phi = Fit.phi_of_obs spec.obs in
+        let r = Fit.fit ~config ~pool:spec.pool ~phi rng spec.obs in
         let sol =
           Model.solve r.Fit.params ~phi ~times:spec.obs.Socialnet.Density.times
         in

@@ -51,22 +51,6 @@ let eval_times_of ~(obs : Socialnet.Density.t) ~fit_times =
        (fun t -> t > cutoff +. 1e-9)
        (Array.to_list obs.Socialnet.Density.times))
 
-let held_out_error ~(obs : Socialnet.Density.t) ~eval_times predict =
-  let err = ref 0. and count = ref 0 in
-  Array.iter
-    (fun x ->
-      Array.iter
-        (fun t ->
-          let actual = Socialnet.Density.at obs ~distance:x ~time:t in
-          if actual > 0. then begin
-            let predicted = predict ~x:(float_of_int x) ~t in
-            err := !err +. (Float.abs (predicted -. actual) /. actual);
-            incr count
-          end)
-        eval_times)
-    obs.Socialnet.Density.distances;
-  if !count = 0 then Float.nan else !err /. float_of_int !count
-
 let run_item ~seed ~fit_times ~model ~story_ix ~(obs : Socialnet.Density.t) =
   let spec =
     Predictor.spec ~fit_times
@@ -78,7 +62,10 @@ let run_item ~seed ~fit_times ~model ~story_ix ~(obs : Socialnet.Density.t) =
   | fitted ->
     let t1 = Obs.now_ns () in
     let eval_times = eval_times_of ~obs ~fit_times in
-    let rel = held_out_error ~obs ~eval_times fitted.Predictor.predict in
+    let rel, _ =
+      Socialnet.Density.mean_relative_error obs ~times:eval_times
+        ~predict:fitted.Predictor.predict
+    in
     let t2 = Obs.now_ns () in
     {
       ir_ok = true;

@@ -7,22 +7,12 @@ type config = {
 let default = { threshold = 0.25; min_votes = 8; min_new_votes = 4 }
 
 let relative_error ~predict ~obs ~times =
-  let err = ref 0. and cells = ref 0 in
-  Array.iter
-    (fun x ->
-      Array.iter
-        (fun t ->
-          if t > 1. +. 1e-9 then begin
-            let actual = Socialnet.Density.at obs ~distance:x ~time:t in
-            if actual > 0. then begin
-              let predicted = predict ~x:(float_of_int x) ~t in
-              err := !err +. (Float.abs (predicted -. actual) /. actual);
-              incr cells
-            end
-          end)
-        times)
-    obs.Socialnet.Density.distances;
-  if !cells = 0 then (0., 0) else (!err /. float_of_int !cells, !cells)
+  let times =
+    Array.of_seq (Seq.filter (fun t -> t > 1. +. 1e-9) (Array.to_seq times))
+  in
+  match Socialnet.Density.mean_relative_error obs ~times ~predict with
+  | _, 0 -> (0., 0)
+  | r -> r
 
 let should_refit cfg ~drift ~cells ~votes ~votes_at_fit =
   cells > 0

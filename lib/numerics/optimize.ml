@@ -1,132 +1,3 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
-  let flo = f lo and fhi = f hi in
-  if flo = 0. then lo
-  else if fhi = 0. then hi
-  else if flo *. fhi > 0. then
-    invalid_arg "Optimize.bisect: no sign change on the interval"
-  else begin
-    let lo = ref lo and hi = ref hi and flo = ref flo in
-    let iter = ref 0 in
-    while !hi -. !lo > tol && !iter < max_iter do
-      incr iter;
-      let mid = (!lo +. !hi) /. 2. in
-      let fmid = f mid in
-      if fmid = 0. then begin
-        lo := mid;
-        hi := mid
-      end
-      else if !flo *. fmid < 0. then hi := mid
-      else begin
-        lo := mid;
-        flo := fmid
-      end
-    done;
-    (!lo +. !hi) /. 2.
-  end
-
-let invphi = (sqrt 5. -. 1.) /. 2.
-
-let golden_section ?(tol = 1e-10) ?(max_iter = 500) f ~lo ~hi =
-  let a = ref lo and b = ref hi in
-  let c = ref (!b -. (invphi *. (!b -. !a))) in
-  let d = ref (!a +. (invphi *. (!b -. !a))) in
-  let fc = ref (f !c) and fd = ref (f !d) in
-  let iter = ref 0 in
-  while !b -. !a > tol && !iter < max_iter do
-    incr iter;
-    if !fc < !fd then begin
-      b := !d;
-      d := !c;
-      fd := !fc;
-      c := !b -. (invphi *. (!b -. !a));
-      fc := f !c
-    end
-    else begin
-      a := !c;
-      c := !d;
-      fc := !fd;
-      d := !a +. (invphi *. (!b -. !a));
-      fd := f !d
-    end
-  done;
-  (!a +. !b) /. 2.
-
-let brent ?(tol = 1e-10) ?(max_iter = 200) f ~lo ~hi =
-  (* Brent's minimisation, after Numerical Recipes. *)
-  let cgold = 0.3819660 in
-  let a = ref (Float.min lo hi) and b = ref (Float.max lo hi) in
-  let x = ref (!a +. (cgold *. (!b -. !a))) in
-  let w = ref !x and v = ref !x in
-  let fx = ref (f !x) in
-  let fw = ref !fx and fv = ref !fx in
-  let d = ref 0. and e = ref 0. in
-  let result = ref None in
-  let iter = ref 0 in
-  while !result = None && !iter < max_iter do
-    incr iter;
-    let xm = (!a +. !b) /. 2. in
-    let tol1 = (tol *. Float.abs !x) +. 1e-15 in
-    let tol2 = 2. *. tol1 in
-    if Float.abs (!x -. xm) <= tol2 -. ((!b -. !a) /. 2.) then
-      result := Some !x
-    else begin
-      let use_golden = ref true in
-      if Float.abs !e > tol1 then begin
-        let r = (!x -. !w) *. (!fx -. !fv) in
-        let q = (!x -. !v) *. (!fx -. !fw) in
-        let p = ((!x -. !v) *. q) -. ((!x -. !w) *. r) in
-        let q = 2. *. (q -. r) in
-        let p = if q > 0. then -.p else p in
-        let q = Float.abs q in
-        let etemp = !e in
-        e := !d;
-        if
-          Float.abs p < Float.abs (q *. etemp /. 2.)
-          && p > q *. (!a -. !x)
-          && p < q *. (!b -. !x)
-        then begin
-          d := p /. q;
-          let u = !x +. !d in
-          if u -. !a < tol2 || !b -. u < tol2 then
-            d := if xm >= !x then tol1 else -.tol1;
-          use_golden := false
-        end
-      end;
-      if !use_golden then begin
-        e := (if !x >= xm then !a -. !x else !b -. !x);
-        d := cgold *. !e
-      end;
-      let u =
-        if Float.abs !d >= tol1 then !x +. !d
-        else !x +. (if !d >= 0. then tol1 else -.tol1)
-      in
-      let fu = f u in
-      if fu <= !fx then begin
-        if u >= !x then a := !x else b := !x;
-        v := !w;
-        fv := !fw;
-        w := !x;
-        fw := !fx;
-        x := u;
-        fx := fu
-      end
-      else begin
-        if u < !x then a := u else b := u;
-        if fu <= !fw || !w = !x then begin
-          v := !w;
-          fv := !fw;
-          w := u;
-          fw := fu
-        end
-        else if fu <= !fv || !v = !x || !v = !w then begin
-          v := u;
-          fv := fu
-        end
-      end
-    end
-  done;
-  match !result with Some x -> x | None -> !x
-
 type result = {
   x : float array;
   f : float;
@@ -253,45 +124,3 @@ let nelder_mead ?(tol = 1e-9) ?(max_iter = 2000) ?(step = 0.) ?simplex f ~x0 =
     evaluations = !evals;
     spread = diameter ();
   }
-
-let grid_search f ~ranges =
-  let n = Array.length ranges in
-  assert (n >= 1);
-  let axis (lo, hi, count) =
-    assert (count >= 1);
-    if count = 1 then [| (lo +. hi) /. 2. |] else Vec.linspace lo hi count
-  in
-  let axes = Array.map axis ranges in
-  let best_x = ref None and best_f = ref infinity in
-  let point = Array.make n 0. in
-  let rec walk dim =
-    if dim = n then begin
-      let v = f point in
-      if v < !best_f then begin
-        best_f := v;
-        best_x := Some (Array.copy point)
-      end
-    end
-    else
-      Array.iter
-        (fun x ->
-          point.(dim) <- x;
-          walk (dim + 1))
-        axes.(dim)
-  in
-  walk 0;
-  match !best_x with
-  | Some x -> (x, !best_f)
-  | None -> assert false
-
-let multi_start_nelder_mead ?tol ?max_iter ~rng ~starts f ~lo ~hi =
-  let n = Array.length lo in
-  assert (Array.length hi = n && starts >= 1);
-  let run x0 = nelder_mead ?tol ?max_iter f ~x0 in
-  let best = ref (run (Array.init n (fun i -> (lo.(i) +. hi.(i)) /. 2.))) in
-  for _ = 2 to starts do
-    let x0 = Array.init n (fun i -> Rng.uniform rng lo.(i) hi.(i)) in
-    let r = run x0 in
-    if r.f < !best.f then best := r
-  done;
-  !best

@@ -1,24 +1,9 @@
-(** Derivative-free optimisation and root finding.
+(** Derivative-free minimisation: Nelder--Mead.
 
-    These back the DL parameter calibration ([Dl.Fit]): a coarse grid
-    scan to localise, then Nelder--Mead to polish.  Nothing here needs
-    gradients, which matters because the objective evaluates a PDE
-    solve. *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Root of a continuous function with a sign change on [\[lo, hi\]].
-    @raise Invalid_argument when [f lo] and [f hi] have the same sign. *)
-
-val golden_section :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Minimiser of a unimodal function on [\[lo, hi\]]. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Brent's method (golden section + successive parabolic
-    interpolation); faster than [golden_section] on smooth
-    objectives. *)
+    Model calibration ([Dl.Fit.multi_start]) restarts it from several
+    points and keeps the best run; the per-distance baselines
+    ([Dl.Baselines]) call it once.  Nothing here needs gradients, which
+    matters because a calibration objective evaluates a PDE solve. *)
 
 type result = {
   x : float array;   (** best point found *)
@@ -43,16 +28,3 @@ val nelder_mead :
     axis-aligned initial simplex, enabling warm starts from a prior
     run's final simplex; [x0] is then only used for its dimension.
     @raise Invalid_argument when [simplex] has the wrong shape. *)
-
-val grid_search :
-  (float array -> float) -> ranges:(float * float * int) array ->
-  float array * float
-(** Exhaustive scan of the Cartesian product of [ranges]
-    ([lo, hi, count] per axis, [count >= 1]); returns the best point
-    and its value. *)
-
-val multi_start_nelder_mead :
-  ?tol:float -> ?max_iter:int -> rng:Rng.t -> starts:int ->
-  (float array -> float) -> lo:float array -> hi:float array -> result
-(** Nelder--Mead from [starts] random points in the box; best result
-    wins. *)

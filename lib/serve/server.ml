@@ -59,6 +59,12 @@ let max_cached_solutions = 64
    paper's 50-hour window. *)
 let max_hours = 200.
 
+(* Cells one fitting solve may step (nx × time steps): as many as a
+   serving solve to [max_hours] on the model's default grid, 101 cells
+   at dt = 0.01 h over 199 h.  Every objective evaluation of a /fit is
+   one such solve, so without a bound "dt": 1e-300 never finishes. *)
+let max_fit_cells = 101 * 19_900
+
 (* Parsed requests a connection may queue ahead of the one in flight
    (HTTP/1.1 pipelining); past this the event loop stops reading the
    socket until responses drain — backpressure, not disconnection. *)
@@ -488,10 +494,22 @@ let parse_fit_spec body =
     match Tiny_json.parse body with Ok j -> Ok j | Error e -> Error e
   in
   let* distances = json_field_list json "distances" Tiny_json.to_int in
+  let* () =
+    (* each label names one group: a lookup by label (Density.at)
+       reads a repeated label's first group for both *)
+    let rec increasing i =
+      i >= Array.length distances
+      || (distances.(i - 1) < distances.(i) && increasing (i + 1))
+    in
+    if increasing 1 then Ok ()
+    else Error "field \"distances\" must be strictly increasing"
+  in
   let* times = json_field_list json "times" Tiny_json.to_float in
   let* () =
     if Array.length times = 0 || times.(0) <> 1. then
       Error "times must start at 1 (the initial observation hour provides phi)"
+    else if Array.exists (fun tm -> tm > max_hours) times then
+      Error (Printf.sprintf "field \"times\" must not pass t = %g hours" max_hours)
     else Ok ()
   in
   let* density =
@@ -616,6 +634,17 @@ let parse_fit_spec body =
       | Some _ -> Error "field \"dt\" must lie in (0, 1]"
       | None -> Error "field \"dt\" must be a number")
   in
+  let* () =
+    let last = Array.fold_left Float.max 1. fit_times in
+    let cells = float_of_int nx *. Float.ceil ((last -. 1.) /. dt) in
+    if cells > float_of_int max_fit_cells then
+      Error
+        (Printf.sprintf
+           "a fitting solve of nx = %d to t = %g h at dt = %g steps %.3g \
+            cells, past the budget of %d (lower nx or raise dt)"
+           nx last dt cells max_fit_cells)
+    else Ok ()
+  in
   let* init =
     match Tiny_json.member "init" json with
     | None -> Ok false
@@ -691,7 +720,7 @@ let run_fit ?init ~id ~config spec =
   | "dl" ->
     let phi = Dl.Fit.phi_of_obs obs in
     let rng = Numerics.Rng.create spec.fs_seed in
-    let result = Dl.Fit.fit ~config ~id ?init rng obs in
+    let result = Dl.Fit.fit ~config ~id ?init ~phi rng obs in
     ( {
         fe_id = id;
         fe_model = "dl";
@@ -1284,6 +1313,23 @@ let parse_observe_spec body =
     opt_field "max_distance" Tiny_json.to_int
       "field \"max_distance\" must be an integer"
   in
+  let* () =
+    (* a story's profile holds max_distance × times counts, allocated
+       from its first batch, so max_distance (by default the population's
+       length) has the same cap as times *)
+    let groups =
+      match (max_distance, population) with
+      | Some d, _ -> d
+      | None, ps -> Option.fold ~none:0 ~some:Array.length ps
+    in
+    if groups > max_cached_solutions then
+      Error
+        (Printf.sprintf
+           "field \"max_distance\" (default: the length of \"population\") \
+            must be at most %d"
+           max_cached_solutions)
+    else Ok ()
+  in
   let* lateness =
     opt_field "lateness" Tiny_json.to_float
       "field \"lateness\" must be a number"
@@ -1511,7 +1557,7 @@ let run_refit t task =
           (fun () ->
             let phi = Dl.Fit.phi_of_obs obs in
             let rng = Numerics.Rng.create t.cfg.live_seed in
-            let result = Dl.Fit.fit ~config ~id ?init rng obs in
+            let result = Dl.Fit.fit ~config ~id ?init ~phi rng obs in
             (phi, result))
       with
       | exception e ->

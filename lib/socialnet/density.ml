@@ -60,6 +60,22 @@ let at t ~distance ~time =
   let it = index_of t.times time ~eq:(fun a b -> Float.abs (a -. b) < 1e-9) in
   t.density.(ix).(it)
 
+let mean_relative_error t ~times ~predict =
+  let err = ref 0. and cells = ref 0 in
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun time ->
+          let actual = at t ~distance:x ~time in
+          if actual > 0. then begin
+            let predicted = predict ~x:(float_of_int x) ~t:time in
+            err := !err +. (Float.abs (predicted -. actual) /. actual);
+            incr cells
+          end)
+        times)
+    t.distances;
+  ((if !cells = 0 then Float.nan else !err /. float_of_int !cells), !cells)
+
 let series_at_distance t ~distance =
   let ix = index_of t.distances distance ~eq:( = ) in
   Array.copy t.density.(ix)

@@ -29,6 +29,17 @@ val at : t -> distance:int -> time:float -> float
 (** Density at an exact recorded (distance, time) pair.
     @raise Not_found if either coordinate was not recorded. *)
 
+val mean_relative_error :
+  t -> times:float array -> predict:(x:float -> t:float -> float) ->
+  float * int
+(** [(error, cells)]: the mean of the paper's relative error
+    [|predict - actual| / actual] (Eq. 8) over every recorded cell at
+    [times] whose observed density is positive, and the number of such
+    cells.  Distances are the outer loop and [times] the inner one, in
+    array order, so the sum is the same bit for bit on every call.  The
+    mean is [nan] when no cell qualifies.
+    @raise Not_found if a time in [times] was not recorded. *)
+
 val series_at_distance : t -> distance:int -> float array
 (** Time series [I(x, ·)] for one distance.  @raise Not_found. *)
 

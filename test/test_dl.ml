@@ -294,6 +294,92 @@ let test_fit_rejects_bad_obs () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* --- calibrators pinned bit for bit ---
+
+   A fixed observation that no model reproduces (the densities of the
+   serving smoke test), so restarts end in different basins and the
+   winner's bits depend on the whole search: start order, rng draws,
+   tie-breaking and the error sum.  The expected values are
+   [Int64.bits_of_float] of every fitted parameter and of the training
+   error. *)
+
+let pin_obs =
+  {
+    Socialnet.Density.distances = [| 1; 2; 3; 4; 5 |];
+    times = [| 1.; 2.; 3.; 4.; 5.; 6. |];
+    density =
+      [|
+        [| 1.0; 2.0; 3.5; 5.0; 6.0; 6.5 |];
+        [| 0.8; 1.6; 2.8; 4.0; 5.0; 5.5 |];
+        [| 0.5; 1.0; 1.8; 2.6; 3.3; 3.8 |];
+        [| 0.3; 0.6; 1.1; 1.6; 2.0; 2.4 |];
+        [| 0.2; 0.4; 0.7; 1.0; 1.3; 1.5 |];
+      |];
+    population = Array.make 5 100;
+  }
+
+let check_pinned name expected values =
+  Alcotest.(check (list int64)) name expected
+    (List.map Int64.bits_of_float values)
+
+let exp_decay = function
+  | Dl.Growth.Exp_decay { a; b; c } -> [ a; b; c ]
+  | Dl.Growth.Constant _ -> Alcotest.fail "expected an exp-decay r(t)"
+
+let pin_fit_config =
+  { Dl.Fit.default_config with starts = 3; solver_nx = 21; solver_dt = 0.1 }
+
+let test_fit_pinned () =
+  let pinned name expected evaluations (r : Dl.Fit.result) =
+    let p = r.Dl.Fit.params in
+    check_pinned name expected
+      ((p.Dl.Params.d :: p.Dl.Params.k :: exp_decay p.Dl.Params.r)
+       @ [ r.Dl.Fit.training_error ]);
+    Alcotest.(check int) (name ^ " evaluations") evaluations
+      r.Dl.Fit.evaluations
+  in
+  pinned "cold"
+    [ 0x3f1a36e2eb1c432dL; 0x40337fa56fd207bdL; 0x3fde38810654ca69L;
+      0x3ff9a57547b569ecL; 0x3fe00c574f9c6ff3L; 0x3fa55c5212af2515L ]
+    1088
+    (Dl.Fit.fit ~config:pin_fit_config (Rng.create 7) pin_obs);
+  (* a warm start replaces restart 0 only; restart 1 is the cold one *)
+  let prior = Dl.Params.with_domain Dl.Params.paper_hops ~l:1. ~big_l:5. in
+  pinned "warm"
+    [ 0x3f1a36e2eb1c432dL; 0x40337ff15c3def4eL; 0x3fe19c01f93ed808L;
+      0x3fff504a51a639e4L; 0x3fe00d0a3397f11cL; 0x3fa60017f3c98843L ]
+    628
+    (Dl.Fit.fit ~config:{ pin_fit_config with starts = 2 }
+       ~init:(Dl.Fit.Init_params prior) (Rng.create 7) pin_obs)
+
+let test_linear_fit_pinned () =
+  let config =
+    { Dl.Linear_model.default_fit_config with
+      starts = 3; solver_nx = 21; solver_dt = 0.1 }
+  in
+  List.iter
+    (fun pool ->
+      let r = Dl.Linear_model.fit ~config ~pool (Rng.create 7) pin_obs in
+      let p = r.Dl.Linear_model.params in
+      let name = Printf.sprintf "%d domains" (Parallel.Pool.jobs pool) in
+      check_pinned name
+        [ 0x3f1a36e2eb1c432dL; 0x3fe5e16608610fdaL; 0x4007540d0601f67dL;
+          0x3fde2af6abd02939L; 0x3fa3ca9cbbbd50a6L ]
+        ((p.Dl.Linear_model.d :: exp_decay p.Dl.Linear_model.r)
+         @ [ r.Dl.Linear_model.training_error ]);
+      Alcotest.(check int) (name ^ " evaluations") 829
+        r.Dl.Linear_model.evaluations)
+    [ Parallel.Pool.sequential; Parallel.Pool.create ~jobs:2 () ]
+
+let test_epidemic_fit_pinned () =
+  let r = Dl.Epidemic.fit (Rng.create 4) pin_obs in
+  let p = r.Dl.Epidemic.params in
+  check_pinned "rates and training error"
+    [ 0x3fe16c64c87b8565L; 0x3fa60e4292c96c28L; 0x3fc3178dba1c34a6L;
+      0x3fb9a6919510c699L ]
+    [ p.Dl.Epidemic.beta_local; p.Dl.Epidemic.beta_cross;
+      p.Dl.Epidemic.mixing_decay; r.Dl.Epidemic.training_error ]
+
 (* --- Baselines --- *)
 
 let test_persistence_baseline () =
@@ -386,6 +472,33 @@ let test_pipeline_auto_beats_or_matches_paper_params () =
     (auto.Dl.Pipeline.table.Dl.Accuracy.overall_average
      >= paper.Dl.Pipeline.table.Dl.Accuracy.overall_average -. 0.05)
 
+(* An [Auto] fit is calibrated on the phi the pipeline solves from, in
+   either construction, and reports that phi to [on_fit]. *)
+let test_pipeline_fit_uses_its_phi () =
+  let c = Lazy.force corpus in
+  let ds = c.Socialnet.Digg.dataset in
+  let s1 = Socialnet.Dataset.story ds c.Socialnet.Digg.rep_ids.(0) in
+  List.iter
+    (fun construction ->
+      let seen = ref None in
+      let exp =
+        Dl.Pipeline.run ~construction
+          ~params:
+            (Dl.Pipeline.Auto
+               { rng = Rng.create 9;
+                 config = { pin_fit_config with starts = 1 } })
+          ~on_fit:(fun ev -> seen := Some ev.Dl.Fit.ev_phi)
+          ds ~story:s1 ~metric:Dl.Pipeline.hops
+      in
+      match !seen with
+      | None -> Alcotest.fail "no fit reported"
+      | Some phi ->
+        Alcotest.(check bool) "reported construction" true
+          (Dl.Initial.construction phi = construction);
+        Alcotest.(check bool) "the pipeline's own phi" true
+          (phi == exp.Dl.Pipeline.phi))
+    [ `Pchip; `Cubic_spline ]
+
 let test_pipeline_baseline_table () =
   let c = Lazy.force corpus in
   let ds = c.Socialnet.Digg.dataset in
@@ -424,6 +537,9 @@ let suite =
     Alcotest.test_case "fit recovers DL" `Slow test_fit_recovers_dl_dynamics;
     Alcotest.test_case "fit self-error" `Quick test_fit_objective_paper_params_near_zero_on_own_data;
     Alcotest.test_case "fit rejects bad obs" `Quick test_fit_rejects_bad_obs;
+    Alcotest.test_case "fit pinned bits" `Quick test_fit_pinned;
+    Alcotest.test_case "linear fit pinned bits" `Quick test_linear_fit_pinned;
+    Alcotest.test_case "epidemic fit pinned bits" `Quick test_epidemic_fit_pinned;
     Alcotest.test_case "persistence baseline" `Quick test_persistence_baseline;
     Alcotest.test_case "linear baseline" `Quick test_linear_trend_baseline;
     Alcotest.test_case "logistic baseline" `Quick test_logistic_baseline_beats_persistence_on_logistic_data;
@@ -431,4 +547,5 @@ let suite =
     Alcotest.test_case "pipeline interest" `Slow test_pipeline_runs_interest;
     Alcotest.test_case "pipeline auto fit" `Slow test_pipeline_auto_beats_or_matches_paper_params;
     Alcotest.test_case "pipeline baselines" `Slow test_pipeline_baseline_table;
+    Alcotest.test_case "pipeline fit uses its phi" `Slow test_pipeline_fit_uses_its_phi;
   ]

@@ -1,36 +1,11 @@
-(* Tests for Numerics.Optimize and Numerics.Stats. *)
+(* Tests for Numerics.Optimize, the multi-start search built on it
+   (Dl.Fit.multi_start), and Numerics.Stats. *)
 
 open Numerics
 
 let checkf tol = Alcotest.(check (float tol))
 
 (* --- Optimize --- *)
-
-let test_bisect_sqrt2 () =
-  let root = Optimize.bisect (fun x -> (x *. x) -. 2.) ~lo:0. ~hi:2. in
-  checkf 1e-9 "sqrt 2" (sqrt 2.) root
-
-let test_bisect_endpoint_root () =
-  checkf 1e-12 "root at lo" 0. (Optimize.bisect (fun x -> x) ~lo:0. ~hi:1.);
-  checkf 1e-12 "root at hi" 1.
-    (Optimize.bisect (fun x -> x -. 1.) ~lo:0. ~hi:1.)
-
-let test_bisect_no_sign_change () =
-  try
-    ignore (Optimize.bisect (fun x -> (x *. x) +. 1.) ~lo:0. ~hi:1.);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_golden_section () =
-  let x = Optimize.golden_section (fun x -> (x -. 1.7) ** 2.) ~lo:(-5.) ~hi:5. in
-  checkf 1e-6 "quadratic min" 1.7 x
-
-let test_brent () =
-  let x = Optimize.brent (fun x -> (x -. 1.7) ** 2.) ~lo:(-5.) ~hi:5. in
-  checkf 1e-6 "quadratic min" 1.7 x;
-  (* non-symmetric, non-quadratic *)
-  let y = Optimize.brent (fun x -> x *. x *. (x -. 2.)) ~lo:0.5 ~hi:3. in
-  checkf 1e-5 "cubic interior min" (4. /. 3.) y
 
 let test_nelder_mead_rosenbrock () =
   let rosen v =
@@ -46,17 +21,6 @@ let test_nelder_mead_1d () =
   let r = Optimize.nelder_mead (fun v -> (v.(0) +. 3.) ** 2.) ~x0:[| 10. |] in
   checkf 1e-3 "1-d min" (-3.) r.Optimize.x.(0)
 
-let test_grid_search () =
-  let f v = ((v.(0) -. 2.) ** 2.) +. ((v.(1) +. 1.) ** 2.) in
-  let x, fx = Optimize.grid_search f ~ranges:[| (0., 4., 9); (-3., 1., 9) |] in
-  checkf 1e-9 "x0" 2. x.(0);
-  checkf 1e-9 "x1" (-1.) x.(1);
-  checkf 1e-9 "f" 0. fx
-
-let test_grid_search_single_cell () =
-  let x, _ = Optimize.grid_search (fun v -> v.(0)) ~ranges:[| (2., 4., 1) |] in
-  checkf 1e-12 "midpoint" 3. x.(0)
-
 let test_multi_start () =
   (* Objective with a local minimum at -2 (value 1) and the global one
      at 3 (value 0): multi-start should find the global one. *)
@@ -64,11 +28,22 @@ let test_multi_start () =
     let x = v.(0) in
     Float.min (1. +. ((x +. 2.) ** 2.)) ((x -. 3.) ** 2.)
   in
-  let rng = Rng.create 5 in
-  let r =
-    Optimize.multi_start_nelder_mead ~rng ~starts:20 f ~lo:[| -6. |] ~hi:[| 6. |]
+  let r, _ =
+    Dl.Fit.multi_start ~tol:1e-9 ~max_iter:2000 ~starts:20 ~lo:[| -6. |]
+      ~hi:[| 6. |] (Rng.create 5) (fun () -> f)
   in
   checkf 1e-2 "global min" 3. r.Optimize.x.(0)
+
+let test_multi_start_first_minimum_wins () =
+  (* on a flat objective every restart ties, so the result must be
+     restart 0's: the run from the box midpoint *)
+  let flat _ = 1. in
+  let r, _ =
+    Dl.Fit.multi_start ~starts:5 ~lo:[| 0. |] ~hi:[| 4. |] (Rng.create 4)
+      (fun () -> flat)
+  in
+  let r0 = Optimize.nelder_mead ~tol:1e-6 ~max_iter:250 flat ~x0:[| 2. |] in
+  checkf 0. "restart 0's point" r0.Optimize.x.(0) r.Optimize.x.(0)
 
 (* --- Stats --- *)
 
@@ -151,16 +126,11 @@ let prop_rmse_dominates_mae =
 
 let suite =
   [
-    Alcotest.test_case "bisect sqrt2" `Quick test_bisect_sqrt2;
-    Alcotest.test_case "bisect endpoints" `Quick test_bisect_endpoint_root;
-    Alcotest.test_case "bisect no sign change" `Quick test_bisect_no_sign_change;
-    Alcotest.test_case "golden section" `Quick test_golden_section;
-    Alcotest.test_case "brent" `Quick test_brent;
     Alcotest.test_case "nelder-mead rosenbrock" `Quick test_nelder_mead_rosenbrock;
     Alcotest.test_case "nelder-mead 1d" `Quick test_nelder_mead_1d;
-    Alcotest.test_case "grid search" `Quick test_grid_search;
-    Alcotest.test_case "grid single cell" `Quick test_grid_search_single_cell;
     Alcotest.test_case "multi-start escapes local" `Quick test_multi_start;
+    Alcotest.test_case "multi-start first minimum wins" `Quick
+      test_multi_start_first_minimum_wins;
     Alcotest.test_case "mean/var/std" `Quick test_mean_var_std;
     Alcotest.test_case "variance degenerate" `Quick test_variance_degenerate;
     Alcotest.test_case "median/quantile" `Quick test_median_quantile;

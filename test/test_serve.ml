@@ -302,6 +302,11 @@ let test_input_rejection () =
     (post
        {|{"distances":[1,2],"times":[2,3],"density":[[1,2],[1,2]]}|})
       .Serve.Client.status;
+  Alcotest.(check int) "repeated distance" 400
+    (post
+       {|{"model":"epidemic","distances":[1,1],"times":[1,2],
+          "density":[[1,2],[1,2]]}|})
+      .Serve.Client.status;
   Alcotest.(check int) "ragged density" 400
     (post
        {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1]]}|})
@@ -351,6 +356,63 @@ let test_serving_limits () =
   rejected "observe times past 200 h" ~limit:"200" (post "/observe" (observe [ 1.; 2.; 201. ]));
   rejected "observe 65 times" ~limit:"64" (post "/observe" (observe (first 65)));
   accepted "observe 64 times" (post "/observe" (observe (first 64)))
+
+(* A /fit solve's cost is nx × its time steps, and every objective
+   evaluation runs one; a live profile allocates max_distance × times
+   counts.  Both are refused past their budgets before any work.  A fit
+   past the budget would hold its worker for ever and stopping the
+   server waits for running requests, so the first request has a
+   client timeout and the server is stopped only once it answered. *)
+let test_work_budgets () =
+  let server = Serve.Server.create ~config:base_config () in
+  let th = Thread.create Serve.Server.run server in
+  let port = Serve.Server.port server in
+  let post path body =
+    Serve.Client.request ~timeout:10. ~port ~body "POST" path
+  in
+  let fit ?(model = "dl") ?(nx = 41) ?(dt = "0.05") last =
+    Printf.sprintf
+      {|{"model":"%s","distances":[1,2],"times":[1,%g],
+         "density":[[2,3],[1,2]],"starts":1,"nx":%d,"dt":%s}|}
+      model last nx dt
+  in
+  let first =
+    match post "/fit" (fit ~dt:"1e-300" 2.) with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "no answer to \"dt\": 1e-300 (%s)" msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      Thread.join th;
+      Obs.set_enabled false)
+  @@ fun () ->
+  let accepted name r = Alcotest.(check int) name 200 (ok r).Serve.Client.status in
+  let rejected name ~limit r =
+    let r = ok r in
+    Alcotest.(check int) name 400 r.Serve.Client.status;
+    Alcotest.(check bool) (name ^ " names the limit") true
+      (contains ~needle:limit r.Serve.Client.body)
+  in
+  rejected "dt = 1e-300" ~limit:"2009900" (Ok first);
+  rejected "fit times past 200 h" ~limit:"200" (post "/fit" (fit 201.));
+  (* persistence solves nothing, so the budget's edge costs nothing *)
+  accepted "101 cells to 200 h at dt = 0.01"
+    (post "/fit" (fit ~model:"persistence" ~nx:101 ~dt:"0.01" 200.));
+  rejected "102 cells" ~limit:"2009900"
+    (post "/fit" (fit ~model:"persistence" ~nx:102 ~dt:"0.01" 200.));
+  let groups n = String.concat "," (List.init n (fun _ -> "10")) in
+  let observe ?max_distance n =
+    Printf.sprintf {|{"story":"s","votes":[],"times":[1,2],"population":[%s]%s}|}
+      (groups n)
+      (match max_distance with
+      | Some d -> Printf.sprintf {|,"max_distance":%d|} d
+      | None -> "")
+  in
+  rejected "max_distance 65" ~limit:"64"
+    (post "/observe" (observe ~max_distance:65 65));
+  rejected "65 population groups" ~limit:"64" (post "/observe" (observe 65));
+  accepted "64 population groups" (post "/observe" (observe 64))
 
 let test_metrics_endpoint () =
   with_server @@ fun port ->
@@ -987,6 +1049,7 @@ let suite =
     Alcotest.test_case "input rejection" `Quick test_input_rejection;
     Alcotest.test_case "serving horizon and batch limits" `Quick
       test_serving_limits;
+    Alcotest.test_case "fit and observe work budgets" `Quick test_work_budgets;
     Alcotest.test_case "metrics endpoint" `Slow test_metrics_endpoint;
     Alcotest.test_case "oversized body rejected" `Quick
       test_oversized_body_rejected;
