@@ -122,6 +122,265 @@ let prop_json_never_raises =
     (QCheck.make ~print:(Printf.sprintf "%S") garbage_gen)
     (fun s -> match J.parse s with Ok _ | Error _ -> true)
 
+(* The codec's output bytes are part of the API (clients compare
+   densities bit for bit), so numbers must print exactly as the
+   Printf formats they were defined by: "%.0f" for integral values
+   below 1e15 in magnitude, "%.17g" otherwise, null when not finite. *)
+let printf_number v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v
+
+(* Bit patterns: uniform, then each binade's edges, subnormals, zeros,
+   integers on both sides of 1e15, and the non-finite values. *)
+let float_bits_gen =
+  let open QCheck.Gen in
+  let of_bits = map Int64.float_of_bits in
+  let signed g = map2 (fun neg v -> if neg then -.v else v) bool g in
+  frequency
+    [
+      (4, of_bits ui64);
+      (* subnormals: exponent field zero *)
+      (1, signed (of_bits (map (fun m -> Int64.shift_right_logical m 12) ui64)));
+      (1, oneofl [ 0.; -0.; Float.max_float; -.Float.max_float; Float.min_float;
+                   4.9e-324; 1e15; -1e15; 1e15 -. 1.; 1e15 +. 2.; 0.5; -0.5;
+                   Float.nan; Float.infinity; Float.neg_infinity; 2. ** 53.;
+                   2. ** 63.; 1e300; 1e-300 ]);
+      (2, signed (map float_of_int (int_bound 1_000_000)));
+      (1, signed (map (fun k -> 1e15 +. float_of_int (k - 500)) (int_bound 1000)));
+      (1, signed (map (fun e -> 2. ** float_of_int (e - 1074)) (int_bound 2097)));
+      (* the values a density response is made of *)
+      (2, map2 (fun a b -> float_of_int a /. float_of_int (b + 1)) (int_bound 100_000) (int_bound 9999));
+    ]
+
+let prop_json_number_bytes =
+  QCheck.Test.make ~count:3000 ~name:"json numbers print as their Printf formats"
+    (QCheck.make
+       ~print:(fun v -> Printf.sprintf "%h (bits %Lx)" v (Int64.bits_of_float v))
+       float_bits_gen)
+    (fun v ->
+      J.to_string (J.Number v) = printf_number v
+      && J.to_string (J.List [ J.Number v; J.Number v ])
+         = "[" ^ printf_number v ^ "," ^ printf_number v ^ "]")
+
+(* The parser as it was defined: one [Some c] per peeked byte, strings
+   built a byte at a time.  It is the reference the serving parser is
+   checked against, values and errors (message and byte offset) alike. *)
+module Reference_json = struct
+  exception Err of int * string
+
+  let max_depth = 32
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let err msg = raise (Err (!pos, msg)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> err (Printf.sprintf "expected %C" c)
+    in
+    let literal word value =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        value
+      end
+      else err (Printf.sprintf "expected %s" word)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec loop () =
+        if !pos >= n then err "unterminated string";
+        let c = s.[!pos] in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' -> (
+          if !pos >= n then err "unterminated escape";
+          let e = s.[!pos] in
+          advance ();
+          match e with
+          | '"' | '\\' | '/' ->
+            Buffer.add_char buf e;
+            loop ()
+          | 'n' ->
+            Buffer.add_char buf '\n';
+            loop ()
+          | 't' ->
+            Buffer.add_char buf '\t';
+            loop ()
+          | 'r' ->
+            Buffer.add_char buf '\r';
+            loop ()
+          | 'b' ->
+            Buffer.add_char buf '\b';
+            loop ()
+          | 'f' ->
+            Buffer.add_char buf '\012';
+            loop ()
+          | 'u' ->
+            if !pos + 4 > n then err "truncated \\u escape";
+            let hex = String.sub s !pos 4 in
+            pos := !pos + 4;
+            let code =
+              match int_of_string_opt ("0x" ^ hex) with
+              | Some c -> c
+              | None -> err "bad \\u escape"
+            in
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end;
+            loop ()
+          | _ -> err "bad escape")
+        | c when Char.code c < 0x20 -> err "control character in string"
+        | c ->
+          Buffer.add_char buf c;
+          loop ()
+      in
+      loop ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do
+        advance ()
+      done;
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some v -> J.Number v
+      | None -> err "bad number"
+    in
+    let rec parse_value depth =
+      skip_ws ();
+      match peek () with
+      | None -> err "unexpected end of input"
+      | Some ('{' | '[') when depth >= max_depth ->
+        err (Printf.sprintf "nested deeper than %d levels" max_depth)
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          J.Object []
+        end
+        else begin
+          let fields = ref [] in
+          let rec members () =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value (depth + 1) in
+            fields := (key, v) :: !fields;
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              members ()
+            | Some '}' -> advance ()
+            | _ -> err "expected ',' or '}'"
+          in
+          members ();
+          J.Object (List.rev !fields)
+        end
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          J.List []
+        end
+        else begin
+          let items = ref [] in
+          let rec elements () =
+            let v = parse_value (depth + 1) in
+            items := v :: !items;
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              elements ()
+            | Some ']' -> advance ()
+            | _ -> err "expected ',' or ']'"
+          in
+          elements ();
+          J.List (List.rev !items)
+        end
+      | Some '"' -> J.String (parse_string ())
+      | Some 't' -> literal "true" (J.Bool true)
+      | Some 'f' -> literal "false" (J.Bool false)
+      | Some 'n' -> literal "null" J.Null
+      | Some _ -> parse_number ()
+    in
+    match
+      let v = parse_value 0 in
+      skip_ws ();
+      if !pos <> n then err "trailing content";
+      v
+    with
+    | v -> Ok v
+    | exception Err (at, msg) ->
+      Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
+end
+
+(* Documents as clients write them (whitespace, escapes, exponents),
+   then the same with a few bytes edited, plus random bytes. *)
+let parse_input_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneofl
+      [ " "; "\n\t"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\u00e9"; "\\u20AC"; "\\uD83D";
+        "\\u12"; "\\x"; "\001"; "\\"; "\""; "1e5"; "-0.25E-3"; "+1"; ".5"; "1.2.3";
+        "tru"; "nul"; "false"; "[["; "]]"; "{}"; "{\"k\":"; ","; ":"; "\xc3\xa9" ]
+  in
+  let text = map (String.concat "") (list_size (0 -- 6) piece) in
+  let with_strings =
+    map2
+      (fun key body -> Printf.sprintf {| { "%s" : [ "%s" , 1e-3 , true ] } |} key body)
+      text text
+  in
+  let edit s (op, i, c) =
+    let n = String.length s in
+    let i = if n = 0 then 0 else i mod n in
+    match op with
+    | 0 when n > 0 -> String.mapi (fun j d -> if j = i then c else d) s
+    | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  in
+  frequency
+    [
+      (2, map J.to_string json_gen);
+      (2, with_strings);
+      (2, map2 (List.fold_left edit) with_strings (list_size (1 -- 3) (triple (0 -- 2) nat char)));
+      (3, garbage_gen);
+      (1, map (fun k -> String.make k '[' ^ "1" ^ String.make k ']') (30 -- 34));
+    ]
+
+let prop_json_parse_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"json parse equals the reference parser"
+    (QCheck.make ~print:(Printf.sprintf "%S") parse_input_gen)
+    (fun s -> J.parse s = Reference_json.parse s)
+
 let test_json_accessors () =
   match J.parse {|{"n":3,"f":2.5,"s":"hi","l":[1,2]}|} with
   | Error e -> Alcotest.fail e
@@ -1041,6 +1300,8 @@ let suite =
     Alcotest.test_case "json nesting depth bounded" `Quick test_json_depth_limit;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_never_raises;
+    QCheck_alcotest.to_alcotest prop_json_number_bytes;
+    QCheck_alcotest.to_alcotest prop_json_parse_matches_reference;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     Alcotest.test_case "prometheus renderer" `Quick test_prometheus_renderer;
     Alcotest.test_case "healthz" `Quick test_healthz;
