@@ -36,7 +36,7 @@ let simulate p ~i0 ~times =
   Array.init m (fun ix ->
       Array.map (fun (_, y) -> 100. *. y.(ix)) snapshots)
 
-type fit_result = { params : params; training_error : float }
+type fit_result = { params : params; training_error : float; evaluations : int }
 
 let group_index distances x =
   let found = ref (-1) in
@@ -74,12 +74,12 @@ let fit ?(fit_times = [| 2.; 3.; 4. |]) rng (obs : Socialnet.Density.t) =
     }
   in
   let objective v = error_against obs ~fit_times (of_vector v) in
-  let best, _ =
+  let best, evaluations =
     Fit.multi_start ~tol:1e-8 ~max_iter:400 ~starts:6
       ~lo:[| 0.; 0.; 0.05 |] ~hi:[| 3.; 1.; 1. |] rng (fun () -> objective)
   in
   let params = of_vector best.Optimize.x in
-  { params; training_error = error_against obs ~fit_times params }
+  { params; training_error = error_against obs ~fit_times params; evaluations }
 
 let predictor p ~(obs : Socialnet.Density.t) =
   let distances = obs.Socialnet.Density.distances in

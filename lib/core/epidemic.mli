@@ -33,6 +33,7 @@ val simulate :
 type fit_result = {
   params : params;
   training_error : float;  (** mean relative error over the fit cells *)
+  evaluations : int;  (** objective evaluations (ODE solves) spent *)
 }
 
 val fit :

@@ -37,7 +37,10 @@ val default_config : config
 type result = {
   params : Params.t;
   training_error : float;
-      (** mean relative error over the fitting cells *)
+      (** mean relative error over the fitting cells, evaluated once
+          more at the end on the serving grid ([nx] 101, [dt] 0.01 h,
+          under [solver_scheme]), not on the fitting grid
+          ([solver_nx], [solver_dt]) the search ran on *)
   evaluations : int;  (** number of PDE solves spent *)
 }
 

@@ -28,7 +28,7 @@ let check_times times =
   if Array.exists (fun t -> t < 1.) times then
     invalid_arg "Linear_model.solve: observation times start at t = 1"
 
-let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
+let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?from params ~phi ~times =
   check_times times;
   let pp =
     {
@@ -56,7 +56,7 @@ let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) params ~phi ~times =
     | Crank_nicolson -> Pde.Panel_imex 0.5
     | Strang -> Pde.Panel_strang
   in
-  { params; pde = Pde.solve_story ~scheme ~dt pp ~times }
+  { params; pde = Pde.solve_story ~scheme ~dt ?from pp ~times }
 
 let predict sol ~x ~t = Pde.eval sol.pde ~x ~t
 let predictor sol = Pde.evaluator sol.pde

@@ -46,15 +46,16 @@ type solution = {
 }
 
 val solve :
-  ?scheme:scheme -> ?nx:int -> ?dt:float ->
+  ?scheme:scheme -> ?nx:int -> ?dt:float -> ?from:float * float array ->
   params -> phi:Initial.t -> times:float array -> solution
 (** [solve params ~phi ~times] integrates from t = 1 and records a
     snapshot at each requested time (all must be [>= 1]).  Defaults:
     [Strang] with the exact linear reaction flow [u e^{∫r}] (the
     kernel's [Panel_strang] on a [Linear] reaction), [nx = 101],
-    [dt = 0.01] hours.
+    [dt = 0.01] hours.  [~from:(t0, u)] resumes from a state recorded
+    at [t0], as {!Model.solve} does.
     @raise Invalid_argument on a time below 1, a NaN or infinite time,
-    or decreasing times. *)
+    decreasing times or a time before [t0]. *)
 
 val predict : solution -> x:float -> t:float -> float
 (** Interpolated I(x, t) from the recorded snapshots.

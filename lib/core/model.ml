@@ -36,12 +36,13 @@ let panel_scheme_of = function
   | Crank_nicolson -> Some (Pde.Panel_imex 0.5)
   | Strang -> Some Pde.Panel_strang
 
-(* One story on the domain (l, L) from t = 1.  Strang and
-   Crank--Nicolson run the fused kernel at width 1: on the caller's
-   workspace (its buffers survive across calls — one per fit restart),
-   or on private buffers counted as a plain solve.  FTCS sub-steps below
-   the story's CFL limit, which rules out lockstep: scalar solver. *)
-let solve_one ?workspace ~scheme ~nx ~dt params story ~times =
+(* One story on the domain (l, L) from t = 1, or from a recorded state
+   [from].  Strang and Crank--Nicolson run the fused kernel at width 1:
+   on the caller's workspace (its buffers survive across calls — one
+   per fit restart), or on private buffers counted as a plain solve,
+   which is also where a resume runs.  FTCS sub-steps below the story's
+   CFL limit, which rules out lockstep: scalar solver. *)
+let solve_one ?workspace ?from ~scheme ~nx ~dt params story ~times =
   match panel_scheme_of scheme with
   | Some ps -> (
     let pp =
@@ -53,10 +54,11 @@ let solve_one ?workspace ~scheme ~nx ~dt params story ~times =
         pp_stories = [| story |];
       }
     in
-    match workspace with
-    | Some ws -> (Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times).(0)
-    | None -> Pde.solve_story ~scheme:ps ~dt pp ~times)
+    match (workspace, from) with
+    | Some ws, None -> (Pde.solve_panel ~scheme:ps ~dt ~workspace:ws pp ~times).(0)
+    | _ -> Pde.solve_story ~scheme:ps ~dt ?from pp ~times)
   | None ->
+    if Option.is_some from then invalid_arg "Model.solve: FTCS cannot resume (?from)";
     let p =
       {
         Pde.xl = params.Params.l;
@@ -70,11 +72,11 @@ let solve_one ?workspace ~scheme ~nx ~dt params story ~times =
     in
     Pde.solve ~scheme:Pde.Ftcs ~dt p ~times
 
-let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace params ~phi
-    ~times =
+let solve ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace ?from params
+    ~phi ~times =
   check_times times;
   let story = panel_story_of params ~phi in
-  { params; pde = solve_one ?workspace ~scheme ~nx ~dt params story ~times }
+  { params; pde = solve_one ?workspace ?from ~scheme ~nx ~dt params story ~times }
 
 let solve_panel ?(scheme = Strang) ?(nx = 101) ?(dt = 0.01) ?workspace stories
     ~times =

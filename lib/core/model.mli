@@ -16,6 +16,7 @@ type solution = {
 val solve :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->
   ?workspace:Numerics.Pde.panel_workspace ->
+  ?from:float * float array ->
   Params.t -> phi:Initial.t -> times:float array -> solution
 (** [solve params ~phi ~times] integrates from t = 1 (the paper's
     initial observation hour) and records a snapshot at each requested
@@ -30,8 +31,15 @@ val solve :
     per fit restart / pool worker; never share one across domains
     concurrently.  [Ftcs] runs the scalar solver and ignores
     [?workspace].
+
+    [~from:(t0, u)] resumes a solve of the same parameters, [nx], [dt]
+    and scheme from the state [u] it recorded at [t0] (see
+    {!Numerics.Pde.solve_story}): the result's snapshots at later
+    times are bit-identical to those of a solve from t = 1 with [t0]
+    among its times, and only the steps after [t0] are run.  A resume
+    runs on private buffers; [Ftcs] cannot resume.
     @raise Invalid_argument on a time below 1, a NaN or infinite time,
-    or decreasing times. *)
+    decreasing times, a time before [t0], or [?from] with [Ftcs]. *)
 
 val solve_panel :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->

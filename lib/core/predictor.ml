@@ -165,7 +165,7 @@ let epidemic =
               ("mixing_decay", p.Epidemic.mixing_decay);
             ];
           training_error = r.Epidemic.training_error;
-          evaluations = 0;
+          evaluations = r.Epidemic.evaluations;
         });
   }
 

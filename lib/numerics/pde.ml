@@ -393,8 +393,10 @@ external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
 
 (* Story [s]'s FV operator L, initial state and reaction shape, written
    straight into the flat buffers with [face_diffusion] and
-   [operator_tridiag]'s expressions (same bits, no per-solve arrays). *)
-let load_story b pp xs s st =
+   [operator_tridiag]'s expressions (same bits, no per-solve arrays).
+   A resumed one-story solve takes its state from [state] instead of
+   the initial profile. *)
+let load_story ?state b pp xs s st =
   let n = b.pb_nx and ns = b.pb_ns in
   let h2 = dx (problem_of_story pp st) ** 2. in
   (* face diffusivities d_{i-1/2} and d_{i+1/2} around cell [i] *)
@@ -411,7 +413,8 @@ let load_story b pp xs s st =
     b.pb_l_diag.(j) <- -.(dr +. dl);
     if i < n - 1 then b.pb_l_sup.(j) <- dr;
     if i > 0 then b.pb_l_sub.(j - ns) <- dl;
-    b.pb_u.(j) <- st.ps_initial xs.(i);
+    b.pb_u.(j) <-
+      (match state with Some u -> u.(i) | None -> st.ps_initial xs.(i));
     left := right
   done;
   match st.ps_reaction with
@@ -598,8 +601,10 @@ let step_panel b stories xs scheme t dt =
 (* The one fused path.  [plain] picks the telemetry: a one-story solve
    on private buffers counts as a plain solve ([pde.solves],
    [pde.steps], [pde.solve_ns], [pde.step_ns], like [solve]); anything
-   else counts in the [pde.panel_*] series. *)
-let solve_fused ~plain b scheme dt pp ~times =
+   else counts in the [pde.panel_*] series.  [from] (one story only)
+   starts the clock and the state at a recorded snapshot instead of
+   [pp_t0] and the initial profile. *)
+let solve_fused ~plain ?from b scheme dt pp ~times =
   let obs_on = Obs.enabled () in
   let solve_start = if obs_on then Obs.now_ns () else 0 in
   let stories = pp.pp_stories in
@@ -607,9 +612,12 @@ let solve_fused ~plain b scheme dt pp ~times =
   let nx = pp.pp_nx in
   (* one grid per panel: every story shares (xl, xr, nx) *)
   let xs = grid (problem_of_story pp stories.(0)) in
-  Array.iteri (load_story b pp xs) stories;
+  let t_start, state =
+    match from with Some (t0, u) -> (t0, Some u) | None -> (pp.pp_t0, None)
+  in
+  Array.iteri (load_story ?state b pp xs) stories;
   let nt = Array.length times + 1 in
-  let ts = Array.make nt pp.pp_t0 in
+  let ts = Array.make nt t_start in
   let values = Array.init ns (fun _ -> Array.make nt [||]) in
   let record k =
     for s = 0 to ns - 1 do
@@ -618,7 +626,7 @@ let solve_fused ~plain b scheme dt pp ~times =
   in
   record 0;
   let steps = ref 0 in
-  let t = ref pp.pp_t0 in
+  let t = ref t_start in
   Array.iteri
     (fun k target ->
       while target -. !t > 1e-12 do
@@ -652,8 +660,8 @@ let solve_fused ~plain b scheme dt pp ~times =
   end;
   Array.map (fun v -> { xs; ts; values = v }) values
 
-let validate_panel fn scheme dt pp ~times =
-  check_schedule fn ~dt ~t0:pp.pp_t0 times;
+let validate_panel fn scheme dt pp ~t0 ~times =
+  check_schedule fn ~dt ~t0 times;
   match scheme with
   | Panel_imex theta ->
     if theta < 0.5 || theta > 1. then
@@ -664,7 +672,7 @@ let validate_panel fn scheme dt pp ~times =
       pp.pp_stories
 
 let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?workspace pp ~times =
-  validate_panel "Pde.solve_panel" scheme dt pp ~times;
+  validate_panel "Pde.solve_panel" scheme dt pp ~t0:pp.pp_t0 ~times;
   if Array.length pp.pp_stories = 0 then [||]
   else begin
     let ws = match workspace with Some w -> w | None -> panel_workspace () in
@@ -672,11 +680,22 @@ let solve_panel ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?workspace pp ~times =
     solve_fused ~plain:false b scheme dt pp ~times
   end
 
-let solve_story ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) pp ~times =
+let solve_story ?(scheme = Panel_imex 0.5) ?(dt = 1e-3) ?from pp ~times =
   if Array.length pp.pp_stories <> 1 then
     invalid_arg "Pde.solve_story: the panel must hold exactly one story";
-  validate_panel "Pde.solve_story" scheme dt pp ~times;
-  (solve_fused ~plain:true (make_panel_bufs ~nx:pp.pp_nx ~ns:1) scheme dt pp ~times).(0)
+  let t0 =
+    match from with
+    | None -> pp.pp_t0
+    | Some (t0, u) ->
+      (* an infinite start would never reach a target *)
+      if not (Float.is_finite t0) then
+        invalid_arg "Pde.solve_story: the resume time must be finite";
+      if Array.length u <> pp.pp_nx then
+        invalid_arg "Pde.solve_story: the resume state must hold one value per grid node";
+      t0
+  in
+  validate_panel "Pde.solve_story" scheme dt pp ~t0 ~times;
+  (solve_fused ~plain:true ?from (make_panel_bufs ~nx:pp.pp_nx ~ns:1) scheme dt pp ~times).(0)
 
 (* Top level, not per call: the old per-call [clampf] closure was an
    allocation on the prediction hot path. *)
@@ -698,7 +717,11 @@ let eval_core xs ts values nx nt x_lo x_hi t_lo t_hi ~x ~t =
   let j = if nt = 1 then 0 else Interp.bracket ts t in
   let i1 = Stdlib.min (i + 1) (nx - 1) and j1 = Stdlib.min (j + 1) (nt - 1) in
   let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
-  let wt = if j1 = j then 0. else (t -. ts.(j)) /. (ts.(j1) -. ts.(j)) in
+  (* two snapshots at one time (a schedule that repeats a time, or a
+     resume recorded at its own start) weigh the earlier one *)
+  let wt =
+    if j1 = j || ts.(j1) = ts.(j) then 0. else (t -. ts.(j)) /. (ts.(j1) -. ts.(j))
+  in
   ((1. -. wx) *. (1. -. wt) *. values.(j).(i))
   +. (wx *. (1. -. wt) *. values.(j).(i1))
   +. ((1. -. wx) *. wt *. values.(j1).(i))

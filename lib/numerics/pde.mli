@@ -192,17 +192,28 @@ val solve_panel :
     An empty panel returns [[||]]. *)
 
 val solve_story :
-  ?scheme:panel_scheme -> ?dt:float -> panel_problem -> times:float array ->
-  solution
+  ?scheme:panel_scheme -> ?dt:float -> ?from:float * float array ->
+  panel_problem -> times:float array -> solution
 (** [solve_story pp ~times] is [(solve_panel pp ~times).(0)] for a
     one-story panel on private buffers, counted as a plain solve
     ([pde.solves], [pde.steps], [pde.solve_ns], [pde.step_ns], like
     {!solve}) rather than in the panel series.
-    @raise Invalid_argument unless [pp] holds exactly one story. *)
+
+    [~from:(t0, u)] resumes instead: the march starts at time [t0]
+    from the grid state [u] (one value per node, copied), not at
+    [pp_t0] from the initial profile, and the first snapshot is
+    [(t0, u)].  Reaching a snapshot time sets the clock to exactly
+    that time, so a march continues from a recorded snapshot alone:
+    resuming from the snapshot a solve of [pp] recorded at [t0], with
+    the same scheme and [dt], records the same bits at every later
+    time as that solve would with [t0] among its times.
+    @raise Invalid_argument unless [pp] holds exactly one story, or
+    if [t0] is not finite or [u] does not hold [pp_nx] values. *)
 
 val eval : solution -> x:float -> t:float -> float
 (** Bilinear interpolation in the snapshot table (clamped at the
-    borders).
+    borders).  Between two snapshots recorded at the same time the
+    earlier one counts.
     @raise Invalid_argument if [x] or [t] is NaN (a NaN would silently
     clamp to garbage). *)
 

@@ -53,6 +53,16 @@ let default_config =
 let max_header = 16 * 1024
 let max_cached_solutions = 64
 
+(* Minor heap of each worker domain, in words: 2 M words, 16 MB.  In
+   OCaml 5 every minor collection stops all domains, the event loop's
+   included, and a 200-point POST /predict allocates its JSON trees,
+   boxed floats and response bytes on the worker.  On perfbench
+   serve-read (one worker, 2-core Xeon container, seeds 4-6, 10 s
+   runs) the default 256 k words gave 882-940 requests/s and a p99 of
+   5.3-5.9 ms; 2 M words gave 1,055-1,261 requests/s and 3.2-4.7 ms.
+   The size is per domain, so each worker sets its own. *)
+let worker_minor_heap_words = 2 * 1024 * 1024
+
 (* Latest model hour a request may ask for.  A solve's cost grows
    linearly with its target hour, so without a cap one /predict or
    /observe could hold a worker for days; 200 h is four times the
@@ -102,8 +112,12 @@ type fit_entry = {
   fe_link_trace : string;
       (* for store-recovered entries: the trace id of the run that
          produced the fit, stamped onto serving spans as a span link *)
-  mutable fe_sols : (int64 * (x:float -> t:float -> float)) list;
+  mutable fe_sols : (float * (x:float -> t:float -> float)) list;
       (* memoized per-t evaluators, newest first (PDE backends only) *)
+  mutable fe_hours : float array array;
+      (* PDE backends: the serving grid's state at hours 2, 3, ..., as
+         far as a serving solve has reached — the checkpoints a memo
+         miss resumes from *)
 }
 
 (* One completed request trace, held in the server's bounded ring. *)
@@ -304,6 +318,7 @@ let warm_entry (r : Store.Format.record) =
           fe_evaluations = r.Store.Format.evaluations;
           fe_link_trace = r.Store.Format.trace_id;
           fe_sols = [];
+          fe_hours = [||];
         }
     in
     match r.Store.Format.model with
@@ -730,6 +745,7 @@ let run_fit ?init ~id ~config spec =
         fe_evaluations = result.Dl.Fit.evaluations;
         fe_link_trace = "";
         fe_sols = [];
+        fe_hours = [||];
       },
       Some { ps_phi = phi; ps_config = config; ps_result = result } )
   | "dl-linear" ->
@@ -766,6 +782,7 @@ let run_fit ?init ~id ~config spec =
         fe_evaluations = r.Dl.Linear_model.evaluations;
         fe_link_trace = "";
         fe_sols = [];
+        fe_hours = [||];
       },
       Some { ps_phi = phi; ps_config = pconfig; ps_result = result } )
   | model ->
@@ -792,6 +809,7 @@ let run_fit ?init ~id ~config spec =
         fe_evaluations = fitted.Dl.Predictor.evaluations;
         fe_link_trace = "";
         fe_sols = [];
+        fe_hours = [||];
       },
       None )
 
@@ -936,41 +954,108 @@ let handle_fit t (req : Http.request) =
 
 (* --- /predict --- *)
 
-(* Fresh per-t evaluator for a PDE backend (one solve, then
-   allocation-free point queries). *)
-let solve_backend backend ~at =
+(* A PDE backend's serving solve on the model's default grid (nx 101,
+   dt 0.01 h, Strang), from phi at t = 1 or from the state [from]
+   recorded at an earlier hour. *)
+let march backend from ~times =
   match backend with
-  | Be_dl { params; phi } ->
-    Dl.Model.predictor (Dl.Model.solve params ~phi ~times:[| at |])
+  | Be_dl { params; phi } -> (Dl.Model.solve ?from params ~phi ~times).Dl.Model.pde
   | Be_linear { params; phi } ->
-    Dl.Linear_model.predictor
-      (Dl.Linear_model.solve params ~phi ~times:[| at |])
-  | Be_fn { predict; _ } -> predict
+    (Dl.Linear_model.solve ?from params ~phi ~times).Dl.Linear_model.pde
+  | Be_fn _ -> invalid_arg "Server.march: not a PDE backend"
 
-let solution_for t entry ~at =
-  let key = Int64.bits_of_float at in
-  let hit =
+(* The state at whole hour [h] >= 2.  A new hour marches the
+   checkpoints on from the last one reached, recording every hour in
+   between.  The solve runs outside the lock: a concurrent march over
+   the same hours computes the same bits, and the first to finish
+   keeps its arrays. *)
+let checkpoint t entry h =
+  Mutex.lock t.cache_mutex;
+  let hours = entry.fe_hours in
+  Mutex.unlock t.cache_mutex;
+  let reached = Array.length hours + 1 in
+  if h <= reached then hours.(h - 2)
+  else begin
+    let from =
+      if reached < 2 then None
+      else Some (float_of_int reached, hours.(reached - 2))
+    in
+    let sol =
+      march entry.fe_backend from
+        ~times:(Array.init (h - reached) (fun k -> float_of_int (reached + 1 + k)))
+    in
+    (* [values.(k)] is the state at hour [reached + k] *)
     Mutex.lock t.cache_mutex;
-    let s = List.assoc_opt key entry.fe_sols in
+    let have = Array.length entry.fe_hours + 1 in
+    if have < h then
+      entry.fe_hours <-
+        Array.append entry.fe_hours
+          (Array.sub sol.Numerics.Pde.values (have + 1 - reached) (h - have));
+    let state = entry.fe_hours.(h - 2) in
     Mutex.unlock t.cache_mutex;
-    s
-  in
-  match hit with
-  | Some sol -> sol
-  | None ->
-    let sol = solve_backend entry.fe_backend ~at in
+    state
+  end
+
+(* A fresh evaluator for hour [at] of a PDE backend (a memo miss).  The
+   served value is that of the serving solve with snapshots at every
+   whole hour 2, 3, ..., floor(at), then at [at]; it resumes from the
+   checkpoint at floor(at), so it costs at most 100 steps once the
+   checkpoints reach that hour.  Below t = 2 it is the plain solve to
+   [at]. *)
+let solve_at t entry ~at =
+  let h = int_of_float at in
+  let from = if h < 2 then None else Some (float_of_int h, checkpoint t entry h) in
+  Numerics.Pde.evaluator (march entry.fe_backend from ~times:[| at |])
+
+let rec memo_find at = function
+  | [] -> None
+  | (k, sol) :: rest -> if Float.equal k at then Some sol else memo_find at rest
+
+let rec take n = function
+  | [] -> []
+  | _ when n = 0 -> []
+  | x :: rest -> x :: take (n - 1) rest
+
+(* The evaluators for the distinct hours [ats] of one request: one memo
+   lookup per hour, all under one lock.  Misses are solved outside it
+   and then memoized in [ats] order, each evicting the oldest entry
+   once the memo holds [max_cached_solutions].  t = 1 (to 1e-9) is phi
+   itself; closure-backed fits have no memo. *)
+let evaluators t entry ats =
+  match entry.fe_backend with
+  | Be_fn { predict; _ } -> Array.map (fun _ -> predict) ats
+  | Be_dl { phi; _ } | Be_linear { phi; _ } ->
+    let initial ~x ~t:_ = Dl.Initial.eval phi x in
     Mutex.lock t.cache_mutex;
-    if not (List.mem_assoc key entry.fe_sols) then begin
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      entry.fe_sols <-
-        (key, sol) :: take (max_cached_solutions - 1) entry.fe_sols
-    end;
+    let known =
+      Array.map
+        (fun at -> if at <= 1. +. 1e-9 then Some initial else memo_find at entry.fe_sols)
+        ats
+    in
     Mutex.unlock t.cache_mutex;
-    sol
+    let misses = ref [] in
+    let sols =
+      Array.mapi
+        (fun i known ->
+          match known with
+          | Some sol -> sol
+          | None ->
+            let sol = solve_at t entry ~at:ats.(i) in
+            misses := (ats.(i), sol) :: !misses;
+            sol)
+        known
+    in
+    (match List.rev !misses with
+    | [] -> ()
+    | misses ->
+      Mutex.lock t.cache_mutex;
+      List.iter
+        (fun (at, sol) ->
+          if Option.is_none (memo_find at entry.fe_sols) then
+            entry.fe_sols <- (at, sol) :: take (max_cached_solutions - 1) entry.fe_sols)
+        misses;
+      Mutex.unlock t.cache_mutex);
+    sols
 
 let domain_of entry =
   match entry.fe_backend with
@@ -979,9 +1064,9 @@ let domain_of entry =
     (params.Dl.Linear_model.l, params.Dl.Linear_model.big_l)
   | Be_fn { domain; _ } -> domain
 
-(* One validated point evaluation, shared by GET /predict and the
-   POST /predict batch endpoint. *)
-let predict_point t entry ~x ~tq =
+(* One point's validation, shared by GET /predict, the POST /predict
+   batch and drift. *)
+let check_point entry ~x ~tq =
   let l, big_l = domain_of entry in
   if tq < 1. then
     Error "t must be >= 1 (the model starts at the t = 1 snapshot)"
@@ -992,13 +1077,13 @@ let predict_point t entry ~x ~tq =
   else if x < l || x > big_l then
     Error
       (Printf.sprintf "x must lie in the fitted domain [%g, %g]" l big_l)
-  else
-    match entry.fe_backend with
-    | Be_fn { predict; _ } -> Ok (predict ~x ~t:tq)
-    | Be_dl { phi; _ } | Be_linear { phi; _ } ->
-      Ok
-        (if tq <= 1. +. 1e-9 then Dl.Initial.eval phi x
-         else (solution_for t entry ~at:tq) ~x ~t:tq)
+  else Ok ()
+
+(* One validated point evaluation. *)
+let predict_point t entry ~x ~tq =
+  match check_point entry ~x ~tq with
+  | Error _ as e -> e
+  | Ok () -> Ok ((evaluators t entry [| tq |]).(0) ~x ~t:tq)
 
 let lookup_entry t fit =
   Mutex.lock t.cache_mutex;
@@ -1042,9 +1127,38 @@ let handle_predict t (req : Http.request) =
              ])))
 
 (* POST /predict: evaluate a whole batch of (x, t) points against one
-   fit in a single round-trip, reusing the per-fit solution memo (one
-   PDE solve per distinct t, not per point). *)
+   fit in a single round-trip: one memo lookup per distinct t, and at
+   most one solve each (see [evaluators]). *)
 let max_batch_points = 10_000
+
+(* The batch's distinct hours in order of first appearance, and each
+   point's index among them; past the memo's size a batch would evict
+   its own solutions. *)
+let distinct_hours points =
+  let n = Array.length points in
+  let hours = Array.make max_cached_solutions 0. and slots = Array.make n 0 in
+  let rec scan i nh =
+    if i = n then Ok (Array.sub hours 0 nh, slots)
+    else begin
+      let at = snd points.(i) in
+      let rec find k = if k = nh || Float.equal hours.(k) at then k else find (k + 1) in
+      let k = find 0 in
+      if k < nh then begin
+        slots.(i) <- k;
+        scan (i + 1) nh
+      end
+      else if nh = max_cached_solutions then
+        Error
+          (Printf.sprintf "at most %d distinct t values per request"
+             max_cached_solutions)
+      else begin
+        hours.(nh) <- at;
+        slots.(i) <- nh;
+        scan (i + 1) (nh + 1)
+      end
+    end
+  in
+  scan 0 0
 
 let handle_predict_batch t (req : Http.request) =
   match
@@ -1067,7 +1181,7 @@ let handle_predict_batch t (req : Http.request) =
         | None -> Error "field \"points\" must be an array of [x, t] pairs"
         | Some items ->
           let rec map acc = function
-            | [] -> Ok (List.rev acc)
+            | [] -> Ok (Array.of_list (List.rev acc))
             | item :: rest -> (
               match
                 Option.map (List.map Tiny_json.to_float)
@@ -1081,55 +1195,55 @@ let handle_predict_batch t (req : Http.request) =
           map [] items)
     in
     let* () =
-      if points = [] then Error "field \"points\" is empty"
-      else if List.length points > max_batch_points then
+      if Array.length points = 0 then Error "field \"points\" is empty"
+      else if Array.length points > max_batch_points then
         Error (Printf.sprintf "at most %d points per request" max_batch_points)
-      else if
-        (* past the memo's size a batch would evict its own solutions *)
-        List.length (List.sort_uniq Float.compare (List.map snd points))
-        > max_cached_solutions
-      then
-        Error
-          (Printf.sprintf "at most %d distinct t values per request"
-             max_cached_solutions)
       else Ok ()
     in
-    Ok (fit, points)
+    let* hours, slots = distinct_hours points in
+    Ok (fit, points, hours, slots)
   with
   | Error msg -> error_json 400 msg
-  | Ok (fit, points) -> (
+  | Ok (fit, points, hours, slots) -> (
     match lookup_entry t fit with
     | None ->
       error_json 404
         "no such fit (POST /fit first, or pass a valid \"fit\" field)"
     | Some entry -> (
       link_entry entry;
-      let rec eval acc = function
-        | [] -> Ok (List.rev acc)
-        | (x, tq) :: rest -> (
-          match predict_point t entry ~x ~tq with
-          | Error msg ->
-            Error (Printf.sprintf "point [%g, %g]: %s" x tq msg)
-          | Ok density ->
-            eval
-              (Tiny_json.Object
-                 [
-                   ("x", Tiny_json.Number x);
-                   ("t", Tiny_json.Number tq);
-                   ("density", Tiny_json.Number density);
-                 ]
-              :: acc)
-              rest)
+      (* every point is checked before any solve; the first bad one
+         names itself *)
+      let rec check i =
+        if i = Array.length points then Ok ()
+        else begin
+          let x, tq = points.(i) in
+          match check_point entry ~x ~tq with
+          | Error msg -> Error (Printf.sprintf "point [%g, %g]: %s" x tq msg)
+          | Ok () -> check (i + 1)
+        end
       in
-      match eval [] points with
+      match check 0 with
       | Error msg -> error_json 400 msg
-      | Ok results ->
-        Obs.Metrics.incr ~by:(List.length results) m_batch_points;
+      | Ok () ->
+        let sols = evaluators t entry hours in
+        let results =
+          Array.to_list
+            (Array.mapi
+               (fun i (x, tq) ->
+                 Tiny_json.Object
+                   [
+                     ("x", Tiny_json.Number x);
+                     ("t", Tiny_json.Number tq);
+                     ("density", Tiny_json.Number (sols.(slots.(i)) ~x ~t:tq));
+                   ])
+               points)
+        in
+        Obs.Metrics.incr ~by:(Array.length points) m_batch_points;
         Http.json_response 200
           (Tiny_json.Object
              [
                ("fit", Tiny_json.String entry.fe_id);
-               ("count", Tiny_json.Number (float_of_int (List.length results)));
+               ("count", Tiny_json.Number (float_of_int (Array.length points)));
                ("results", Tiny_json.List results);
              ])))
 
@@ -1579,6 +1693,7 @@ let run_refit t task =
             fe_evaluations = result.Dl.Fit.evaluations;
             fe_link_trace = "";
             fe_sols = [];
+            fe_hours = [||];
           }
         in
         Mutex.lock t.cache_mutex;
@@ -2479,7 +2594,12 @@ let run t =
         Obs.Log.int "jobs" t.cfg.jobs;
       ]);
   Parallel.Pool.run_workers ~jobs:(t.cfg.jobs + 1) (fun k ->
-      if k = 0 then event_loop t else worker_loop t);
+      if k = 0 then event_loop t
+      else begin
+        (* the minor heap is per domain: each worker sizes its own *)
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
+        worker_loop t
+      end);
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   Option.iter Store.close t.store;

@@ -21,8 +21,12 @@
       ([fit] defaults to the most recently completed one).
     - [POST /predict] — batch evaluation: a JSON body
       [{"fit": id?, "points": [[x, t], ...]}] evaluates up to 10k
-      points against one cached fit in a single round-trip, reusing
-      the per-fit solution memo (one PDE solve per distinct [t]).
+      points against one cached fit in a single round-trip: one lookup
+      in the per-fit solution memo per distinct [t], and on a miss one
+      solve resumed from the fit's checkpoint at the whole hour below
+      [t] (at most 100 steps).  The served I(x, t) is the default-grid
+      solve with snapshots at hours 2, 3, ..., floor(t), then [t]
+      (see docs/SERVING.md).
     - [POST /observe] — streaming vote ingestion: a JSON batch of
       timestamped votes for a story folds into an incremental
       {!Live.Profile} (O(1) per vote), and drift of the currently
@@ -80,7 +84,9 @@
     pool (run via {!Parallel.Pool.run_workers}), as are live refits.
     Serialized responses travel back over a wake pipe, so worker
     domains never touch a socket and a slow or stalled peer can never
-    block a worker.
+    block a worker.  Each worker domain reserves a 16 MB minor heap as
+    it starts: in OCaml 5 every minor collection stops all domains, the
+    event loop's included.
 
     Connections are HTTP/1.1 keep-alive by default ([Connection:]
     headers honoured on both 1.0 and 1.1; see {!Http.keep_alive}), with

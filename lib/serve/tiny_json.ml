@@ -17,89 +17,113 @@ let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let err msg = raise (Err (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
+  (* is the next byte [c]?  (no option per peeked byte) *)
+  let next_is c = !pos < n && String.unsafe_get s !pos = c in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if next_is c then advance () else err (Printf.sprintf "expected %C" c) in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       value
     end
     else err (Printf.sprintf "expected %s" word)
   in
+  (* A string with escapes is decoded a byte at a time into [buf],
+     from the cursor on. *)
+  let rec escaped buf =
+    if !pos >= n then err "unterminated string";
+    let c = s.[!pos] in
+    advance ();
+    match c with
+    | '"' -> Buffer.contents buf
+    | '\\' -> (
+      if !pos >= n then err "unterminated escape";
+      let e = s.[!pos] in
+      advance ();
+      match e with
+      | '"' | '\\' | '/' ->
+        Buffer.add_char buf e;
+        escaped buf
+      | 'n' ->
+        Buffer.add_char buf '\n';
+        escaped buf
+      | 't' ->
+        Buffer.add_char buf '\t';
+        escaped buf
+      | 'r' ->
+        Buffer.add_char buf '\r';
+        escaped buf
+      | 'b' ->
+        Buffer.add_char buf '\b';
+        escaped buf
+      | 'f' ->
+        Buffer.add_char buf '\012';
+        escaped buf
+      | 'u' ->
+        if !pos + 4 > n then err "truncated \\u escape";
+        let hex = String.sub s !pos 4 in
+        pos := !pos + 4;
+        let code =
+          match int_of_string_opt ("0x" ^ hex) with
+          | Some c -> c
+          | None -> err "bad \\u escape"
+        in
+        (* UTF-8 encode the BMP code point (surrogate pairs are left
+           as two encoded halves — good enough for an internal API) *)
+        if code < 0x80 then Buffer.add_char buf (Char.chr code)
+        else if code < 0x800 then begin
+          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+        else begin
+          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end;
+        escaped buf
+      | _ -> err "bad escape")
+    | c when Char.code c < 0x20 -> err "control character in string"
+    | c ->
+      Buffer.add_char buf c;
+      escaped buf
+  in
+  (* Most strings (keys, ids) hold no escape: scan to the closing quote
+     and take them with one [String.sub].  The first backslash hands
+     the rest to [escaped]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then err "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-        if !pos >= n then err "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        match e with
-        | '"' | '\\' | '/' ->
-          Buffer.add_char buf e;
-          loop ()
-        | 'n' ->
-          Buffer.add_char buf '\n';
-          loop ()
-        | 't' ->
-          Buffer.add_char buf '\t';
-          loop ()
-        | 'r' ->
-          Buffer.add_char buf '\r';
-          loop ()
-        | 'b' ->
-          Buffer.add_char buf '\b';
-          loop ()
-        | 'f' ->
-          Buffer.add_char buf '\012';
-          loop ()
-        | 'u' ->
-          if !pos + 4 > n then err "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> err "bad \\u escape"
-          in
-          (* UTF-8 encode the BMP code point (surrogate pairs are left
-             as two encoded halves — good enough for an internal API) *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end;
-          loop ()
-        | _ -> err "bad escape")
-      | c when Char.code c < 0x20 -> err "control character in string"
-      | c ->
-        Buffer.add_char buf c;
-        loop ()
+    let start = !pos in
+    let rec plain i =
+      if i >= n then begin
+        pos := n;
+        err "unterminated string"
+      end
+      else
+        match String.unsafe_get s i with
+        | '"' ->
+          pos := i + 1;
+          String.sub s start (i - start)
+        | '\\' ->
+          pos := i;
+          let buf = Buffer.create (i - start + 16) in
+          Buffer.add_substring buf s start (i - start);
+          escaped buf
+        | c when Char.code c < 0x20 ->
+          pos := i + 1;
+          err "control character in string"
+        | _ -> plain (i + 1)
     in
-    loop ()
+    plain start
   in
   let parse_number () =
     let start = !pos in
@@ -107,7 +131,7 @@ let parse s =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while !pos < n && is_num_char s.[!pos] do
+    while !pos < n && is_num_char (String.unsafe_get s !pos) do
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
@@ -116,14 +140,14 @@ let parse s =
   in
   let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> err "unexpected end of input"
-    | Some ('{' | '[') when depth >= max_depth ->
+    if !pos >= n then err "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | ('{' | '[') when depth >= max_depth ->
       err (Printf.sprintf "nested deeper than %d levels" max_depth)
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if next_is '}' then begin
         advance ();
         Object []
       end
@@ -137,20 +161,20 @@ let parse s =
           let v = parse_value (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if next_is ',' then begin
             advance ();
             members ()
-          | Some '}' -> advance ()
-          | _ -> err "expected ',' or '}'"
+          end
+          else if next_is '}' then advance ()
+          else err "expected ',' or '}'"
         in
         members ();
         Object (List.rev !fields)
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if next_is ']' then begin
         advance ();
         List []
       end
@@ -160,21 +184,21 @@ let parse s =
           let v = parse_value (depth + 1) in
           items := v :: !items;
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if next_is ',' then begin
             advance ();
             elements ()
-          | Some ']' -> advance ()
-          | _ -> err "expected ',' or ']'"
+          end
+          else if next_is ']' then advance ()
+          else err "expected ',' or ']'"
         in
         elements ();
         List (List.rev !items)
       end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   match
     let v = parse_value 0 in
@@ -200,6 +224,11 @@ let escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* The primitive [Printf.sprintf "%.17g"] (and "%.0f") ends in, called
+   with the same format strings: the same bytes, without interpreting
+   the format on every number. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -209,9 +238,8 @@ let to_string v =
       Buffer.add_string buf
         (if Float.is_finite v then
            (* integral values print without a fraction, like JSON ints *)
-           if Float.is_integer v && Float.abs v < 1e15 then
-             Printf.sprintf "%.0f" v
-           else Printf.sprintf "%.17g" v
+           if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
+           else format_float "%.17g" v
          else "null")
     | String s ->
       Buffer.add_char buf '"';

@@ -378,7 +378,9 @@ let test_epidemic_fit_pinned () =
     [ 0x3fe16c64c87b8565L; 0x3fa60e4292c96c28L; 0x3fc3178dba1c34a6L;
       0x3fb9a6919510c699L ]
     [ p.Dl.Epidemic.beta_local; p.Dl.Epidemic.beta_cross;
-      p.Dl.Epidemic.mixing_decay; r.Dl.Epidemic.training_error ]
+      p.Dl.Epidemic.mixing_decay; r.Dl.Epidemic.training_error ];
+  (* every ODE solve of the six restarts *)
+  Alcotest.(check int) "evaluations" 1610 r.Dl.Epidemic.evaluations
 
 (* --- Baselines --- *)
 

@@ -573,6 +573,107 @@ let test_eval_rejects_nan () =
         (Float.equal (ev ~x ~t) (Pde.eval sol ~x ~t)))
     [ (1.0, 1.0); (3.25, 1.7); (6.0, 2.0); (0.0, 0.0); (99., 99.) ]
 
+(* Two snapshots at one time: a schedule that repeats a time, or a
+   resume recorded at its own start ([~from:(t0, u)] with [t0] among
+   the times).  The bracket between them has zero width; eval must
+   weigh the earlier snapshot instead of dividing 0 by 0. *)
+let test_eval_equal_snapshot_times () =
+  let phi = model_phi () in
+  let params = Dl.Params.paper_hops in
+  let at_start = Dl.Model.solve params ~phi ~times:[||] in
+  let repeated = Dl.Model.solve params ~phi ~times:[| 1. |] in
+  List.iter
+    (fun x ->
+      let v = Dl.Model.predict repeated ~x ~t:1. in
+      Alcotest.(check bool) (Printf.sprintf "x = %g finite" x) true (Float.is_finite v);
+      Alcotest.(check int64) (Printf.sprintf "x = %g is the t = 1 state" x)
+        (Int64.bits_of_float (Dl.Model.predict at_start ~x ~t:1.))
+        (Int64.bits_of_float v))
+    [ 1.; 2.; 3.3; 6. ];
+  Alcotest.(check (float 1e-12)) "phi at its knot x = 2" (Dl.Initial.eval phi 2.)
+    (Dl.Model.predict repeated ~x:2. ~t:1.);
+  let once = Dl.Model.solve params ~phi ~times:[| 2.; 3. |] in
+  let twice = Dl.Model.solve params ~phi ~times:[| 2.; 3.; 3. |] in
+  Alcotest.(check int64) "a repeated later time"
+    (Int64.bits_of_float (Dl.Model.predict once ~x:2.5 ~t:3.))
+    (Int64.bits_of_float (Dl.Model.predict twice ~x:2.5 ~t:3.))
+
+(* --- resuming a solve --- *)
+
+(* [solve_story ~from] continues a recorded snapshot bit for bit: the
+   snapshots after the resume point equal the uninterrupted solve's,
+   for both panel schemes and both named reaction shapes, from a whole
+   time and from a ragged one (whose last step was partial). *)
+let test_resume_bit_identical () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun (scheme, kind, times, k0) ->
+      let story = panel_story_of_rng rng kind in
+      let pp =
+        { Pde.pp_xl = 1.; pp_xr = 6.; pp_nx = 31; pp_t0 = 1.; pp_stories = [| story |] }
+      in
+      let full = Pde.solve_story ~scheme ~dt:0.01 pp ~times in
+      (* resume from snapshot [k0] (index 0 is t0) *)
+      let from = (full.Pde.ts.(k0), full.Pde.values.(k0)) in
+      let rest = Array.sub times k0 (Array.length times - k0) in
+      let resumed = Pde.solve_story ~scheme ~dt:0.01 ~from pp ~times:rest in
+      check_solutions_bit_identical "resumed"
+        resumed
+        { full with
+          Pde.ts = Array.sub full.Pde.ts k0 (Array.length rest + 1);
+          values = Array.sub full.Pde.values k0 (Array.length rest + 1) };
+      Alcotest.(check (float 0.)) "starts at the resume time" full.Pde.ts.(k0)
+        resumed.Pde.ts.(0))
+    [
+      (Pde.Panel_strang, 0, [| 2.; 3.; 3.5; 4. |], 1);
+      (Pde.Panel_strang, 1, [| 2.; 3.; 3.5; 4. |], 2);
+      (Pde.Panel_strang, 0, ragged_times, 1);
+      (Pde.Panel_imex 0.5, 0, ragged_times, 2);
+      (Pde.Panel_imex 0.5, 1, [| 2.; 3.; 3.5; 4. |], 1);
+      (* resuming from t0 itself is the plain solve *)
+      (Pde.Panel_strang, 0, [| 2.; 3. |], 0);
+    ]
+
+(* Model.solve and Linear_model.solve pass [~from] through: a resume
+   from a recorded hour records the uninterrupted solve's bits, and a
+   resume at the hour it starts from records that state (the t = 4 of
+   a [4; 4] schedule evaluates to it). *)
+let test_model_resume_bit_identical () =
+  let phi = model_phi () in
+  let params = Dl.Params.paper_hops in
+  let full = Dl.Model.solve params ~phi ~times:[| 2.; 3.; 4.; 4.5 |] in
+  let pde = full.Dl.Model.pde in
+  let from = (3., pde.Pde.values.(2)) in
+  let resumed = Dl.Model.solve ~from params ~phi ~times:[| 4.; 4.5 |] in
+  check_solutions_bit_identical "model resume" resumed.Dl.Model.pde
+    { pde with Pde.ts = Array.sub pde.Pde.ts 2 3; values = Array.sub pde.Pde.values 2 3 };
+  let at_hour = Dl.Model.solve ~from:(4., pde.Pde.values.(3)) params ~phi ~times:[| 4. |] in
+  Alcotest.(check int64) "resume at its own hour"
+    (Int64.bits_of_float (Dl.Model.predict full ~x:2.5 ~t:4.))
+    (Int64.bits_of_float (Dl.Model.predict at_hour ~x:2.5 ~t:4.));
+  let lparams = Dl.Linear_model.of_dl params in
+  let lfull = Dl.Linear_model.solve lparams ~phi ~times:[| 2.; 3.; 3.25 |] in
+  let lpde = lfull.Dl.Linear_model.pde in
+  let lresumed =
+    Dl.Linear_model.solve ~from:(2., lpde.Pde.values.(1)) lparams ~phi ~times:[| 3.; 3.25 |]
+  in
+  check_solutions_bit_identical "linear resume" lresumed.Dl.Linear_model.pde
+    { lpde with Pde.ts = Array.sub lpde.Pde.ts 1 3; values = Array.sub lpde.Pde.values 1 3 };
+  let invalid name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  invalid "state of the wrong length" (fun () ->
+      Dl.Model.solve ~from:(2., [| 1.; 2. |]) params ~phi ~times:[| 3. |]);
+  invalid "infinite resume time" (fun () ->
+      Dl.Model.solve ~from:(Float.neg_infinity, pde.Pde.values.(1)) params ~phi ~times:[| 3. |]);
+  invalid "a time before the resume time" (fun () ->
+      Dl.Model.solve ~from:(3., pde.Pde.values.(2)) params ~phi ~times:[| 2.5 |]);
+  invalid "FTCS" (fun () ->
+      Dl.Model.solve ~scheme:Dl.Model.Ftcs ~from:(2., pde.Pde.values.(1)) params ~phi
+        ~times:[| 3. |])
+
 (* --- schedule validation --- *)
 
 let test_schedule_rejects_bad_times () =
@@ -808,6 +909,11 @@ let suite =
       test_ftcs_matches_oracle;
     Alcotest.test_case "solve telemetry series" `Quick test_solve_telemetry;
     Alcotest.test_case "eval rejects NaN" `Quick test_eval_rejects_nan;
+    Alcotest.test_case "eval between equal snapshot times" `Quick
+      test_eval_equal_snapshot_times;
+    Alcotest.test_case "resume is bit-identical" `Quick test_resume_bit_identical;
+    Alcotest.test_case "model resume is bit-identical" `Quick
+      test_model_resume_bit_identical;
     Alcotest.test_case "schedule rejects bad times" `Quick
       test_schedule_rejects_bad_times;
     Alcotest.test_case "panel allocation bound" `Quick

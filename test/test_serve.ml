@@ -673,6 +673,162 @@ let test_work_budgets () =
   rejected "65 population groups" ~limit:"64" (post "/observe" (observe 65));
   accepted "64 population groups" (post "/observe" (observe 64))
 
+(* --- the served value and its cost --- *)
+
+(* The fit_body observation with a model field; phi is its t = 1
+   column. *)
+let model_fit_body model =
+  Printf.sprintf
+    {|{"model":"%s","distances":[1,2,3,4],"times":[1,2,3,4,5],
+     "density":[[2.0,3.0,4.0,4.8,5.4],[1.2,1.9,2.7,3.4,4.0],
+                [0.7,1.1,1.6,2.1,2.5],[0.4,0.6,0.9,1.2,1.5]],
+     "starts":1,"seed":3}|}
+    model
+
+let fit_body_phi () =
+  Dl.Initial.of_observations ~xs:[| 1.; 2.; 3.; 4. |]
+    ~densities:[| 2.0; 1.2; 0.7; 0.4 |]
+
+let number name v =
+  match Option.bind (J.member name v) J.to_float with
+  | Some f -> f
+  | None -> Alcotest.failf "no number %S in %s" name (J.to_string v)
+
+(* The serving solve of a posted fit, rebuilt from the /fit response's
+   params (printed with 17 digits, so exact): [times] -> the solution
+   on the default grid (nx 101, dt 0.01, Strang). *)
+let serving_solve model fit_json =
+  let params = Option.get (J.member "params" fit_json) in
+  let r =
+    let g = Option.get (J.member "r" params) in
+    match Option.bind (J.member "kind" g) J.to_string_opt with
+    | Some "exp_decay" ->
+      Dl.Growth.Exp_decay { a = number "a" g; b = number "b" g; c = number "c" g }
+    | _ -> Dl.Growth.Constant (number "value" g)
+  in
+  let phi = fit_body_phi () in
+  let d = number "d" params and l = number "l" params and big_l = number "L" params in
+  match model with
+  | "dl" ->
+    let p = Dl.Params.make ~d ~k:(number "k" params) ~r ~l ~big_l in
+    fun times -> (Dl.Model.solve p ~phi ~times).Dl.Model.pde
+  | _ ->
+    let p = Dl.Linear_model.make ~d ~r ~l ~big_l in
+    fun times -> (Dl.Linear_model.solve p ~phi ~times).Dl.Linear_model.pde
+
+(* The served I(x, t): the serving solve with snapshots at every whole
+   hour 2, 3, ..., floor(t), then at t, evaluated at (x, t). *)
+let defined_density solve ~x ~t =
+  let h = int_of_float t in
+  let hours = Array.init (max 0 (h - 1)) (fun k -> float_of_int (k + 2)) in
+  Numerics.Pde.eval (solve (Array.append hours [| t |])) ~x ~t
+
+let served_hours = [ 1.5; 2.; 3.0625; 4.; 4.5; 50.25; 200. ]
+let served_xs = [ 1.; 2.5; 3.7; 4. ]
+
+let batch_body points =
+  Printf.sprintf {|{"points":[%s]}|}
+    (String.concat "," (List.map (fun (x, t) -> Printf.sprintf "[%.17g,%.17g]" x t) points))
+
+let batch_densities port points =
+  let r = ok (Serve.Client.request ~port ~body:(batch_body points) "POST" "/predict") in
+  Alcotest.(check int) "batch status" 200 r.Serve.Client.status;
+  List.map (number "density")
+    (Option.get (Option.bind (J.member "results" (json_of r)) J.to_list))
+
+let get_density port ~x ~t =
+  let r =
+    ok (Serve.Client.request ~port "GET" (Printf.sprintf "/predict?x=%.17g&t=%.17g" x t))
+  in
+  Alcotest.(check int) "GET status" 200 r.Serve.Client.status;
+  number "density" (json_of r)
+
+let check_bits name expect got =
+  if not (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)) then
+    Alcotest.failf "%s: served %.17g, defined %.17g" name got expect
+
+(* GET answers each hour first (a memo miss, then hits), the batch
+   after it (all hits); a second server answers the batch first.  All
+   of them serve the definition bit for bit, and stay within 1e-10 of
+   a solve straight to t (the whole-hour snapshots reset the solver's
+   clock, which moves only the last bits). *)
+let test_served_definition model () =
+  let points = List.concat_map (fun t -> List.map (fun x -> (x, t)) served_xs) served_hours in
+  let expected = ref [] in
+  let fit port =
+    let r = ok (Serve.Client.request ~port ~body:(model_fit_body model) "POST" "/fit") in
+    Alcotest.(check int) "fit status" 200 r.Serve.Client.status;
+    json_of r
+  in
+  (with_server @@ fun port ->
+   let solve = serving_solve model (fit port) in
+   expected := List.map (fun (x, t) -> defined_density solve ~x ~t) points;
+   List.iter2
+     (fun (x, t) e ->
+       let name = Printf.sprintf "%s GET (%g, %g)" model x t in
+       check_bits name e (get_density port ~x ~t);
+       let direct = Numerics.Pde.eval (solve [| t |]) ~x ~t in
+       if Float.abs (e -. direct) > 1e-10 *. Float.abs direct then
+         Alcotest.failf "%s: %.17g vs a direct solve's %.17g" name e direct)
+     points !expected;
+   List.iter2
+     (fun (x, t) (e, d) -> check_bits (Printf.sprintf "%s POST after GET (%g, %g)" model x t) e d)
+     points
+     (List.combine !expected (batch_densities port points)));
+  with_server @@ fun port ->
+  ignore (fit port);
+  List.iter2
+    (fun (x, t) (e, d) -> check_bits (Printf.sprintf "%s POST first (%g, %g)" model x t) e d)
+    points
+    (List.combine !expected (batch_densities port points))
+
+(* The checkpoints a t resumes from are the same however they were
+   reached: t = 4.5 before t = 120 (marching 2..4, then 4..120) or after
+   it (2..120 at once). *)
+let test_served_order_independent () =
+  let ask order =
+    with_server @@ fun port ->
+    ignore (ok (Serve.Client.request ~port ~body:(model_fit_body "dl") "POST" "/fit"));
+    List.map (fun t -> (t, get_density port ~x:2.5 ~t)) order
+  in
+  let early = ask [ 4.5; 120. ] and late = ask [ 120.; 4.5 ] in
+  List.iter
+    (fun t ->
+      check_bits (Printf.sprintf "t = %g" t) (List.assoc t early) (List.assoc t late))
+    [ 4.5; 120. ]
+
+let metric_value body name =
+  let key = name ^ " " in
+  let kl = String.length key in
+  List.fold_left
+    (fun acc line ->
+      if String.length line > kl && String.sub line 0 kl = key then
+        float_of_string (String.sub line kl (String.length line - kl))
+      else acc)
+    0.
+    (String.split_on_char '\n' body)
+
+(* A batch of 64 distinct hours spread over 2..200 marches the
+   checkpoints to hour 199 once (198 hours of 100 steps) and resumes
+   each hour from its whole hour (under 100 steps each): at most
+   199 * 100 + 64 * 100 steps.  Solving each hour from t = 1 runs
+   about 640,000. *)
+let test_served_step_bound () =
+  with_server @@ fun port ->
+  ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
+  let steps () =
+    metric_value
+      (ok (Serve.Client.request ~port "GET" "/metrics")).Serve.Client.body
+      "dlosn_pde_steps_total"
+  in
+  let before = steps () in
+  let hours = List.init 63 (fun k -> 2.25 +. (3.125 *. float_of_int k)) @ [ 200. ] in
+  let densities = batch_densities port (List.map (fun t -> (2., t)) hours) in
+  Alcotest.(check int) "one density per hour" 64 (List.length densities);
+  let ran = steps () -. before in
+  if ran > 26_300. then Alcotest.failf "the batch ran %.0f steps (bound 26,300)" ran;
+  Alcotest.(check bool) "the steps were counted" true (ran > 19_000.)
+
 let test_metrics_endpoint () =
   with_server @@ fun port ->
   ignore (ok (Serve.Client.request ~port ~body:fit_body "POST" "/fit"));
@@ -1311,6 +1467,13 @@ let suite =
     Alcotest.test_case "serving horizon and batch limits" `Quick
       test_serving_limits;
     Alcotest.test_case "fit and observe work budgets" `Quick test_work_budgets;
+    Alcotest.test_case "dl serves the hourly-checkpoint value" `Slow
+      (test_served_definition "dl");
+    Alcotest.test_case "dl-linear serves the hourly-checkpoint value" `Slow
+      (test_served_definition "dl-linear");
+    Alcotest.test_case "served value independent of request order" `Quick
+      test_served_order_independent;
+    Alcotest.test_case "64-hour batch step bound" `Quick test_served_step_bound;
     Alcotest.test_case "metrics endpoint" `Slow test_metrics_endpoint;
     Alcotest.test_case "oversized body rejected" `Quick
       test_oversized_body_rejected;
