@@ -18,7 +18,7 @@ let parse s =
   let pos = ref 0 in
   let err msg = raise (Err (!pos, msg)) in
   let advance () = incr pos in
-  (* is the next byte [c]?  (no option per peeked byte) *)
+  (* is the next byte [c]?  A comparison: peeking allocates nothing *)
   let next_is c = !pos < n && String.unsafe_get s !pos = c in
   let rec skip_ws () =
     if !pos < n then

@@ -783,19 +783,35 @@ let test_served_definition model () =
     (List.combine !expected (batch_densities port points))
 
 (* The checkpoints a t resumes from are the same however they were
-   reached: t = 4.5 before t = 120 (marching 2..4, then 4..120) or after
-   it (2..120 at once). *)
+   reached: t = 4.5 before t = 120 (marching 2..4, then 4..120), after
+   it (2..120 at once), or while two workers march concurrently. *)
 let test_served_order_independent () =
+  let hours = [ 4.5; 120.; 60.5; 199.75 ] in
+  let fit port =
+    ignore (ok (Serve.Client.request ~port ~body:(model_fit_body "dl") "POST" "/fit"))
+  in
   let ask order =
     with_server @@ fun port ->
-    ignore (ok (Serve.Client.request ~port ~body:(model_fit_body "dl") "POST" "/fit"));
+    fit port;
     List.map (fun t -> (t, get_density port ~x:2.5 ~t)) order
   in
-  let early = ask [ 4.5; 120. ] and late = ask [ 120.; 4.5 ] in
+  let forward = ask hours and backward = ask (List.rev hours) in
+  let concurrent =
+    with_server ~config:{ base_config with Serve.Server.jobs = 2 } @@ fun port ->
+    fit port;
+    let got = Array.make (List.length hours) Float.nan in
+    List.mapi
+      (fun i t -> Thread.create (fun () -> got.(i) <- get_density port ~x:2.5 ~t) ())
+      hours
+    |> List.iter Thread.join;
+    List.mapi (fun i t -> (t, got.(i))) hours
+  in
   List.iter
     (fun t ->
-      check_bits (Printf.sprintf "t = %g" t) (List.assoc t early) (List.assoc t late))
-    [ 4.5; 120. ]
+      let name = Printf.sprintf "t = %g" t in
+      check_bits (name ^ ", backward") (List.assoc t forward) (List.assoc t backward);
+      check_bits (name ^ ", concurrent") (List.assoc t forward) (List.assoc t concurrent))
+    hours
 
 let metric_value body name =
   let key = name ^ " " in
