@@ -164,6 +164,60 @@ let test_model_diffusion_spreads () =
   Alcotest.(check bool) "near density falls" true
     (Dl.Model.predict sol ~x:1. ~t:40. < 10.)
 
+(* At d = 0 the DL equation decouples node by node into the logistic
+   ODE, whose solution is I = K phi / (phi + (K - phi) e^{-R(t)}) with
+   R(t) = ∫₁ᵗ r.  Strang's diffusion step is then the identity and its
+   reaction flow is exact, so the solve must equal the formula at every
+   node up to rounding.  Crank--Nicolson is left out: its RK2 reaction
+   is not exact. *)
+let test_model_d0_closed_form () =
+  let times = [| 1.5; 2.; 3.; 4.; 5.; 6. |] in
+  let xs = [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  let phis =
+    [
+      ("paper-like", paper_like_phi ());
+      (* the spline between the two zero groups undershoots and is
+         floored, so a stretch of nodes starts (and must stay) at 0 *)
+      ( "zero nodes",
+        Dl.Initial.of_observations ~xs ~densities:[| 0.; 0.; 6.; 3.; 1.; 0.5 |] );
+    ]
+  in
+  List.iter
+    (fun (base, (nx, dt)) ->
+      let params = Dl.Params.with_domain { base with Dl.Params.d = 0. } ~l:1. ~big_l:6. in
+      let k = params.Dl.Params.k and r = params.Dl.Params.r in
+      List.iter
+        (fun (name, phi) ->
+          let sol = Dl.Model.solve ~scheme:Dl.Model.Strang ~nx ~dt params ~phi ~times in
+          let pde = sol.Dl.Model.pde in
+          let zeros = ref 0 in
+          Array.iteri
+            (fun it t ->
+              let decay = exp (-.Dl.Growth.integral r ~t0:1. ~t1:t) in
+              Array.iteri
+                (fun i x ->
+                  let p = Dl.Initial.to_function phi x in
+                  let expected =
+                    if p = 0. then 0. else k *. p /. (p +. ((k -. p) *. decay))
+                  in
+                  let got = pde.Numerics.Pde.values.(it).(i) in
+                  if p = 0. then incr zeros;
+                  if Float.abs (got -. expected) > 1e-12 *. Float.abs expected
+                  then
+                    Alcotest.failf "%s nx %d t %g x %g: solve %.17g, closed form %.17g"
+                      name nx t x got expected)
+                pde.Numerics.Pde.xs)
+            pde.Numerics.Pde.ts;
+          if name = "zero nodes" && !zeros = 0 then
+            Alcotest.failf "nx %d: phi has no zero node" nx)
+        phis)
+    [
+      (Dl.Params.paper_hops, (41, 0.05));
+      (Dl.Params.paper_interest, (41, 0.05));
+      (Dl.Params.paper_hops, (101, 0.01));
+      (Dl.Params.paper_interest, (101, 0.01));
+    ]
+
 let test_model_extended_variable_coefficients () =
   (* the future-work variant runs and respects bounds *)
   let phi = paper_like_phi () in
@@ -532,6 +586,7 @@ let suite =
     Alcotest.test_case "model rejects t<1" `Quick test_model_rejects_early_times;
     Alcotest.test_case "model diffusion spreads" `Quick test_model_diffusion_spreads;
     Alcotest.test_case "model extended coeffs" `Quick test_model_extended_variable_coefficients;
+    Alcotest.test_case "model d=0 closed form" `Quick test_model_d0_closed_form;
     Alcotest.test_case "properties detect violations" `Quick test_properties_detect_violations;
     Alcotest.test_case "accuracy metric" `Quick test_accuracy_metric;
     Alcotest.test_case "accuracy table" `Quick test_accuracy_table_shape;
