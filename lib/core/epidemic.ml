@@ -75,8 +75,8 @@ let fit ?(fit_times = [| 2.; 3.; 4. |]) rng (obs : Socialnet.Density.t) =
   in
   let objective v = error_against obs ~fit_times (of_vector v) in
   let best, evaluations =
-    Fit.multi_start ~tol:1e-8 ~max_iter:400 ~starts:6
-      ~lo:[| 0.; 0.; 0.05 |] ~hi:[| 3.; 1.; 1. |] rng (fun () -> objective)
+    Fit.multi_start ~tol:1e-8 ~max_iter:400 (fun () -> objective)
+      (Fit.box_starts ~starts:6 ~lo:[| 0.; 0.; 0.05 |] ~hi:[| 3.; 1.; 1. |] rng)
   in
   let params = of_vector best.Optimize.x in
   { params; training_error = error_against obs ~fit_times params; evaluations }

@@ -21,7 +21,7 @@ let default_config =
     a_bounds = (0., 3.);
     b_bounds = (0.05, 3.);
     c_bounds = (0., 1.);
-    starts = 4;
+    starts = 2;
     solver_nx = 41;
     solver_dt = 0.05;
     solver_scheme = Model.Strang;
@@ -45,6 +45,13 @@ let phi_of_obs (obs : Socialnet.Density.t) =
   let densities = Array.map (fun row -> row.(0)) obs.Socialnet.Density.density in
   Initial.of_observations ~xs ~densities
 
+(* expected blow-ups of a bad trial point (diverged solve, singular
+   operator, out-of-range query) score infinity; anything else is a bug
+   and must propagate *)
+let log_failure e =
+  Obs.Log.warn "fit.objective_failed" ~fields:(fun () ->
+      [ Obs.Log.str "exn" (Printexc.to_string e) ])
+
 let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
     ~phi ~obs ~fit_times params =
   try
@@ -59,11 +66,7 @@ let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
     | err, _ -> err
   with
   | (Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e ->
-    (* expected blow-ups of a bad trial point (diverged solve, singular
-       operator, out-of-range query); anything else is a bug and must
-       propagate *)
-    Obs.Log.warn "fit.objective_failed" ~fields:(fun () ->
-        [ Obs.Log.str "exn" (Printexc.to_string e) ]);
+    log_failure e;
     infinity
 
 (* --- completed-fit hook (persistence integration) ---
@@ -100,6 +103,7 @@ let m_warm_starts = Obs.Metrics.counter "fit.warm_starts"
 let m_restarts = Obs.Metrics.counter "fit.restarts"
 let m_nm_iterations = Obs.Metrics.counter "fit.nm_iterations"
 let m_objective_evals = Obs.Metrics.counter "fit.objective_evals"
+let m_closed_form_evals = Obs.Metrics.counter "fit.closed_form_evals"
 let m_bootstrap_resamples = Obs.Metrics.counter "fit.bootstrap_resamples"
 
 let box_penalty ~lo ~hi v =
@@ -113,56 +117,199 @@ let box_penalty ~lo ~hi v =
     v;
   !penalty
 
-(* Restarts may run on separate domains; each reports its own
-   evaluation count through [Optimize.result], so the sum is exact and
-   race-free.  Each restart is deterministic given its x0, so the
-   counts are too. *)
-let multi_start ?(pool = Parallel.Pool.sequential) ?(tol = 1e-6)
-    ?(max_iter = 250) ?simplex ~starts ~lo ~hi rng make_f =
-  let starts = Stdlib.max 1 starts in
-  (* Starting points are drawn sequentially up front, so the rng stream
-     (and therefore the result) is independent of the pool size.  A
-     warm [simplex] replaces restart 0's midpoint, the only start not
-     drawn from [rng], so every other restart is the cold one. *)
-  let x0s =
-    Array.init starts (fun k ->
+(* --- the d = 0 closed form ---
+
+   At d = 0 the DL equation decouples node by node into the logistic
+   ODE, I = K phi / (phi + (K - phi) e^{-R(t)}) with R(t) = ∫₁ᵗ r.  The
+   Strang kernel's step is exact there (its diffusion solve is the
+   identity), so on a grid of [nx] nodes this is the d = 0 model up to
+   rounding.  Each scored cell interpolates between the two nodes around
+   its distance as [Pde.eval] does, at a snapshot time, where the time
+   weight is 0. *)
+
+let[@inline] logistic_node ~k ~decay p =
+  if p = 0. then 0. else k *. p /. (p +. ((k -. p) *. decay))
+
+let closed_form ?(nx = 101) ~phi ~obs ~fit_times ~l ~big_l =
+  match
+    (* [Model.solve]'s schedule checks, so a schedule the solver
+       refuses scores infinity here too *)
+    Array.iteri
+      (fun k t ->
+        let prev = if k = 0 then 1. else fit_times.(k - 1) in
+        if not (Float.is_finite t && t >= prev -. 1e-12) then
+          invalid_arg "Fit.closed_form: fit times must be finite, >= 1 and increasing")
+      fit_times;
+    if nx < 3 || not (big_l > l) then
+      invalid_arg "Fit.closed_form: need nx >= 3 and l < big_l";
+    let xs = Vec.linspace l big_l nx in
+    let phis = Array.map (Initial.to_function phi) xs in
+    (* the cells [Density.mean_relative_error] scores, in its order *)
+    let cells = ref [] in
+    Array.iter
+      (fun distance ->
+        Array.iteri
+          (fun it time ->
+            let actual = Socialnet.Density.at obs ~distance ~time in
+            if actual > 0. then begin
+              let x = Float.max xs.(0) (Float.min xs.(nx - 1) (float_of_int distance)) in
+              let i = Interp.bracket xs x in
+              let i1 = Stdlib.min (i + 1) (nx - 1) in
+              let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
+              cells := (it, i, i1, wx, actual) :: !cells
+            end)
+          fit_times)
+      obs.Socialnet.Density.distances;
+    (phis, Array.of_list (List.rev !cells))
+  with
+  | exception ((Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e) ->
+    (* [objective]'s policy: a set-up the solver refuses (a fit time the
+       observation lacks, say) scores infinity *)
+    log_failure e;
+    fun _ -> infinity
+  | _, [||] -> fun _ -> infinity
+  | phis, cells ->
+    let n = Array.length cells in
+    let c_it = Array.map (fun (it, _, _, _, _) -> it) cells in
+    let c_i = Array.map (fun (_, i, _, _, _) -> i) cells in
+    let c_i1 = Array.map (fun (_, _, i1, _, _) -> i1) cells in
+    let c_wx = Array.map (fun (_, _, _, wx, _) -> wx) cells in
+    let c_actual = Array.map (fun (_, _, _, _, a) -> a) cells in
+    let nt = Array.length fit_times in
+    let decay = Array.make nt 0. in
+    fun v ->
+      let k = v.(0) in
+      let r = Growth.Exp_decay { a = v.(1); b = v.(2); c = v.(3) } in
+      for it = 0 to nt - 1 do
+        decay.(it) <- exp (-.Growth.integral r ~t0:1. ~t1:fit_times.(it))
+      done;
+      let err = ref 0. in
+      for c = 0 to n - 1 do
+        let decay = decay.(c_it.(c)) and wx = c_wx.(c) and actual = c_actual.(c) in
+        let predicted =
+          ((1. -. wx) *. logistic_node ~k ~decay phis.(c_i.(c)))
+          +. (wx *. logistic_node ~k ~decay phis.(c_i1.(c)))
+        in
+        err := !err +. (Float.abs (predicted -. actual) /. actual)
+      done;
+      !err /. float_of_int n
+
+(* --- the search ---
+
+   A start is prepared on the domain that polishes it, so its scan and
+   cheap polish run in parallel with the other starts'. *)
+
+type start_kind = Closed_form | Coarse | Warm | Random
+
+let start_kind_name = function
+  | Closed_form -> "closed_form"
+  | Coarse -> "coarse"
+  | Warm -> "warm"
+  | Random -> "random"
+
+type origin = Point of float array | Simplex of float array array
+
+type start = { kind : start_kind; prepare : unit -> origin * int }
+
+let box_starts ~starts ~lo ~hi rng =
+  (* drawn now, in start order, so the rng stream (and therefore the
+     result) is independent of the pool size *)
+  Array.init (Stdlib.max 1 starts) (fun k ->
+      let x0 =
         Array.mapi
           (fun i lo_i ->
             if k = 0 then (lo_i +. hi.(i)) /. 2. else Rng.uniform rng lo_i hi.(i))
-          lo)
-  in
-  let run_restart k =
+          lo
+      in
+      { kind = Random; prepare = (fun () -> (Point x0, 0)) })
+
+(* Polishes may run on separate domains; each reports its own
+   evaluation count, so the sum is exact and race-free.  Each polish is
+   deterministic given its start, so the counts are too. *)
+let multi_start ?(pool = Parallel.Pool.sequential) ?(tol = 1e-6)
+    ?(max_iter = 250) make_f starts =
+  if Array.length starts = 0 then invalid_arg "Fit.multi_start: no starts";
+  let run_start k =
+    let st = starts.(k) in
     Obs.Span.with_span "fit.restart"
-      ~attrs:(fun () -> [ Obs.Log.int "restart" k ])
+      ~attrs:(fun () ->
+        [ Obs.Log.int "restart" k; Obs.Log.str "start" (start_kind_name st.kind) ])
       (fun () ->
+        let origin, prepared = st.prepare () in
         let f = make_f () in
-        let simplex = if k = 0 then simplex else None in
-        let r = Optimize.nelder_mead ~tol ~max_iter ?simplex f ~x0:x0s.(k) in
-        if simplex <> None then
-          Obs.Span.add_attr "warm" (Obs.Log.Bool true);
+        let r =
+          match origin with
+          | Point x0 -> Optimize.nelder_mead ~tol ~max_iter f ~x0
+          | Simplex s -> Optimize.nelder_mead ~tol ~max_iter ~simplex:s f ~x0:s.(0)
+        in
+        let evaluations = prepared + r.Optimize.evaluations in
         Obs.Span.add_attr "iterations" (Obs.Log.Int r.Optimize.iterations);
+        Obs.Span.add_attr "evaluations" (Obs.Log.Int evaluations);
+        Obs.Span.add_attr "converged" (Obs.Log.Bool r.Optimize.converged);
         Obs.Span.add_attr "objective" (Obs.Log.Float r.Optimize.f);
         Obs.Span.add_attr "spread" (Obs.Log.Float r.Optimize.spread);
         Obs.Metrics.incr m_restarts;
         Obs.Metrics.incr ~by:r.Optimize.iterations m_nm_iterations;
-        Obs.Metrics.incr ~by:r.Optimize.evaluations m_objective_evals;
+        Obs.Metrics.incr ~by:evaluations m_objective_evals;
         Obs.Log.debug "fit.restart" ~fields:(fun () ->
             [
               Obs.Log.int "restart" k;
+              Obs.Log.str "start" (start_kind_name st.kind);
               Obs.Log.int "iterations" r.Optimize.iterations;
-              Obs.Log.int "evaluations" r.Optimize.evaluations;
+              Obs.Log.int "evaluations" evaluations;
               Obs.Log.float "objective" r.Optimize.f;
               Obs.Log.float "spread" r.Optimize.spread;
               Obs.Log.bool "converged" r.Optimize.converged;
             ]);
-        r)
+        (r, evaluations))
   in
   let runs =
-    Parallel.Pool.parallel_map pool run_restart (Array.init starts Fun.id)
+    Parallel.Pool.parallel_map pool run_start
+      (Array.init (Array.length starts) Fun.id)
   in
-  let best = ref runs.(0) in
-  Array.iter (fun r -> if r.Optimize.f < !best.Optimize.f then best := r) runs;
-  (!best, Array.fold_left (fun acc r -> acc + r.Optimize.evaluations) 0 runs)
+  let best = ref (fst runs.(0)) in
+  Array.iter (fun (r, _) -> if r.Optimize.f < !best.Optimize.f then best := r) runs;
+  (!best, Array.fold_left (fun acc (_, e) -> acc + e) 0 runs)
+
+(* The cold path's sizes, measured on calibrate's 24 items over 10
+   seeds each (2-core Xeon, OCaml 5.1.1): with 200-point scans, the top
+   2 closed-form points polished and a 21-node, 0.25 h coarse grid,
+   every item's median training error is at or below the 4-restart
+   random search's, at about a third of its fit-grid solves.  A coarse
+   grid of 11 nodes at 0.5 h, or of 41 nodes at 0.25 h, missed story
+   345's interest basin (t2-4: 0.3385 and 0.3375 against 0.3374); the
+   closed-form lane alone missed it too (0.3463), because that basin
+   (d ≈ 0.012, K ≈ 90–105) scores 0.456 on the closed form against
+   0.357 at the closed form's own optimum. *)
+let scan_points = 200
+let closed_form_polishes = 2
+let coarse_nx = 21
+let coarse_dt = 0.25
+
+(* Indices of [scores] from lowest to highest, ties in index order; a
+   NaN ranks last. *)
+let ranking scores =
+  let key i = if Float.is_nan scores.(i) then infinity else scores.(i) in
+  let order = Array.init (Array.length scores) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare (key i) (key j)) order;
+  order
+
+let first_lowest runs =
+  Array.fold_left
+    (fun best r -> if r.Optimize.f < best.Optimize.f then r else best)
+    runs.(0) runs
+
+(* A value computed once, by whichever start needs it first. *)
+let shared f =
+  let m = Mutex.create () and v = ref None in
+  fun () ->
+    Mutex.protect m (fun () ->
+        match !v with
+        | Some x -> (x, false)
+        | None ->
+          let x = f () in
+          v := Some x;
+          (x, true))
 
 let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
     ?init ?on_fit ?phi rng (obs : Socialnet.Density.t) =
@@ -188,37 +335,38 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
               fst config.b_bounds; fst config.c_bounds |] in
   let hi = [| snd config.d_bounds; k_hi; snd config.a_bounds;
               snd config.b_bounds; snd config.c_bounds |] in
+  let n = Array.length lo in
   let clamp i v = Float.max lo.(i) (Float.min hi.(i) v) in
   let of_vector v =
     let d = clamp 0 v.(0) and k = clamp 1 v.(1) in
     let a = clamp 2 v.(2) and b = clamp 3 v.(3) and c = clamp 4 v.(4) in
     Params.make ~d ~k ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l
   in
-  let make_f () =
-    (* One panel workspace per restart, captured by the closure: the
-       pool hands a restart to exactly one worker domain, so the
+  let objective_on ~nx ~dt () =
+    (* One panel workspace per closure, and one closure per start: the
+       pool hands a start to exactly one worker domain, so the
        workspace is domain-private, and every objective evaluation of
-       the restart's Nelder--Mead loop reuses the same solver buffers
+       the start's Nelder--Mead loop reuses the same solver buffers
        (counted by pde.panel_reuses).  Reuse is bit-invisible: the
        panel path is bit-identical to the scalar solve. *)
     let workspace = Pde.panel_workspace () in
     fun v ->
-      objective ~scheme:config.solver_scheme ~nx:config.solver_nx
-        ~dt:config.solver_dt ~workspace ~phi ~obs ~fit_times:config.fit_times
-        (of_vector v)
+      objective ~scheme:config.solver_scheme ~nx ~dt ~workspace ~phi ~obs
+        ~fit_times:config.fit_times (of_vector v)
       +. box_penalty ~lo ~hi v
   in
-  let n = Array.length lo in
-  let vector_of_params (p : Params.t) =
-    let a, b, c =
-      match p.Params.r with
-      | Growth.Exp_decay { a; b; c } -> (a, b, c)
-      | Growth.Constant v ->
-        (0., (fst config.b_bounds +. snd config.b_bounds) /. 2., v)
-    in
-    Array.mapi (fun i x -> clamp i x) [| p.Params.d; p.Params.k; a; b; c |]
+  let make_f = objective_on ~nx:config.solver_nx ~dt:config.solver_dt in
+  (* A local simplex around [v0]: small edges, so the polish stays in
+     the basin it starts in and converges in few solves. *)
+  let small_simplex v0 =
+    let edge i = Float.max 0.02 (0.02 *. Float.abs v0.(i)) in
+    Simplex
+      (Array.init (n + 1) (fun k ->
+           let v = Array.copy v0 in
+           if k > 0 then v.(k - 1) <- v.(k - 1) +. edge (k - 1);
+           v))
   in
-  let simplex =
+  let warm =
     match init with
     | None -> None
     | Some (Init_simplex vs) ->
@@ -228,22 +376,90 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
         invalid_arg
           (Printf.sprintf "Fit: init simplex must be %d vertices of length %d"
              (n + 1) n);
-      Some vs
+      Some (Simplex vs)
     | Some (Init_params p) ->
-      (* a local simplex around the prior optimum: small edges so the
-         polish stays near the checkpoint and converges in few solves *)
-      let v0 = vector_of_params p in
-      let edge i = Float.max 0.02 (0.02 *. Float.abs v0.(i)) in
-      Some
-        (Array.init (n + 1) (fun k ->
-             let v = Array.copy v0 in
-             if k > 0 then v.(k - 1) <- v.(k - 1) +. edge (k - 1);
-             v))
+      let a, b, c =
+        match p.Params.r with
+        | Growth.Exp_decay { a; b; c } -> (a, b, c)
+        | Growth.Constant v ->
+          (0., (fst config.b_bounds +. snd config.b_bounds) /. 2., v)
+      in
+      Some (small_simplex (Array.mapi clamp [| p.Params.d; p.Params.k; a; b; c |]))
   in
-  if simplex <> None then Obs.Metrics.incr m_warm_starts;
-  let best, evaluations =
-    multi_start ~pool ?simplex ~starts:config.starts ~lo ~hi rng make_f
+  (* Every scan point is drawn now, closed-form points first, whatever
+     [starts] or [init] is, so the rng stream does not depend on them. *)
+  let uniform i = Rng.uniform rng lo.(i) hi.(i) in
+  let closed_form_points =
+    Array.init scan_points (fun _ -> Array.init (n - 1) (fun i -> uniform (i + 1)))
   in
+  let coarse_points =
+    Array.init scan_points (fun _ ->
+        Array.init n (fun i ->
+            if i = 0 && lo.(0) > 0. then
+              exp (Rng.uniform rng (log lo.(0)) (log hi.(0)))
+            else uniform i))
+  in
+  let cheap_polish f x0 = Optimize.nelder_mead ~tol:1e-6 ~max_iter:250 f ~x0 in
+  (* polish 0, cold: the best of the d = 0 closed form over (K, a, b, c),
+     polished at the lowest d *)
+  let closed_form_start () =
+    let cf =
+      closed_form ~nx:config.solver_nx ~phi ~obs ~fit_times:config.fit_times ~l ~big_l
+    in
+    let lo4 = Array.sub lo 1 (n - 1) and hi4 = Array.sub hi 1 (n - 1) in
+    let clamped = Array.make (n - 1) 0. in
+    let evals = ref 0 in
+    let f v =
+      incr evals;
+      for i = 0 to n - 2 do
+        clamped.(i) <- clamp (i + 1) v.(i)
+      done;
+      cf clamped +. box_penalty ~lo:lo4 ~hi:hi4 v
+    in
+    let order = ranking (Array.map f closed_form_points) in
+    let best =
+      first_lowest
+        (Array.init closed_form_polishes (fun j ->
+             cheap_polish f closed_form_points.(order.(j))))
+    in
+    Obs.Metrics.incr ~by:!evals m_closed_form_evals;
+    Obs.Span.add_attr "closed_form_evaluations" (Obs.Log.Int !evals);
+    Obs.Span.add_attr "closed_form_objective" (Obs.Log.Float best.Optimize.f);
+    ( small_simplex
+        (Array.init n (fun i -> if i = 0 then lo.(0) else clamp i best.Optimize.x.(i - 1))),
+      0 )
+  in
+  (* polishes 1 .. starts - 1: the best points of one scan of the same
+     PDE on a coarse grid, each polished there first *)
+  let coarse_nx = Stdlib.min coarse_nx config.solver_nx in
+  let coarse_dt = Float.max coarse_dt config.solver_dt in
+  let coarse_order =
+    shared (fun () ->
+        ranking (Array.map (objective_on ~nx:coarse_nx ~dt:coarse_dt ()) coarse_points))
+  in
+  let coarse_start j () =
+    let order, scanned = coarse_order () in
+    let r =
+      cheap_polish
+        (objective_on ~nx:coarse_nx ~dt:coarse_dt ())
+        coarse_points.(order.(Stdlib.min j (scan_points - 1)))
+    in
+    let coarse_evaluations =
+      r.Optimize.evaluations + if scanned then scan_points else 0
+    in
+    Obs.Span.add_attr "coarse_evaluations" (Obs.Log.Int coarse_evaluations);
+    (small_simplex (Array.mapi clamp r.Optimize.x), coarse_evaluations)
+  in
+  let starts =
+    Array.init (Stdlib.max 1 config.starts) (fun k ->
+        if k > 0 then { kind = Coarse; prepare = coarse_start (k - 1) }
+        else
+          match warm with
+          | Some origin -> { kind = Warm; prepare = (fun () -> (origin, 0)) }
+          | None -> { kind = Closed_form; prepare = closed_form_start })
+  in
+  if warm <> None then Obs.Metrics.incr m_warm_starts;
+  let best, evaluations = multi_start ~pool make_f starts in
   let params = of_vector best.Optimize.x in
   let training_error =
     objective ~scheme:config.solver_scheme ~phi ~obs
@@ -253,7 +469,7 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
   Obs.Log.debug "fit.done" ~fields:(fun () ->
       [
         Obs.Log.int "starts" (Stdlib.max 1 config.starts);
-        Obs.Log.bool "warm" (simplex <> None);
+        Obs.Log.bool "warm" (warm <> None);
         Obs.Log.int "evaluations" evaluations;
         Obs.Log.float "best_objective" best.Optimize.f;
         Obs.Log.float "training_error" training_error;

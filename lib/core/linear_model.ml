@@ -132,7 +132,8 @@ let fit ?(config = default_fit_config) ?(pool = Parallel.Pool.sequential) rng
   in
   let f v = objective (of_vector v) +. Fit.box_penalty ~lo ~hi v in
   let best, evaluations =
-    Fit.multi_start ~pool ~starts:config.starts ~lo ~hi rng (fun () -> f)
+    Fit.multi_start ~pool (fun () -> f)
+      (Fit.box_starts ~starts:config.starts ~lo ~hi rng)
   in
   let params = of_vector best.Optimize.x in
   let training_error = objective params in

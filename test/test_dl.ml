@@ -393,18 +393,62 @@ let test_fit_pinned () =
       r.Dl.Fit.evaluations
   in
   pinned "cold"
-    [ 0x3f1a36e2eb1c432dL; 0x40337fa56fd207bdL; 0x3fde38810654ca69L;
-      0x3ff9a57547b569ecL; 0x3fe00c574f9c6ff3L; 0x3fa55c5212af2515L ]
-    1088
+    [ 0x3f1a36e2eb1c432dL; 0x40337ffe9845bdceL; 0x3fea94abb736eaddL;
+      0x3fcf4d97e4553ab3L; 0x0L; 0x3fa19ad98d08b74bL ]
+    1224
     (Dl.Fit.fit ~config:pin_fit_config (Rng.create 7) pin_obs);
-  (* a warm start replaces restart 0 only; restart 1 is the cold one *)
+  (* a warm start replaces polish 0 only; polish 1 is the cold fit's
+     coarse polish, which wins here as it does cold *)
   let prior = Dl.Params.with_domain Dl.Params.paper_hops ~l:1. ~big_l:5. in
   pinned "warm"
-    [ 0x3f1a36e2eb1c432dL; 0x40337ff15c3def4eL; 0x3fe19c01f93ed808L;
-      0x3fff504a51a639e4L; 0x3fe00d0a3397f11cL; 0x3fa60017f3c98843L ]
-    628
+    [ 0x3f1a36e2eb1c432dL; 0x40337ffe9845bdceL; 0x3fea94abb736eaddL;
+      0x3fcf4d97e4553ab3L; 0x0L; 0x3fa19ad98d08b74bL ]
+    847
     (Dl.Fit.fit ~config:{ pin_fit_config with starts = 2 }
        ~init:(Dl.Fit.Init_params prior) (Rng.create 7) pin_obs)
+
+(* [Fit.closed_form] is the d = 0 model on the fit grid: equal to the
+   PDE objective at d = 0 up to rounding, on distances that are grid
+   nodes (pin_obs on [1, 5] at 41 nodes) and on distances between nodes
+   ([1, 7] at 41 nodes), with a group empty at t = 1. *)
+let test_fit_closed_form_is_d0_objective () =
+  let off_node =
+    {
+      Socialnet.Density.distances = [| 1; 2; 3; 4; 5; 6; 7 |];
+      times = pin_obs.Socialnet.Density.times;
+      density =
+        Array.append
+          [| [| 0.0; 0.4; 1.0; 1.5; 1.8; 2.0 |] |]
+          (Array.append pin_obs.Socialnet.Density.density
+             [| [| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6 |] |]);
+      population = Array.make 7 100;
+    }
+  in
+  let fit_times = [| 2.; 3.; 4. |] in
+  List.iter
+    (fun (name, (obs : Socialnet.Density.t)) ->
+      let distances = obs.Socialnet.Density.distances in
+      let l = float_of_int distances.(0) in
+      let big_l = float_of_int distances.(Array.length distances - 1) in
+      let phi = Dl.Fit.phi_of_obs obs in
+      let cf = Dl.Fit.closed_form ~nx:41 ~phi ~obs ~fit_times ~l ~big_l in
+      List.iter
+        (fun (k, a, b, c) ->
+          let params =
+            Dl.Params.make ~d:0. ~k ~r:(Dl.Growth.Exp_decay { a; b; c }) ~l ~big_l
+          in
+          let pde = Dl.Fit.objective ~nx:41 ~dt:0.05 ~phi ~obs ~fit_times params in
+          let closed = cf [| k; a; b; c |] in
+          if Float.abs (closed -. pde) > 1e-12 *. pde then
+            Alcotest.failf "%s K %g: closed form %.17g, d = 0 solve %.17g" name k
+              closed pde)
+        [ (7., 0.5, 1., 0.1); (25., 1.4, 1.5, 0.25); (60., 1.6, 1., 0.1) ])
+    [ ("nodes", pin_obs); ("between nodes", off_node) ];
+  (* a fit time the observation lacks fails both the same way *)
+  let phi = Dl.Fit.phi_of_obs pin_obs in
+  checkf 0. "missing time" infinity
+    (Dl.Fit.closed_form ~nx:41 ~phi ~obs:pin_obs ~fit_times:[| 2.; 7. |] ~l:1.
+       ~big_l:5. [| 25.; 1.4; 1.5; 0.25 |])
 
 let test_linear_fit_pinned () =
   let config =
@@ -595,6 +639,8 @@ let suite =
     Alcotest.test_case "fit self-error" `Quick test_fit_objective_paper_params_near_zero_on_own_data;
     Alcotest.test_case "fit rejects bad obs" `Quick test_fit_rejects_bad_obs;
     Alcotest.test_case "fit pinned bits" `Quick test_fit_pinned;
+    Alcotest.test_case "fit closed form = d=0 objective" `Quick
+      test_fit_closed_form_is_d0_objective;
     Alcotest.test_case "linear fit pinned bits" `Quick test_linear_fit_pinned;
     Alcotest.test_case "epidemic fit pinned bits" `Quick test_epidemic_fit_pinned;
     Alcotest.test_case "persistence baseline" `Quick test_persistence_baseline;

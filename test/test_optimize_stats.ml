@@ -29,8 +29,8 @@ let test_multi_start () =
     Float.min (1. +. ((x +. 2.) ** 2.)) ((x -. 3.) ** 2.)
   in
   let r, _ =
-    Dl.Fit.multi_start ~tol:1e-9 ~max_iter:2000 ~starts:20 ~lo:[| -6. |]
-      ~hi:[| 6. |] (Rng.create 5) (fun () -> f)
+    Dl.Fit.multi_start ~tol:1e-9 ~max_iter:2000 (fun () -> f)
+      (Dl.Fit.box_starts ~starts:20 ~lo:[| -6. |] ~hi:[| 6. |] (Rng.create 5))
   in
   checkf 1e-2 "global min" 3. r.Optimize.x.(0)
 
@@ -39,8 +39,8 @@ let test_multi_start_first_minimum_wins () =
      restart 0's: the run from the box midpoint *)
   let flat _ = 1. in
   let r, _ =
-    Dl.Fit.multi_start ~starts:5 ~lo:[| 0. |] ~hi:[| 4. |] (Rng.create 4)
-      (fun () -> flat)
+    Dl.Fit.multi_start (fun () -> flat)
+      (Dl.Fit.box_starts ~starts:5 ~lo:[| 0. |] ~hi:[| 4. |] (Rng.create 4))
   in
   let r0 = Optimize.nelder_mead ~tol:1e-6 ~max_iter:250 flat ~x0:[| 2. |] in
   checkf 0. "restart 0's point" r0.Optimize.x.(0) r.Optimize.x.(0)
