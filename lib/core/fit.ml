@@ -223,6 +223,12 @@ let box_starts ~starts ~lo ~hi rng =
       in
       { kind = Random; prepare = (fun () -> (Point x0, 0)) })
 
+(* The first run with the lowest objective. *)
+let first_lowest runs =
+  Array.fold_left
+    (fun best r -> if r.Optimize.f < best.Optimize.f then r else best)
+    runs.(0) runs
+
 (* Polishes may run on separate domains; each reports its own
    evaluation count, so the sum is exact and race-free.  Each polish is
    deterministic given its start, so the counts are too. *)
@@ -267,20 +273,19 @@ let multi_start ?(pool = Parallel.Pool.sequential) ?(tol = 1e-6)
     Parallel.Pool.parallel_map pool run_start
       (Array.init (Array.length starts) Fun.id)
   in
-  let best = ref (fst runs.(0)) in
-  Array.iter (fun (r, _) -> if r.Optimize.f < !best.Optimize.f then best := r) runs;
-  (!best, Array.fold_left (fun acc (_, e) -> acc + e) 0 runs)
+  (first_lowest (Array.map fst runs), Array.fold_left (fun acc (_, e) -> acc + e) 0 runs)
 
-(* The cold path's sizes, measured on calibrate's 24 items over 10
-   seeds each (2-core Xeon, OCaml 5.1.1): with 200-point scans, the top
-   2 closed-form points polished and a 21-node, 0.25 h coarse grid,
-   every item's median training error is at or below the 4-restart
-   random search's, at about a third of its fit-grid solves.  A coarse
-   grid of 11 nodes at 0.5 h, or of 41 nodes at 0.25 h, missed story
-   345's interest basin (t2-4: 0.3385 and 0.3375 against 0.3374); the
-   closed-form lane alone missed it too (0.3463), because that basin
-   (d ≈ 0.012, K ≈ 90–105) scores 0.456 on the closed form against
-   0.357 at the closed form's own optimum. *)
+(* The cold path's sizes.  On calibrate's 24 items over 10 seeds each
+   (2-core Xeon, OCaml 5.1.1), 200-point scans, the top 2 closed-form
+   points polished and a 21-node, 0.25 h coarse grid put every item's
+   median training error at or below the 4-restart random search's,
+   with about a third of its fit-grid solves.  Story 345's interest
+   group 1 is empty at t = 1 and only diffusion fills it, so its basin
+   (t2-4, random search median 0.33741) is the one the sizes must find:
+   a coarse grid of 11 nodes at 0.5 h reached 0.33854, one of 41 nodes
+   at 0.25 h 0.33748, and 21 nodes at 0.25 h 0.33719.  Without the
+   coarse lane (every polish from the closed form) it reached 0.34627,
+   and story 56's hops t2-4 0.12419 against 0.12404. *)
 let scan_points = 200
 let closed_form_polishes = 2
 let coarse_nx = 21
@@ -293,11 +298,6 @@ let ranking scores =
   let order = Array.init (Array.length scores) Fun.id in
   Array.stable_sort (fun i j -> Float.compare (key i) (key j)) order;
   order
-
-let first_lowest runs =
-  Array.fold_left
-    (fun best r -> if r.Optimize.f < best.Optimize.f then r else best)
-    runs.(0) runs
 
 (* A value computed once, by whichever start needs it first. *)
 let shared f =
