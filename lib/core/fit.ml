@@ -291,12 +291,10 @@ let closed_form_polishes = 2
 let coarse_nx = 21
 let coarse_dt = 0.25
 
-(* Indices of [scores] from lowest to highest, ties in index order; a
-   NaN ranks last. *)
+(* Indices of [scores] from lowest to highest, ties in index order. *)
 let ranking scores =
-  let key i = if Float.is_nan scores.(i) then infinity else scores.(i) in
   let order = Array.init (Array.length scores) Fun.id in
-  Array.stable_sort (fun i j -> Float.compare (key i) (key j)) order;
+  Array.stable_sort (fun i j -> Float.compare scores.(i) scores.(j)) order;
   order
 
 (* A value computed once, by whichever start needs it first. *)
@@ -423,7 +421,6 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
              cheap_polish f closed_form_points.(order.(j))))
     in
     Obs.Metrics.incr ~by:!evals m_closed_form_evals;
-    Obs.Span.add_attr "closed_form_evaluations" (Obs.Log.Int !evals);
     Obs.Span.add_attr "closed_form_objective" (Obs.Log.Float best.Optimize.f);
     ( small_simplex
         (Array.init n (fun i -> if i = 0 then lo.(0) else clamp i best.Optimize.x.(i - 1))),

@@ -143,9 +143,6 @@ type start = {
           on the domain that polishes the start *)
 }
 
-val start_kind_name : start_kind -> string
-(** ["closed_form"], ["coarse"], ["warm"] or ["random"]. *)
-
 val multi_start :
   ?pool:Parallel.Pool.t -> ?tol:float -> ?max_iter:int ->
   (unit -> float array -> float) -> start array ->

@@ -755,7 +755,12 @@ let run_fit ?init ~id ~config spec =
       {
         Dl.Linear_model.default_fit_config with
         Dl.Linear_model.fit_times = config.Dl.Fit.fit_times;
-        starts = config.Dl.Fit.starts;
+        (* an absent [starts] keeps the linear fitter's own default: its
+           random restarts are not the dl cold path's polishes *)
+        starts =
+          (if spec.fs_starts <= 0 then
+             Dl.Linear_model.default_fit_config.Dl.Linear_model.starts
+           else config.Dl.Fit.starts);
         solver_nx = config.Dl.Fit.solver_nx;
         solver_dt = config.Dl.Fit.solver_dt;
       }
@@ -772,7 +777,13 @@ let run_fit ?init ~id ~config spec =
         evaluations = r.Dl.Linear_model.evaluations;
       }
     in
-    let pconfig = { config with Dl.Fit.solver_scheme = Dl.Model.Strang } in
+    let pconfig =
+      {
+        config with
+        Dl.Fit.solver_scheme = Dl.Model.Strang;
+        starts = lconfig.Dl.Linear_model.starts;
+      }
+    in
     ( {
         fe_id = id;
         fe_model = "dl-linear";

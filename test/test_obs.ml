@@ -618,6 +618,64 @@ let test_fit_bit_identity () =
   Alcotest.(check int) "same number of objective evaluations"
     off.Dl.Fit.evaluations on.Dl.Fit.evaluations
 
+(* --- fit telemetry: where each polish started, and whether it converged --- *)
+
+let test_fit_restart_telemetry () =
+  let obs = Test_parallel.synthetic_obs () in
+  let config = { Test_parallel.fast_fit_config with Dl.Fit.starts = 2 } in
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let restarts fit =
+    Obs.Span.reset ();
+    let cf0 = counter "fit.closed_form_evals"
+    and ev0 = counter "fit.objective_evals" in
+    let r = fit () in
+    let spans =
+      List.concat_map flatten_spans (Obs.Span.roots ())
+      |> List.filter (fun s -> s.Obs.Span.name = "fit.restart")
+    in
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) "converged attribute" true
+          (match List.assoc_opt "converged" s.Obs.Span.attrs with
+           | Some (Obs.Log.Bool _) -> true
+           | _ -> false))
+      spans;
+    let start s =
+      match List.assoc_opt "start" s.Obs.Span.attrs with
+      | Some (Obs.Log.String k) -> k
+      | _ -> Alcotest.fail "fit.restart span without a start attribute"
+    in
+    ( r,
+      List.map start spans,
+      counter "fit.closed_form_evals" - cf0,
+      counter "fit.objective_evals" - ev0 )
+  in
+  with_obs_enabled @@ fun () ->
+  let cold, starts, cf, evals =
+    restarts (fun () -> Dl.Fit.fit ~config (Rng.create 11) obs)
+  in
+  Alcotest.(check (list string)) "cold starts" [ "closed_form"; "coarse" ] starts;
+  Alcotest.(check bool) "closed form evaluated" true (cf > 0);
+  Alcotest.(check int) "objective evals = result.evaluations"
+    cold.Dl.Fit.evaluations evals;
+  let _, starts, cf, _ =
+    restarts (fun () ->
+        Dl.Fit.fit ~config:{ config with Dl.Fit.starts = 1 }
+          ~init:(Dl.Fit.Init_params cold.Dl.Fit.params) (Rng.create 11) obs)
+  in
+  Alcotest.(check (list string)) "warm start" [ "warm" ] starts;
+  Alcotest.(check int) "a warm polish 0 skips the closed form" 0 cf;
+  let _, starts, _, _ =
+    restarts (fun () ->
+        let config =
+          { Dl.Linear_model.default_fit_config with
+            Dl.Linear_model.fit_times = [| 2.; 3. |]; starts = 2;
+            solver_nx = 21; solver_dt = 0.1 }
+        in
+        Dl.Linear_model.fit ~config (Rng.create 11) obs)
+  in
+  Alcotest.(check (list string)) "linear model starts" [ "random"; "random" ] starts
+
 let suite =
   [
     Alcotest.test_case "level filtering" `Quick test_level_filtering;
@@ -644,4 +702,6 @@ let suite =
     Alcotest.test_case "folded stacks" `Quick test_folded_stacks;
     Alcotest.test_case "fit bit-identity with obs on" `Quick
       test_fit_bit_identity;
+    Alcotest.test_case "fit restart spans: start and converged" `Quick
+      test_fit_restart_telemetry;
   ]

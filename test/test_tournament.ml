@@ -314,6 +314,49 @@ let test_serve_model_roundtrip () =
       Alcotest.(check bool) "warm density sane" true
         (Float.is_finite d && d >= 0.))
 
+(* Without "starts", a served linear fit keeps Linear_model's own
+   default restarts, not the dl fit's default polishes. *)
+let test_serve_linear_default_starts () =
+  let module J = Serve.Tiny_json in
+  let server =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with Serve.Server.port = 0 } ()
+  in
+  let th = Thread.create Serve.Server.run server in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      Thread.join th)
+  @@ fun () ->
+  let r =
+    ok
+      (Serve.Client.request ~port:(Serve.Server.port server)
+         ~body:{|{"distances":[1,2,3,4],"times":[1,2,3,4,5],
+                  "density":[[2.0,3.0,4.0,4.8,5.4],[1.2,1.9,2.7,3.4,4.0],
+                             [0.7,1.1,1.6,2.1,2.5],[0.4,0.6,0.9,1.2,1.5]],
+                  "seed":3,"model":"dl-linear"}|}
+         "POST" "/fit")
+  in
+  let offline =
+    Dl.Linear_model.fit
+      ~config:
+        { Dl.Linear_model.default_fit_config with
+          Dl.Linear_model.fit_times = [| 2.; 3.; 4.; 5. |] }
+      (Numerics.Rng.create 3)
+      {
+        Socialnet.Density.distances = [| 1; 2; 3; 4 |];
+        times = [| 1.; 2.; 3.; 4.; 5. |];
+        density =
+          [| [| 2.0; 3.0; 4.0; 4.8; 5.4 |]; [| 1.2; 1.9; 2.7; 3.4; 4.0 |];
+             [| 0.7; 1.1; 1.6; 2.1; 2.5 |]; [| 0.4; 0.6; 0.9; 1.2; 1.5 |] |];
+        population = Array.make 4 100;
+      }
+  in
+  Alcotest.(check int) "fit status" 200 r.Serve.Client.status;
+  Alcotest.(check (option int)) "the offline default fit's evaluations"
+    (Some offline.Dl.Linear_model.evaluations)
+    (Option.bind (J.member "evaluations" (json_of r)) J.to_int)
+
 let suite =
   [
     Alcotest.test_case "registry lists every built-in" `Quick
@@ -330,4 +373,6 @@ let suite =
     Alcotest.test_case "leaderboard JSON shape" `Slow test_leaderboard_json;
     Alcotest.test_case "serve model field round-trips the store" `Slow
       test_serve_model_roundtrip;
+    Alcotest.test_case "serve dl-linear default starts" `Quick
+      test_serve_linear_default_starts;
   ]
