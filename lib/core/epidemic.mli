@@ -39,9 +39,10 @@ type fit_result = {
 val fit :
   ?fit_times:float array -> Numerics.Rng.t -> Socialnet.Density.t -> fit_result
 (** Calibrates the three rates against an observation (t = 1 snapshot
-    required, default fit window [2; 3; 4]) with the search {!Fit.fit}
-    uses ({!Fit.multi_start}: 6 starts, tolerance [1e-8], at most 400
-    iterations each), minimising the mean relative error. *)
+    required, default fit window [2; 3; 4]) with the polishing loop
+    {!Fit.fit} uses ({!Fit.multi_start} over 6 {!Fit.box_starts},
+    tolerance [1e-8], at most 400 iterations each), minimising the mean
+    relative error. *)
 
 val predictor :
   params -> obs:Socialnet.Density.t -> Baselines.predictor

@@ -89,9 +89,11 @@ val fit :
   ?config:fit_config -> ?pool:Parallel.Pool.t ->
   Numerics.Rng.t -> Socialnet.Density.t -> fit_result
 (** Calibrate (d, a, b, c) with [r(t) = a e^{-b(t-1)} + c] against the
-    densities observed at the configured fitting hours with the search
-    {!Fit.fit} uses ({!Fit.multi_start}), on the same objective (the
-    mean relative error) without the carrying-capacity dimension.
+    densities observed at the configured fitting hours with the
+    polishing loop {!Fit.fit} uses ({!Fit.multi_start}), on the same
+    objective (the mean relative error) without the carrying-capacity
+    dimension.  Its starts are {!Fit.box_starts}: the box midpoint and
+    [starts - 1] uniform draws (default 4 in all).
     [pool] (default sequential) distributes the restarts; results are
     bit-identical for any pool size.
     @raise Invalid_argument if [obs] lacks a t = 1 snapshot (from
