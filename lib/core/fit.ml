@@ -137,7 +137,7 @@ let closed_form ?(nx = 101) ~phi ~obs ~fit_times ~l ~big_l =
     Array.iteri
       (fun k t ->
         let prev = if k = 0 then 1. else fit_times.(k - 1) in
-        if not (Float.is_finite t && t >= prev -. 1e-12) then
+        if not (Float.is_finite t && t >= 1. && t >= prev -. 1e-12) then
           invalid_arg "Fit.closed_form: fit times must be finite, >= 1 and increasing")
       fit_times;
     if nx < 3 || not (big_l > l) then

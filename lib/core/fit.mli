@@ -232,7 +232,8 @@ val closed_form :
     Apply it to everything but the vector once: that does the set-up
     (the grid, phi at its nodes and each scored cell's bracket), and the
     function it returns costs one [exp] per fit time and one division
-    per node read, with no PDE solve.  A set-up {!objective} would fail
+    per node read, with no PDE solve; it reuses one work buffer, so
+    call it from one domain at a time.  A set-up {!objective} would fail
     on ([Failure], [Invalid_argument], [Mat.Singular], [Not_found], such
     as a fit time [obs] lacks) gives a function that is always
     [infinity], as does an observation with no positive cell. *)
