@@ -33,9 +33,7 @@ type result = {
   evaluations : int;
 }
 
-type init =
-  | Init_params of Params.t
-  | Init_simplex of float array array
+type init = Init_params of Params.t
 
 let phi_of_obs (obs : Socialnet.Density.t) =
   let t1 = obs.Socialnet.Density.times.(0) in
@@ -87,7 +85,6 @@ type event = {
 
 let global_on_fit : (event -> unit) option ref = ref None
 let set_on_fit h = global_on_fit := h
-let on_fit_installed () = Option.is_some !global_on_fit
 
 let notify_fit ?on_fit ev =
   match (match on_fit with Some _ -> on_fit | None -> !global_on_fit) with
@@ -367,14 +364,6 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
   let warm =
     match init with
     | None -> None
-    | Some (Init_simplex vs) ->
-      if Array.length vs <> n + 1
-         || Array.exists (fun v -> Array.length v <> n) vs
-      then
-        invalid_arg
-          (Printf.sprintf "Fit: init simplex must be %d vertices of length %d"
-             (n + 1) n);
-      Some (Simplex vs)
     | Some (Init_params p) ->
       let a, b, c =
         match p.Params.r with

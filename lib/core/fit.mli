@@ -52,11 +52,8 @@ type result = {
 }
 
 (** Warm-start input for {!fit}: a prior optimum (e.g. a persisted
-    checkpoint's parameters) or an explicit Nelder--Mead simplex of
-    [n+1 = 6] vertices over [(d, K, a, b, c)]. *)
-type init =
-  | Init_params of Params.t
-  | Init_simplex of float array array
+    checkpoint's parameters). *)
+type init = Init_params of Params.t
 
 (** A completed calibration, as seen by the {!set_on_fit} observer:
     everything a persistence layer needs to checkpoint the fit. *)
@@ -76,8 +73,6 @@ val set_on_fit : (event -> unit) option -> unit
     ([fit.on_fit_failed], warn) and swallowed: persistence trouble
     must not fail a fit that already succeeded.  [lib/store] installs
     its WAL appender here ([Store.attach_fit_hook]). *)
-
-val on_fit_installed : unit -> bool
 
 val fit :
   ?config:config -> ?pool:Parallel.Pool.t ->
@@ -113,18 +108,16 @@ val fit :
     points first, whatever [starts] or [init] is.
 
     [init] warm-starts polish 0 from a prior optimum ([Init_params],
-    polished with the same small simplex) or an explicit simplex
-    ([Init_simplex]) instead of the closed-form start.  Only polish 0
-    changes and the rng stream is the cold one, so a warm fit with
-    [config.starts = 1] is the cheapest online refit and larger
-    [starts] values keep the coarse polishes.  Counted by the
+    polished with the same small simplex) instead of the closed-form
+    start.  Only polish 0 changes and the rng stream is the cold one,
+    so a warm fit with [config.starts = 1] is the cheapest online
+    refit and larger [starts] values keep the coarse polishes.  Counted by the
     [fit.warm_starts] metric.
 
     [id] labels the completed-fit {!event}; [on_fit] overrides the
     global {!set_on_fit} observer for this call only.
-    @raise Invalid_argument if [obs] has fewer than two distances,
-    lacks a t = 1 snapshot while no [phi] is given, or if an
-    [Init_simplex] has the wrong shape. *)
+    @raise Invalid_argument if [obs] has fewer than two distances, or
+    lacks a t = 1 snapshot while no [phi] is given. *)
 
 type start_kind =
   | Closed_form  (** from the d = 0 closed form's optimum *)

@@ -128,9 +128,5 @@ let solve_extended ?(scheme = Crank_nicolson) ?(nx = 101) ?(dt = 0.01) params
 let predict sol ~x ~t = Pde.eval sol.pde ~x ~t
 let predictor sol = Pde.evaluator sol.pde
 
-let predict_profile sol ~t =
-  let snap = Pde.snapshot sol.pde ~t in
-  Array.mapi (fun i x -> (x, snap.(i))) sol.pde.Pde.xs
-
 let predict_at_distances sol ~distances ~t =
   Array.map (fun x -> predict sol ~x:(float_of_int x) ~t) distances

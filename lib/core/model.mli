@@ -75,10 +75,6 @@ val predictor : solution -> x:float -> t:float -> float
     fitting objective evaluates it at every observed (distance, time)
     cell per solve. *)
 
-val predict_profile : solution -> t:float -> (float * float) array
-(** [(x, I(x, t))] at every grid point, at the recorded time nearest
-    to [t]. *)
-
 val predict_at_distances : solution -> distances:int array -> t:float -> float array
 (** Predictions at integer distances (the only physically meaningful
     points, as the paper notes). *)

@@ -95,11 +95,3 @@ let elasticity ?(eps = 0.05) f p axis =
     (up -. down) /. (2. *. eps) /. base
   end
 
-let pp_rows ~reference ppf rows =
-  Format.fprintf ppf "@[<v>reference objective: %.4f@," reference;
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "%-4s x %-5g -> %.4f (%+.4f)@," (axis_name r.axis)
-        r.factor r.value r.delta)
-    rows;
-  Format.fprintf ppf "@]"

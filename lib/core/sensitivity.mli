@@ -43,5 +43,3 @@ val elasticity : ?eps:float -> objective -> Params.t -> axis -> float
 (** Local elasticity [(dF / F) / (dp / p)] by central differences with
     relative step [eps] (default 0.05); [nan] when the reference value
     is 0. *)
-
-val pp_rows : reference:float -> Format.formatter -> row array -> unit

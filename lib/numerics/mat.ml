@@ -20,7 +20,6 @@ let rows m = m.nr
 let cols m = m.nc
 let get m i j = m.data.((i * m.nc) + j)
 let set m i j x = m.data.((i * m.nc) + j) <- x
-let to_arrays m = Array.init m.nr (fun i -> Array.init m.nc (get m i))
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init m.nc m.nr (fun i j -> get m j i)
 

@@ -2,9 +2,14 @@
     server on Unix sockets exposing fitted DL-model predictions and the
     {!Obs} metrics registry.
 
+    This module is the application: the handlers and the state they
+    share.  The listener, connections and worker domains are
+    {!Transport}'s.
+
     {2 Endpoints}
 
-    - [GET /healthz] — liveness: [200 ok].
+    - [GET /healthz] — liveness: [200 ok], answered by the transport on
+      its event loop, never behind a worker, and without a trace id.
     - [GET /metrics] — the {!Obs.Metrics} registry in Prometheus text
       exposition format (all [fit.*]/[pde.*]/[pool.*]/[serve.*] series
       recorded by this process).
@@ -47,13 +52,13 @@
 
     {2 Tracing}
 
-    Every parsed request gets a trace id — the [X-Trace-Id] header
-    when it is a sane token (1–64 chars of [[A-Za-z0-9_-]]), otherwise
-    a fresh 32-hex id.  The id is stamped into every log record the
-    request emits, returned as an [X-Trace-Id] response header, and
-    attached to the request's [serve.request] span tree, which lands
-    in a bounded ring of [config.trace_capacity] recent traces served
-    by the [/debug] endpoints.  Requests slower than
+    Every request a worker answers gets a trace id — the [X-Trace-Id]
+    header when it is a sane token (1–64 chars of [[A-Za-z0-9_-]]),
+    otherwise a fresh 32-hex id.  The id is stamped into every log
+    record the request emits, returned as an [X-Trace-Id] response
+    header, and attached to the request's [serve.request] span tree,
+    which lands in a bounded ring of [config.trace_capacity] recent
+    traces served by the [/debug] endpoints.  Requests slower than
     [config.slow_request_ms] emit a ["serve.slow_request"] warn log
     carrying the trace id.  With [config.otlp_endpoint] set, spans,
     logs and a periodic metrics snapshot are exported to that OTLP/
@@ -74,44 +79,6 @@
     are recorded into the server aggregate, so they appear on
     [GET /metrics].  A store failure during a request degrades to a
     warn log; the fit response itself still succeeds.
-
-    {2 Concurrency and robustness}
-
-    A single event-loop thread multiplexes the listener and every live
-    connection with [Unix.select]: sockets are non-blocking, each
-    connection owns an incremental {!Http.parser} and a buffered output
-    queue, and only {e fully parsed} requests are handed to the worker
-    pool (run via {!Parallel.Pool.run_workers}), as are live refits.
-    Serialized responses travel back over a wake pipe, so worker
-    domains never touch a socket and a slow or stalled peer can never
-    block a worker.  Each worker domain reserves a 16 MB minor heap as
-    it starts: in OCaml 5 every minor collection stops all domains, the
-    event loop's included.
-
-    Connections are HTTP/1.1 keep-alive by default ([Connection:]
-    headers honoured on both 1.0 and 1.1; see {!Http.keep_alive}), with
-    pipelining: bytes past one request's body are preserved as the
-    start of the next, and up to a small window of parsed requests may
-    queue per connection — responses always return in request order.
-
-    Per-connection deadlines replace socket timeouts: a connection
-    mid-request has [read_timeout] to finish it (then [408]); one with
-    a stalled response write has [write_timeout] (then close); an idle
-    keep-alive connection is closed silently after [idle_timeout]; a
-    connection whose request is with a worker has no deadline (a /fit
-    may legitimately take long).  The header block and body are
-    bounded, and once more than [max_conns] connections are live, new
-    ones are answered [503] and closed.  {!stop} (wired to
-    SIGINT/SIGTERM by {!install_signal_handlers}) closes the listener,
-    lets every in-flight request — queued, running, or still being
-    read — finish with a [Connection: close] response, and returns
-    from {!run}.
-
-    Connection-lifecycle series on [/metrics]:
-    [serve.connections_opened], [serve.connections_closed],
-    [serve.connections_reused] (requests served on a connection that
-    had already served one — the keep-alive win) and the
-    [serve.live_connections] gauge (the shedding quantity).
 
     {2 Observability}
 
@@ -210,3 +177,20 @@ val install_signal_handlers : t -> unit
 
 val requests_handled : t -> int
 (** Connections fully handled so far (shed connections included). *)
+
+(** {2 The application without a socket} *)
+
+type app
+(** The handlers and their state (fit cache, store, live stories,
+    trace ring, metrics aggregate), bound to no socket and running no
+    worker. *)
+
+val app : config -> app
+(** The application {!create} serves, built without a socket: the store
+    is opened and OTLP export started as there, and a live refit runs
+    at once, on the thread whose [/observe] scheduled it.  Forces
+    {!Obs.set_enabled}[ true]. *)
+
+val handle : app -> Http.request -> Http.response
+(** Answer one request as a worker does: route it, record its metrics
+    and trace, and add its [X-Trace-Id] header. *)

@@ -326,29 +326,6 @@ let test_fit_warm_start_fewer_evaluations () =
   Alcotest.(check bool) "warm training error no worse" true
     (warm.Dl.Fit.training_error <= cold.Dl.Fit.training_error +. 1e-12)
 
-let test_fit_init_simplex_validation () =
-  let obs = synthetic_obs () in
-  let config =
-    {
-      Dl.Fit.default_config with
-      Dl.Fit.fit_times = [| 2. |];
-      starts = 1;
-      solver_nx = 21;
-      solver_dt = 0.1;
-    }
-  in
-  let fit_with simplex =
-    Dl.Fit.fit ~config ~init:(Dl.Fit.Init_simplex simplex)
-      (Numerics.Rng.create 7) obs
-  in
-  (* 5 parameters need 6 vertices of length 5 *)
-  Alcotest.check_raises "wrong vertex count"
-    (Invalid_argument "Fit: init simplex must be 6 vertices of length 5")
-    (fun () -> ignore (fit_with (Array.make 3 (Array.make 5 0.1))));
-  Alcotest.check_raises "wrong vertex length"
-    (Invalid_argument "Fit: init simplex must be 6 vertices of length 5")
-    (fun () -> ignore (fit_with (Array.make 6 (Array.make 4 0.1))))
-
 let test_fit_warm_metric () =
   let obs = synthetic_obs () in
   Obs.set_enabled true;
@@ -726,6 +703,69 @@ let test_observe_validation () =
   Alcotest.(check (option int)) "late vote dropped" (Some 1)
     (J.to_int (member_exn "late" (json_of r)))
 
+(* An "initiator" outside the graph is refused with a 400 naming the
+   range, and the server keeps serving /observe and /live.  Every
+   request has a client timeout and the server thread is joined only
+   once it has drained, so a wedged server fails the test instead of
+   hanging it. *)
+let test_observe_initiator_outside_graph () =
+  let graph =
+    Socialnet.Dataset.make
+      ~follows:(Osn_graph.Digraph.of_edges 4 [ (1, 0); (2, 1); (3, 2) ])
+      ~stories:[||]
+  in
+  let config =
+    {
+      Serve.Server.default_config with
+      Serve.Server.port = 0;
+      jobs = 2;
+      graph = Some graph;
+    }
+  in
+  let server = Serve.Server.create ~config () in
+  let stopped = Atomic.make false in
+  let th =
+    Thread.create (fun () -> Serve.Server.run server; Atomic.set stopped true) ()
+  in
+  let drained () =
+    Serve.Server.stop server;
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    Atomic.get stopped
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if drained () then Thread.join th;
+      Obs.set_enabled false)
+  @@ fun () ->
+  let port = Serve.Server.port server in
+  let call ?body meth target =
+    match Serve.Client.request ~timeout:4. ~port ?body meth target with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s %s: %s" meth target e
+  in
+  let first initiator =
+    Printf.sprintf
+      {|{"story":"s","initiator":%d,"votes":[{"voter":1,"time":0.5}],
+         "times":[1,2],"population":[10,10,10]}|}
+      initiator
+  in
+  let r = call ~body:(first (-5)) "POST" "/observe" in
+  Alcotest.(check int) "initiator -5" 400 r.Serve.Client.status;
+  Alcotest.(check bool) "names the range" true
+    (Test_serve.contains ~needle:"0..3" r.Serve.Client.body);
+  Alcotest.(check int) "initiator 4" 400
+    (call ~body:(first 4) "POST" "/observe").Serve.Client.status;
+  Alcotest.(check int) "live after the bad batches" 200
+    (call "GET" "/live").Serve.Client.status;
+  Alcotest.(check int) "a valid first batch" 200
+    (call ~body:(first 0) "POST" "/observe").Serve.Client.status;
+  Alcotest.(check int) "live after the valid batch" 200
+    (call "GET" "/live").Serve.Client.status;
+  Alcotest.(check bool) "the server drains" true (drained ())
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -741,7 +781,6 @@ let suite =
       ("drift refit gates", `Quick, test_drift_should_refit);
       ("warm start: fewer evaluations, no worse error", `Slow,
         test_fit_warm_start_fewer_evaluations);
-      ("warm start: simplex validation", `Quick, test_fit_init_simplex_validation);
       ("warm start: fit.warm_starts metric", `Quick, test_fit_warm_metric);
       ("store v3 roundtrip", `Quick, test_store_v3_roundtrip);
       ("store v2 payload compat", `Quick, test_store_v2_compat);
@@ -749,4 +788,6 @@ let suite =
         test_record_of_fit_carries_live_fields);
       ("e2e: observe -> drift -> warm refit daemon", `Slow, test_e2e_observe_refit);
       ("observe validation and drop accounting", `Quick, test_observe_validation);
+      ("observe: initiator outside the graph", `Quick,
+        test_observe_initiator_outside_graph);
     ]

@@ -512,7 +512,44 @@ let test_healthz () =
   with_server @@ fun port ->
   let r = ok (Serve.Client.request ~port "GET" "/healthz") in
   Alcotest.(check int) "status" 200 r.Serve.Client.status;
-  Alcotest.(check string) "body" "ok\n" r.Serve.Client.body
+  Alcotest.(check string) "body" "ok\n" r.Serve.Client.body;
+  Alcotest.(check (option string)) "answered without a trace id" None
+    (List.assoc_opt "x-trace-id" r.Serve.Client.headers)
+
+(* GET /healthz is answered on the event loop: while a slow /fit holds
+   the only worker, a probe answers within 0.5 s, before the fit does.
+   The fit (nx 401, dt 0.002, fit times 2 and 3) takes about 1.4 s on a
+   2-core x86-64 host. *)
+let test_healthz_beside_busy_worker () =
+  with_server ~config:{ base_config with Serve.Server.jobs = 1 } @@ fun port ->
+  let slow_fit =
+    {|{"distances":[1,2,3,4],"times":[1,2,3,4,5],
+      "density":[[2.0,3.0,4.0,4.8,5.4],[1.2,1.9,2.7,3.4,4.0],
+                 [0.7,1.1,1.6,2.1,2.5],[0.4,0.6,0.9,1.2,1.5]],
+      "starts":1,"seed":3,"nx":401,"dt":0.002,"fit_times":[2,3]}|}
+  in
+  let fit_status = ref 0 and fit_at = ref 0. in
+  let fitter =
+    Thread.create
+      (fun () ->
+        (match Serve.Client.request ~timeout:30. ~port ~body:slow_fit "POST" "/fit" with
+        | Ok r -> fit_status := r.Serve.Client.status
+        | Error _ -> ());
+        fit_at := Unix.gettimeofday ())
+      ()
+  in
+  (* let the fit reach the worker *)
+  Thread.delay 0.1;
+  let t0 = Unix.gettimeofday () in
+  let probe = Serve.Client.request ~timeout:0.5 ~port "GET" "/healthz" in
+  let t1 = Unix.gettimeofday () in
+  Thread.join fitter;
+  (match probe with
+  | Ok r -> Alcotest.(check int) "healthz status" 200 r.Serve.Client.status
+  | Error e -> Alcotest.failf "no healthz answer within 0.5 s: %s" e);
+  if t1 -. t0 > 0.5 then Alcotest.failf "healthz took %.3f s" (t1 -. t0);
+  Alcotest.(check bool) "the fit was still running" true (!fit_at > t1);
+  Alcotest.(check int) "fit status" 200 !fit_status
 
 let test_fit_predict_and_cache () =
   with_server @@ fun port ->
@@ -552,36 +589,117 @@ let test_fit_predict_and_cache () =
   let d = Option.bind (J.member "density" (json_of r)) J.to_float |> Option.get in
   Alcotest.(check (float 1e-6)) "phi at the first knot" 2.0 d
 
+(* --- the application without sockets --- *)
+
+(* [meth target] as the transport hands it over: its bytes through the
+   incremental parser. *)
+let http_request ?(body = "") meth target =
+  let raw =
+    Printf.sprintf "%s %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" meth target
+      (String.length body) body
+  in
+  let p = Serve.Http.parser ~max_header:16384 ~max_body:(String.length body) in
+  Serve.Http.parser_feed p (Bytes.of_string raw) 0 (String.length raw);
+  match Serve.Http.parser_next p with
+  | `Request r -> r
+  | `More | `Error _ -> Alcotest.failf "%s %s did not parse" meth target
+
+let with_app f =
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () -> f (Serve.Server.app base_config))
+
+(* The handler's answer, computed on a thread: a handler that has not
+   returned after 10 s fails the test instead of hanging it. *)
+let answer app ?body meth target =
+  let req = http_request ?body meth target in
+  let result = ref None in
+  ignore (Thread.create (fun () -> result := Some (Serve.Server.handle app req)) ());
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec wait () =
+    match !result with
+    | Some (resp : Serve.Http.response) -> resp
+    | None when Unix.gettimeofday () > deadline ->
+      Alcotest.failf "no answer to %s %s within 10 s" meth target
+    | None ->
+      Thread.delay 0.001;
+      wait ()
+  in
+  wait ()
+
 let test_input_rejection () =
-  with_server @@ fun port ->
-  let post body = ok (Serve.Client.request ~port ~body "POST" "/fit") in
-  Alcotest.(check int) "malformed JSON" 400 (post "{oops").Serve.Client.status;
-  Alcotest.(check int) "missing fields" 400 (post "{}").Serve.Client.status;
+  with_app @@ fun app ->
+  let status ?body meth target = (answer app ?body meth target).Serve.Http.status in
+  let post body = status ~body "POST" "/fit" in
+  Alcotest.(check int) "malformed JSON" 400 (post "{oops");
+  Alcotest.(check int) "missing fields" 400 (post "{}");
   Alcotest.(check int) "times not from 1" 400
-    (post
-       {|{"distances":[1,2],"times":[2,3],"density":[[1,2],[1,2]]}|})
-      .Serve.Client.status;
+    (post {|{"distances":[1,2],"times":[2,3],"density":[[1,2],[1,2]]}|});
   Alcotest.(check int) "repeated distance" 400
     (post
        {|{"model":"epidemic","distances":[1,1],"times":[1,2],
-          "density":[[1,2],[1,2]]}|})
-      .Serve.Client.status;
+          "density":[[1,2],[1,2]]}|});
   Alcotest.(check int) "ragged density" 400
-    (post
-       {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1]]}|})
-      .Serve.Client.status;
+    (post {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1]]}|});
   (* validation failures inside the model layer surface as 422 *)
   Alcotest.(check int) "all-zero densities" 422
-    (post
-       {|{"distances":[1,2],"times":[1,2],"density":[[0,1],[0,1]]}|})
-      .Serve.Client.status;
-  Alcotest.(check int) "bad predict params" 400
-    (ok (Serve.Client.request ~port "GET" "/predict?x=abc&t=2"))
-      .Serve.Client.status;
-  Alcotest.(check int) "unknown path" 404
-    (ok (Serve.Client.request ~port "GET" "/nope")).Serve.Client.status;
-  Alcotest.(check int) "wrong method" 405
-    (ok (Serve.Client.request ~port "GET" "/fit")).Serve.Client.status
+    (post {|{"distances":[1,2],"times":[1,2],"density":[[0,1],[0,1]]}|});
+  Alcotest.(check int) "bad predict params" 400 (status "GET" "/predict?x=abc&t=2");
+  Alcotest.(check int) "unknown path" 404 (status "GET" "/nope");
+  Alcotest.(check int) "wrong method" 405 (status "GET" "/fit")
+
+(* Each body field reader's refusal, word for word: clients match on
+   these messages. *)
+let test_field_errors () =
+  with_app @@ fun app ->
+  let grid = {|"distances":[1,2],"times":[1,2],"density":[[1,2],[1,2]]|} in
+  List.iter
+    (fun (path, body, expected) ->
+      let r = answer app ~body "POST" path in
+      Alcotest.(check int) (body ^ ": status") 400 r.Serve.Http.status;
+      Alcotest.(check (option string)) body (Some expected)
+        (match J.parse r.Serve.Http.body with
+        | Ok j -> Option.bind (J.member "error" j) J.to_string_opt
+        | Error _ -> None))
+    [
+      ("/fit", "{}", {|missing field "distances"|});
+      ("/fit", {|{"distances":"x"}|}, {|field "distances" must be an array|});
+      ("/fit", {|{"distances":[1,"a"]}|}, {|field "distances" has a non-numeric element|});
+      ( "/fit",
+        {|{"distances":[1,2],"times":[1,2],"density":5}|},
+        {|field "density" must be an array of per-distance rows|} );
+      ( "/fit",
+        {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1,"x"]]}|},
+        {|field "density" rows must be arrays of numbers|} );
+      ("/fit", Printf.sprintf {|{%s,"population":"x"}|} grid, {|field "population" must be an array|});
+      ("/fit", Printf.sprintf {|{%s,"model":3}|} grid, {|field "model" must be a string|});
+      ("/fit", Printf.sprintf {|{%s,"starts":1.5}|} grid, {|field "starts" must be an integer|});
+      ("/fit", Printf.sprintf {|{%s,"story":1}|} grid, {|field "story" must be a string|});
+      ("/fit", Printf.sprintf {|{%s,"dt":"x"}|} grid, {|field "dt" must be a number|});
+      ("/fit", Printf.sprintf {|{%s,"dt":2}|} grid, {|field "dt" must lie in (0, 1]|});
+      ("/fit", Printf.sprintf {|{%s,"init":3}|} grid, {|field "init" must be a string|});
+      ("/fit", Printf.sprintf {|{%s,"init":"disk"}|} grid, {|unknown init source "disk" (only "store")|});
+      ("/predict", "{}", {|missing field "points" (an array of [x, t] pairs)|});
+      ("/predict", {|{"points":3}|}, {|field "points" must be an array of [x, t] pairs|});
+      ("/predict", {|{"points":[[1]]}|}, {|every point must be an [x, t] pair of finite numbers|});
+      ("/predict", {|{"fit":3,"points":[[1,2]]}|}, {|field "fit" must be a string|});
+      ("/observe", "{}", {|missing field "story"|});
+      ("/observe", {|{"story":""}|}, {|field "story" must be a non-empty string|});
+      ("/observe", {|{"story":"s"}|}, {|missing field "votes" (an array of vote objects)|});
+      ("/observe", {|{"story":"s","votes":3}|}, {|field "votes" must be an array|});
+      ( "/observe",
+        {|{"story":"s","votes":[{"voter":1}]}|},
+        {|every vote needs a finite non-negative "time" (hours since submission)|} );
+      ("/observe", {|{"story":"s","votes":[],"times":"x"}|}, {|field "times" must be an array|});
+      ( "/observe",
+        {|{"story":"s","votes":[],"max_distance":"x"}|},
+        {|field "max_distance" must be an integer|} );
+      ("/observe", {|{"story":"s","votes":[],"lateness":"x"}|}, {|field "lateness" must be a number|});
+      ("/observe", {|{"story":"s","votes":[],"lateness":-1}|}, {|field "lateness" must be non-negative|});
+      ( "/observe",
+        {|{"story":"s","votes":[],"initiator":"x"}|},
+        {|field "initiator" must be an integer (a graph user id)|} );
+    ]
 
 (* A solve's cost grows with its target hour, so hours past the serving
    horizon (200) and batches naming more hours than the per-fit
@@ -619,41 +737,26 @@ let test_serving_limits () =
 (* A /fit solve's cost is nx × its time steps, and every objective
    evaluation runs one; a live profile allocates max_distance × times
    counts.  Both are refused past their budgets before any work.  A fit
-   past the budget would hold its worker for ever and stopping the
-   server waits for running requests, so the first request has a
-   client timeout and the server is stopped only once it answered. *)
+   past the budget would hold its worker for ever, so the handler runs
+   with a deadline (see [answer]). *)
 let test_work_budgets () =
-  let server = Serve.Server.create ~config:base_config () in
-  let th = Thread.create Serve.Server.run server in
-  let port = Serve.Server.port server in
-  let post path body =
-    Serve.Client.request ~timeout:10. ~port ~body "POST" path
-  in
+  with_app @@ fun app ->
+  let post path body = answer app ~body "POST" path in
   let fit ?(model = "dl") ?(nx = 41) ?(dt = "0.05") last =
     Printf.sprintf
       {|{"model":"%s","distances":[1,2],"times":[1,%g],
          "density":[[2,3],[1,2]],"starts":1,"nx":%d,"dt":%s}|}
       model last nx dt
   in
-  let first =
-    match post "/fit" (fit ~dt:"1e-300" 2.) with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "no answer to \"dt\": 1e-300 (%s)" msg
+  let accepted name (r : Serve.Http.response) =
+    Alcotest.(check int) name 200 r.Serve.Http.status
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Server.stop server;
-      Thread.join th;
-      Obs.set_enabled false)
-  @@ fun () ->
-  let accepted name r = Alcotest.(check int) name 200 (ok r).Serve.Client.status in
-  let rejected name ~limit r =
-    let r = ok r in
-    Alcotest.(check int) name 400 r.Serve.Client.status;
+  let rejected name ~limit (r : Serve.Http.response) =
+    Alcotest.(check int) name 400 r.Serve.Http.status;
     Alcotest.(check bool) (name ^ " names the limit") true
-      (contains ~needle:limit r.Serve.Client.body)
+      (contains ~needle:limit r.Serve.Http.body)
   in
-  rejected "dt = 1e-300" ~limit:"2009900" (Ok first);
+  rejected "dt = 1e-300" ~limit:"2009900" (post "/fit" (fit ~dt:"1e-300" 2.));
   rejected "fit times past 200 h" ~limit:"200" (post "/fit" (fit 201.));
   (* persistence solves nothing, so the budget's edge costs nothing *)
   accepted "101 cells to 200 h at dt = 0.01"
@@ -1243,7 +1346,8 @@ let test_pipelined_pair () =
 (* a burst larger than the server's pipeline window (8), written in one
    packet with no further bytes: the tail sits in the parser buffer, so
    responses only keep coming if the server re-drains the parser as the
-   window frees (the socket never turns readable again) *)
+   window frees (the socket never turns readable again).  GET /live
+   runs on a worker, so the window frees only as workers answer. *)
 let test_pipeline_beyond_window () =
   with_server @@ fun port ->
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1258,8 +1362,8 @@ let test_pipeline_beyond_window () =
     String.concat ""
       (List.init n_reqs (fun i ->
            if i = n_reqs - 1 then
-             "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-           else "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"))
+             "GET /live HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+           else "GET /live HTTP/1.1\r\nHost: x\r\n\r\n"))
   in
   ignore (Unix.write_substring fd burst 0 (String.length burst) : int);
   (* the final Connection: close gives the stream an EOF terminator *)
@@ -1477,9 +1581,12 @@ let suite =
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     Alcotest.test_case "prometheus renderer" `Quick test_prometheus_renderer;
     Alcotest.test_case "healthz" `Quick test_healthz;
+    Alcotest.test_case "healthz while a fit holds the only worker" `Quick
+      test_healthz_beside_busy_worker;
     Alcotest.test_case "fit, predict and cache" `Slow
       test_fit_predict_and_cache;
     Alcotest.test_case "input rejection" `Quick test_input_rejection;
+    Alcotest.test_case "body field errors" `Quick test_field_errors;
     Alcotest.test_case "serving horizon and batch limits" `Quick
       test_serving_limits;
     Alcotest.test_case "fit and observe work budgets" `Quick test_work_budgets;

@@ -69,14 +69,16 @@ let test_header_roundtrip () =
       | _ -> false)
   | None -> Alcotest.fail "trace entry lacks a root span")
 
+(* GET /live, because GET /healthz is answered on the event loop
+   without a trace id *)
 let test_generated_and_sanitised_ids () =
   with_server @@ fun port ->
   (* no header: the server mints a 32-hex id *)
-  let r1 = ok (Serve.Client.request ~port "GET" "/healthz") in
+  let r1 = ok (Serve.Client.request ~port "GET" "/live") in
   let id1 = response_trace_id r1 in
   Alcotest.(check bool) "generated id is 32 hex chars" true (is_hex id1 32);
   (* a second request gets a different id *)
-  let r2 = ok (Serve.Client.request ~port "GET" "/healthz") in
+  let r2 = ok (Serve.Client.request ~port "GET" "/live") in
   Alcotest.(check bool) "ids are per-request" true
     (id1 <> response_trace_id r2);
   (* junk tokens are replaced, never echoed back *)
@@ -84,7 +86,7 @@ let test_generated_and_sanitised_ids () =
     ok
       (Serve.Client.request ~port
          ~headers:[ ("X-Trace-Id", "bad id!") ]
-         "GET" "/healthz")
+         "GET" "/live")
   in
   let id3 = response_trace_id r3 in
   Alcotest.(check bool) "junk token replaced" true (id3 <> "bad id!");
@@ -142,7 +144,7 @@ let test_slow_request_warn () =
       ok
         (Serve.Client.request ~port
            ~headers:[ ("X-Trace-Id", token) ]
-           "GET" "/healthz")
+           "GET" "/live")
     in
     Alcotest.(check int) "status" 200 r.Serve.Client.status );
   Mutex.lock mutex;
