@@ -19,10 +19,6 @@ val write_growth_rate :
   Growth.t -> t0:float -> t1:float -> samples:int -> path:string -> unit
 (** [t  r] — Fig 6. *)
 
-val write_predicted_vs_actual :
-  Pipeline.experiment -> path:string -> unit
-(** Long format: [time  distance  actual  predicted] — Fig 7. *)
-
 val write_accuracy_table : Accuracy.table -> path:string -> unit
 (** [distance  average  t2 ... tn] with accuracies in percent and [NA]
     for undefined cells — Tables I/II. *)

@@ -22,10 +22,6 @@ let integral r ~t0 ~t1 =
 let paper_hops = Exp_decay { a = 1.4; b = 1.5; c = 0.25 }
 let paper_interest = Exp_decay { a = 1.6; b = 1.0; c = 0.1 }
 
-let is_decreasing = function
-  | Constant _ -> true
-  | Exp_decay { a; b; _ } -> a *. b >= 0.
-
 let pp ppf = function
   | Constant c -> Format.fprintf ppf "r(t) = %g" c
   | Exp_decay { a; b; c } ->

@@ -25,8 +25,4 @@ val paper_hops : t
 val paper_interest : t
 (** The shared-interest experiment's rate: [1.6 e^{-(t-1)} + 0.1]. *)
 
-val is_decreasing : t -> bool
-(** True when [r] is (weakly) decreasing in time, the paper's modeling
-    assumption. *)
-
 val pp : Format.formatter -> t -> unit

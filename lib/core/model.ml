@@ -127,6 +127,3 @@ let solve_extended ?(scheme = Crank_nicolson) ?(nx = 101) ?(dt = 0.01) params
 
 let predict sol ~x ~t = Pde.eval sol.pde ~x ~t
 let predictor sol = Pde.evaluator sol.pde
-
-let predict_at_distances sol ~distances ~t =
-  Array.map (fun x -> predict sol ~x:(float_of_int x) ~t) distances

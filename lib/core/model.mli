@@ -74,7 +74,3 @@ val predictor : solution -> x:float -> t:float -> float
     closure: build once, query many times without allocating.  The
     fitting objective evaluates it at every observed (distance, time)
     cell per solve. *)
-
-val predict_at_distances : solution -> distances:int array -> t:float -> float array
-(** Predictions at integer distances (the only physically meaningful
-    points, as the paper notes). *)

@@ -251,24 +251,13 @@ let synthetic_stories ?(n = 4) ?(seed = 7) () =
           population = Array.make 5 1000;
         } ))
 
-(* --- JSON (hand-rolled: Tiny_json lives above this library) --- *)
+(* --- JSON --- *)
 
 let schema_version = "dlosn-tournament/1"
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Obs.json_escape_into buf s;
   Buffer.contents buf
 
 let json_float v =

@@ -23,14 +23,6 @@ let set m i j x = m.data.((i * m.nc) + j) <- x
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init m.nc m.nr (fun i j -> get m j i)
 
-let map2 f a b =
-  assert (a.nr = b.nr && a.nc = b.nc);
-  { a with data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k)) }
-
-let add = map2 ( +. )
-let sub = map2 ( -. )
-let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
-
 let mul a b =
   assert (a.nc = b.nr);
   let c = create a.nr b.nc 0. in
@@ -54,14 +46,13 @@ let mv m x =
       done;
       !acc)
 
-type lu = { lu_mat : t; perm : int array; sign : float }
+type lu = { lu_mat : t; perm : int array }
 
 let lu_decompose a =
   assert (a.nr = a.nc);
   let n = a.nr in
   let m = copy a in
   let perm = Array.init n Fun.id in
-  let sign = ref 1. in
   for k = 0 to n - 1 do
     (* Partial pivoting: largest magnitude in column k. *)
     let pivot = ref k in
@@ -76,8 +67,7 @@ let lu_decompose a =
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- tmp;
-      sign := -. !sign
+      perm.(!pivot) <- tmp
     end;
     let pkk = get m k k in
     if Float.abs pkk < 1e-300 then raise Singular;
@@ -89,9 +79,9 @@ let lu_decompose a =
       done
     done
   done;
-  { lu_mat = m; perm; sign = !sign }
+  { lu_mat = m; perm }
 
-let lu_solve { lu_mat = m; perm; _ } b =
+let lu_solve { lu_mat = m; perm } b =
   let n = m.nr in
   assert (Array.length b = n);
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -112,43 +102,6 @@ let lu_solve { lu_mat = m; perm; _ } b =
 
 let solve a b = lu_solve (lu_decompose a) b
 
-let inverse a =
-  let n = a.nr in
-  let f = lu_decompose a in
-  let out = create n n 0. in
-  for j = 0 to n - 1 do
-    let e = Array.init n (fun i -> if i = j then 1. else 0.) in
-    let col = lu_solve f e in
-    for i = 0 to n - 1 do
-      set out i j col.(i)
-    done
-  done;
-  out
-
-let determinant a =
-  match lu_decompose a with
-  | { lu_mat = m; sign; _ } ->
-    let n = m.nr in
-    let acc = ref sign in
-    for i = 0 to n - 1 do
-      acc := !acc *. get m i i
-    done;
-    !acc
-  | exception Singular -> 0.
-
-let solve_least_squares a b =
-  let at = transpose a in
-  solve (mul at a) (mv at b)
-
 let approx_equal ?(tol = 1e-9) a b =
   a.nr = b.nr && a.nc = b.nc
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.data b.data
-
-let pp ppf m =
-  for i = 0 to m.nr - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to m.nc - 1 do
-      Format.fprintf ppf "%10.4g " (get m i j)
-    done;
-    Format.fprintf ppf "@]@\n"
-  done

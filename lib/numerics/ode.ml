@@ -32,70 +32,6 @@ let integrate ?(step = `Rk4) f ~y0 ~t0 ~times =
       (target, Vec.copy !y))
     times
 
-(* Fehlberg 4(5) tableau. *)
-let rkf45 ?(tol = 1e-8) ?(dt0 = 1e-2) ?(dt_min = 1e-12) f ~y0 ~t0 ~t1 =
-  assert (t1 >= t0);
-  let y = ref (Vec.copy y0) and t = ref t0 and dt = ref dt0 in
-  while !t < t1 do
-    let dt_eff = Float.min !dt (t1 -. !t) in
-    let yv = !y in
-    let at c coeffs ks =
-      let acc = Vec.copy yv in
-      List.iter2 (fun a k -> Vec.axpy_inplace (a *. dt_eff) k acc) coeffs ks;
-      f ~t:(!t +. (c *. dt_eff)) ~y:acc
-    in
-    let k1 = f ~t:!t ~y:yv in
-    let k2 = at 0.25 [ 0.25 ] [ k1 ] in
-    let k3 = at 0.375 [ 3. /. 32.; 9. /. 32. ] [ k1; k2 ] in
-    let k4 =
-      at (12. /. 13.)
-        [ 1932. /. 2197.; -7200. /. 2197.; 7296. /. 2197. ]
-        [ k1; k2; k3 ]
-    in
-    let k5 =
-      at 1.
-        [ 439. /. 216.; -8.; 3680. /. 513.; -845. /. 4104. ]
-        [ k1; k2; k3; k4 ]
-    in
-    let k6 =
-      at 0.5
-        [ -8. /. 27.; 2.; -3544. /. 2565.; 1859. /. 4104.; -11. /. 40. ]
-        [ k1; k2; k3; k4; k5 ]
-    in
-    let n = Vec.dim yv in
-    let y4 =
-      Vec.init n (fun i ->
-          yv.(i)
-          +. (dt_eff
-              *. ((25. /. 216. *. k1.(i))
-                  +. (1408. /. 2565. *. k3.(i))
-                  +. (2197. /. 4104. *. k4.(i))
-                  -. (k5.(i) /. 5.))))
-    in
-    let y5 =
-      Vec.init n (fun i ->
-          yv.(i)
-          +. (dt_eff
-              *. ((16. /. 135. *. k1.(i))
-                  +. (6656. /. 12825. *. k3.(i))
-                  +. (28561. /. 56430. *. k4.(i))
-                  -. (9. /. 50. *. k5.(i))
-                  +. (2. /. 55. *. k6.(i)))))
-    in
-    let err = Vec.norm_inf (Vec.sub y5 y4) in
-    if err <= tol || dt_eff <= dt_min then begin
-      y := y5;
-      t := !t +. dt_eff
-    end;
-    (* Standard step-size controller with safety factor. *)
-    let scale =
-      if err = 0. then 2.
-      else Float.min 2. (Float.max 0.1 (0.9 *. ((tol /. err) ** 0.2)))
-    in
-    dt := Float.max dt_min (dt_eff *. scale)
-  done;
-  !y
-
 let scalar_rhs f : rhs = fun ~t ~y -> [| f ~t ~y:y.(0) |]
 
 let logistic ~r ~k ~n0 t =

@@ -1,7 +1,7 @@
-(** Initial-value ODE solvers.
+(** Fixed-step initial-value ODE solvers (Euler and RK4).
 
-    The right-hand side acts on vectors ([Vec.t]); scalar convenience
-    wrappers are provided.  The closed-form logistic solutions
+    The right-hand side acts on vectors ([Vec.t]); [scalar_rhs] lifts a
+    scalar field.  The closed-form logistic solutions
     ([logistic], [logistic_varying_r]) serve both as oracles for the
     integrators in tests and as the exact reaction sub-step of the
     Strang-split PDE scheme in {!Pde}. *)
@@ -19,13 +19,6 @@ val integrate :
     (increasing) [times] with fixed sub-steps ([`Rk4] default, 32
     sub-steps per unit time) and returns the state at each requested
     time. *)
-
-val rkf45 :
-  ?tol:float -> ?dt0:float -> ?dt_min:float -> rhs ->
-  y0:Vec.t -> t0:float -> t1:float -> Vec.t
-(** Adaptive Runge--Kutta--Fehlberg 4(5); steps are chosen so the
-    embedded error estimate stays under [tol] (default [1e-8]) per
-    step. *)
 
 val scalar_rhs : (t:float -> y:float -> float) -> rhs
 (** Lift a scalar field to a 1-vector field. *)

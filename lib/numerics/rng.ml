@@ -95,13 +95,6 @@ let poisson t lambda =
     max 0 (int_of_float (Float.round x))
   end
 
-let geometric t p =
-  assert (p > 0. && p <= 1.);
-  if p >= 1. then 0
-  else
-    let u = float t in
-    int_of_float (floor (log1p (-.u) /. log1p (-.p)))
-
 let pareto t ~alpha ~x_min =
   assert (alpha > 0. && x_min > 0.);
   x_min /. ((1. -. float t) ** (1. /. alpha))

@@ -48,10 +48,6 @@ val poisson : t -> float -> int
 (** [poisson t lambda] for [lambda > 0].  Uses Knuth's method for small
     means and a normal approximation above 60. *)
 
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success
-    of a [p]-coin, [0 <= result].  Requires [0 < p <= 1]. *)
-
 val pareto : t -> alpha:float -> x_min:float -> float
 (** Pareto deviate: density proportional to [x^-(alpha+1)] on
     [\[x_min, infinity)]. *)

@@ -22,9 +22,6 @@ val get : t -> int -> int -> float
 val mv : t -> Vec.t -> Vec.t
 (** Matrix--vector product. *)
 
-val mv_into : t -> Vec.t -> Vec.t -> unit
-(** [mv_into a x y] writes [a x] into [y] without allocating. *)
-
 val scale : float -> t -> t
 val add_identity : float -> t -> t
 (** [add_identity c a] is [c I + a] (square matrices only). *)

@@ -146,5 +146,3 @@ let second_deriv t x =
     let a = (t.xs.(i + 1) -. x) /. h and b = (x -. t.xs.(i)) /. h in
     (a *. t.moments.(i)) +. (b *. t.moments.(i + 1))
   end
-
-let to_function t = eval t

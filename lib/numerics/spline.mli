@@ -44,6 +44,3 @@ val second_deriv : t -> float -> float
 
 val knots : t -> (float * float) array
 val domain : t -> float * float
-
-val to_function : t -> float -> float
-(** [to_function s] is [eval s] as a plain function. *)

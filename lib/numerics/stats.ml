@@ -76,27 +76,6 @@ let paired f pred actual =
   assert (Array.length actual = n && n > 0);
   f n
 
-let rmse pred actual =
-  paired
-    (fun n ->
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        let d = pred.(i) -. actual.(i) in
-        acc := !acc +. (d *. d)
-      done;
-      sqrt (!acc /. float_of_int n))
-    pred actual
-
-let mae pred actual =
-  paired
-    (fun n ->
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. Float.abs (pred.(i) -. actual.(i))
-      done;
-      !acc /. float_of_int n)
-    pred actual
-
 let mape pred actual =
   paired
     (fun n ->

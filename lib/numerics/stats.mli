@@ -36,9 +36,6 @@ val histogram : ?bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] is an array of [(lo, hi, count)] over
     equal-width bins spanning the data range (default 10 bins). *)
 
-val rmse : float array -> float array -> float
-val mae : float array -> float array -> float
-
 val mape : float array -> float array -> float
 (** Mean absolute percentage error of predictions against actuals
     (first argument = predicted, second = actual); actual entries that

@@ -1,80 +1,3 @@
-(* Asymptotic Kolmogorov distribution tail:
-   Q(lambda) = 2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 lambda^2}. *)
-let kolmogorov_q lambda =
-  if lambda <= 0. then 1.
-  else begin
-    let acc = ref 0. in
-    let k = ref 1 in
-    let continue = ref true in
-    while !continue && !k <= 100 do
-      let kf = float_of_int !k in
-      let term =
-        (if !k mod 2 = 1 then 1. else -1.)
-        *. exp (-2. *. kf *. kf *. lambda *. lambda)
-      in
-      acc := !acc +. term;
-      if Float.abs term < 1e-12 then continue := false;
-      incr k
-    done;
-    Float.max 0. (Float.min 1. (2. *. !acc))
-  end
-
-let empirical_cdf sorted x =
-  (* fraction of samples <= x, by binary search *)
-  let n = Array.length sorted in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if sorted.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  float_of_int !lo /. float_of_int n
-
-let ks_two_sample xs ys =
-  let nx = Array.length xs and ny = Array.length ys in
-  if nx = 0 || ny = 0 then invalid_arg "Stats_tests.ks_two_sample: empty sample";
-  let sx = Array.copy xs and sy = Array.copy ys in
-  Array.sort Float.compare sx;
-  Array.sort Float.compare sy;
-  let d = ref 0. in
-  let check v =
-    let diff = Float.abs (empirical_cdf sx v -. empirical_cdf sy v) in
-    if diff > !d then d := diff
-  in
-  Array.iter check sx;
-  Array.iter check sy;
-  let nxf = float_of_int nx and nyf = float_of_int ny in
-  let effective = sqrt (nxf *. nyf /. (nxf +. nyf)) in
-  let lambda = (effective +. 0.12 +. (0.11 /. effective)) *. !d in
-  (!d, kolmogorov_q lambda)
-
-let ks_statistic xs ~cdf =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats_tests.ks_statistic: empty sample";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let d = ref 0. in
-  Array.iteri
-    (fun i x ->
-      let f = cdf x in
-      let lo = float_of_int i /. float_of_int n in
-      let hi = float_of_int (i + 1) /. float_of_int n in
-      d := Float.max !d (Float.max (Float.abs (f -. lo)) (Float.abs (hi -. f))))
-    sorted;
-  !d
-
-let chi_square_statistic ~observed ~expected =
-  let n = Array.length observed in
-  if Array.length expected <> n then
-    invalid_arg "Stats_tests.chi_square_statistic: length mismatch";
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    if expected.(i) <= 0. then
-      invalid_arg "Stats_tests.chi_square_statistic: expected must be positive";
-    let diff = float_of_int observed.(i) -. expected.(i) in
-    acc := !acc +. (diff *. diff /. expected.(i))
-  done;
-  !acc
-
 let bootstrap_ci ?(confidence = 0.95) ?(resamples = 1000) rng sample statistic =
   let n = Array.length sample in
   if n = 0 then invalid_arg "Stats_tests.bootstrap_ci: empty sample";

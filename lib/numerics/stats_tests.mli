@@ -1,20 +1,7 @@
-(** Statistical hypothesis tests and resampling.
+(** Bootstrap resampling.
 
-    Used to validate the synthetic corpus against target distributions
-    (degree sequences, vote-size distributions) and to put confidence
-    intervals on the batch-evaluation accuracy numbers. *)
-
-val ks_two_sample : float array -> float array -> float * float
-(** [(statistic, p_value)] of the two-sample Kolmogorov--Smirnov test.
-    The p-value uses the asymptotic Kolmogorov distribution (accurate
-    for n over ~20 per side). *)
-
-val ks_statistic : float array -> cdf:(float -> float) -> float
-(** One-sample KS statistic against a reference CDF. *)
-
-val chi_square_statistic :
-  observed:int array -> expected:float array -> float
-(** Pearson chi-square statistic; expected entries must be positive. *)
+    Puts percentile-bootstrap confidence intervals on the
+    batch-evaluation accuracy numbers. *)
 
 val bootstrap_ci :
   ?confidence:float -> ?resamples:int ->

@@ -87,15 +87,3 @@ let to_dense t =
       else if j = i + 1 then t.sup.(i)
       else if j = i - 1 then t.sub.(j)
       else 0.)
-
-let is_diagonally_dominant t =
-  let n = dim t in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let off =
-      (if i > 0 then Float.abs t.sub.(i - 1) else 0.)
-      +. if i < n - 1 then Float.abs t.sup.(i) else 0.
-    in
-    if Float.abs t.diag.(i) < off then ok := false
-  done;
-  !ok

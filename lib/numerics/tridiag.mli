@@ -55,7 +55,3 @@ val mv : t -> Vec.t -> Vec.t
 
 val to_dense : t -> Mat.t
 (** Expansion to a dense matrix; intended for tests. *)
-
-val is_diagonally_dominant : t -> bool
-(** Weak row-wise diagonal dominance; a sufficient condition for the
-    Thomas algorithm to be stable. *)

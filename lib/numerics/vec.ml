@@ -1,11 +1,8 @@
 type t = float array
 
-let create n x = Array.make n x
 let init = Array.init
 let copy = Array.copy
 let dim = Array.length
-let of_list = Array.of_list
-let to_list = Array.to_list
 
 let linspace a b n =
   assert (n >= 2);
@@ -13,7 +10,6 @@ let linspace a b n =
   Array.init n (fun i -> a +. (h *. Stdlib.float_of_int i))
 
 let map = Array.map
-let mapi = Array.mapi
 
 let map2 f x y =
   let n = dim x in
@@ -43,7 +39,6 @@ let dot x y =
 
 let sum = Array.fold_left ( +. ) 0.
 let mean x = sum x /. Stdlib.float_of_int (dim x)
-let norm1 x = Array.fold_left (fun acc v -> acc +. Float.abs v) 0. x
 let norm2 x = sqrt (dot x x)
 let norm_inf x = Array.fold_left (fun acc v -> Stdlib.max acc (Float.abs v)) 0. x
 
@@ -60,26 +55,9 @@ let dist2 x y =
 let max x = Array.fold_left Stdlib.max neg_infinity x
 let min x = Array.fold_left Stdlib.min infinity x
 
-let arg_by better x =
-  assert (dim x > 0);
-  let best = ref 0 in
-  for i = 1 to dim x - 1 do
-    if better x.(i) x.(!best) then best := i
-  done;
-  !best
-
-let argmax x = arg_by ( > ) x
-let argmin x = arg_by ( < ) x
 let clamp ~lo ~hi x = map (fun v -> Stdlib.max lo (Stdlib.min hi v)) x
 let fold_left = Array.fold_left
 
 let approx_equal ?(tol = 1e-9) x y =
   dim x = dim y
   && Array.for_all2 (fun a b -> Float.abs (a -. b) <= tol) x y
-
-let pp ppf x =
-  Format.fprintf ppf "[|%a|]"
-    (Format.pp_print_seq
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       (fun ppf v -> Format.fprintf ppf "%g" v))
-    (Array.to_seq x)

@@ -6,15 +6,9 @@
 
 type t = float array
 
-val create : int -> float -> t
-(** [create n x] is an [n]-vector filled with [x]. *)
-
 val init : int -> (int -> float) -> t
 val copy : t -> t
 val dim : t -> int
-
-val of_list : float list -> t
-val to_list : t -> float list
 
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
@@ -22,7 +16,6 @@ val linspace : float -> float -> int -> t
 
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
-val mapi : (int -> float -> float) -> t -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -41,7 +34,6 @@ val dot : t -> t -> float
 val sum : t -> float
 val mean : t -> float
 
-val norm1 : t -> float
 val norm2 : t -> float
 val norm_inf : t -> float
 
@@ -50,8 +42,6 @@ val dist2 : t -> t -> float
 
 val max : t -> float
 val min : t -> float
-val argmax : t -> int
-val argmin : t -> int
 
 val clamp : lo:float -> hi:float -> t -> t
 (** Element-wise clamp into [\[lo, hi\]]. *)
@@ -61,5 +51,3 @@ val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Component-wise comparison with absolute tolerance (default
     [1e-9]); [false] when dimensions differ. *)
-
-val pp : Format.formatter -> t -> unit

@@ -962,10 +962,8 @@ module Shard = struct
     src.done_spans <- [];
     src.open_spans <- []
 
-  let span_roots (t : t) = List.rev_map Span.view t.done_spans
-
   let take_span_roots (t : t) =
-    let roots = span_roots t in
+    let roots = List.rev_map Span.view t.done_spans in
     t.done_spans <- [];
     roots
 end

@@ -250,9 +250,6 @@ module Span : sig
   val gen_trace_id : unit -> string
   (** Fresh 32-hex-char trace id, unique within the process. *)
 
-  val gen_span_id : unit -> string
-  (** Fresh 16-hex-char span id (exporters needing synthetic parents). *)
-
   val set_trace_id : string option -> unit
   (** Set or clear the calling context's trace id. *)
 
@@ -323,11 +320,9 @@ module Shard : sig
       then empty [t].  Call once per shard, in worker-index order, for
       deterministic totals. *)
 
-  val span_roots : t -> Span.t list
-  (** Completed top-level spans recorded in [t], oldest first. *)
-
   val take_span_roots : t -> Span.t list
-  (** {!span_roots}, then drop them from [t] — so a later {!merge}
+  (** Completed top-level spans recorded in [t], oldest first, dropped
+      from [t] — so a later {!merge}
       carries only metric values.  [lib/serve] uses this to capture
       each request's trace into its ring buffer without growing the
       server aggregate's span list unboundedly. *)

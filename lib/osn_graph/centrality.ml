@@ -38,65 +38,6 @@ let pagerank ?(damping = 0.85) ?(iterations = 100) ?(tol = 1e-10) g =
     rank
   end
 
-(* Batagelj–Zaversnik O(V + E) core decomposition via bucket sort over
-   undirected degrees. *)
-let k_core g =
-  let n = Digraph.n_nodes g in
-  if n = 0 then [||]
-  else begin
-    (* undirected adjacency (deduplicated) *)
-    let neighbor_sets = Array.init n (fun _ -> Hashtbl.create 8) in
-    Digraph.iter_edges g (fun u v ->
-        Hashtbl.replace neighbor_sets.(u) v ();
-        Hashtbl.replace neighbor_sets.(v) u ());
-    let degree = Array.map Hashtbl.length neighbor_sets in
-    let max_degree = Array.fold_left Stdlib.max 0 degree in
-    (* bucket-sorted vertices by current degree *)
-    let bin = Array.make (max_degree + 2) 0 in
-    Array.iter (fun d -> bin.(d) <- bin.(d) + 1) degree;
-    let start = ref 0 in
-    for d = 0 to max_degree do
-      let count = bin.(d) in
-      bin.(d) <- !start;
-      start := !start + count
-    done;
-    let pos = Array.make n 0 and vert = Array.make n 0 in
-    Array.iteri
-      (fun v d ->
-        pos.(v) <- bin.(d);
-        vert.(pos.(v)) <- v;
-        bin.(d) <- bin.(d) + 1)
-      degree;
-    for d = max_degree downto 1 do
-      bin.(d) <- bin.(d - 1)
-    done;
-    bin.(0) <- 0;
-    let core = Array.copy degree in
-    for i = 0 to n - 1 do
-      let v = vert.(i) in
-      Hashtbl.iter
-        (fun u () ->
-          if core.(u) > core.(v) then begin
-            (* lower u's effective degree: swap it to the front of its
-               bucket, advance the bucket boundary *)
-            let du = core.(u) in
-            let pu = pos.(u) in
-            let pw = bin.(du) in
-            let w = vert.(pw) in
-            if u <> w then begin
-              pos.(u) <- pw;
-              pos.(w) <- pu;
-              vert.(pu) <- w;
-              vert.(pw) <- u
-            end;
-            bin.(du) <- bin.(du) + 1;
-            core.(u) <- du - 1
-          end)
-        neighbor_sets.(v)
-    done;
-    core
-  end
-
 let top scores ~n =
   let indexed = Array.mapi (fun i s -> (i, s)) scores in
   Array.sort (fun (_, a) (_, b) -> Float.compare b a) indexed;

@@ -2,7 +2,7 @@
 
     Used to study which initiators produce large cascades (the
     influence question raised by the paper's related work, Kempe et
-    al.): follower counts, PageRank and k-core give three views of an
+    al.): follower counts and PageRank give two views of an
     initiator's network position. *)
 
 val in_degree_ranking : Digraph.t -> int array
@@ -16,10 +16,6 @@ val pagerank :
     here, when important users follow it).  Dangling mass is
     redistributed uniformly.  Scores sum to 1.
     Defaults: [damping = 0.85], [iterations = 100], [tol = 1e-10]. *)
-
-val k_core : Digraph.t -> int array
-(** Core number of each node in the {e undirected} version of the
-    graph (Batagelj--Zaversnik peeling). *)
 
 val top : float array -> n:int -> (int * float) array
 (** Indices of the [n] largest scores, descending. *)

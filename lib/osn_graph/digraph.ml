@@ -69,10 +69,6 @@ let out_neighbors g u =
   assert (in_bounds g u);
   adj_to_array g.out_adj.(u)
 
-let in_neighbors g u =
-  assert (in_bounds g u);
-  adj_to_array g.in_adj.(u)
-
 let iter_out g u f =
   assert (in_bounds g u);
   adj_iter g.out_adj.(u) f
@@ -103,5 +99,3 @@ let reverse g =
   let r = create g.n in
   iter_edges g (fun u v -> add_edge r v u);
   r
-
-let pp ppf g = Format.fprintf ppf "digraph(%d nodes, %d edges)" g.n g.m

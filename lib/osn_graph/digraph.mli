@@ -26,9 +26,6 @@ val of_edges : int -> (int * int) list -> t
 val out_neighbors : t -> int -> int array
 (** Successors of a node (fresh array). *)
 
-val in_neighbors : t -> int -> int array
-(** Predecessors of a node (fresh array). *)
-
 val iter_out : t -> int -> (int -> unit) -> unit
 (** Iterate successors without allocating. *)
 
@@ -44,6 +41,3 @@ val edges : t -> (int * int) list
 
 val reverse : t -> t
 (** Graph with every edge flipped. *)
-
-val pp : Format.formatter -> t -> unit
-(** Summary line (node/edge counts), not the full edge list. *)

@@ -1,14 +1,5 @@
 open Numerics
 
-let erdos_renyi rng ~n ~p =
-  let g = Digraph.create n in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if u <> v && Rng.bernoulli rng p then Digraph.add_edge g u v
-    done
-  done;
-  g
-
 (* Preferential attachment via the repeated-targets trick: sampling
    uniformly from the endpoint multiset weights nodes by degree.  We
    seed every node with one "virtual" stub so degree-0 nodes stay
@@ -69,44 +60,6 @@ let barabasi_albert rng ~n ~m ?(reciprocity = 0.3) () =
       end
     done
   done;
-  g
-
-let watts_strogatz rng ~n ~k ~beta =
-  if k mod 2 <> 0 || k <= 0 || k >= n then
-    invalid_arg "Generators.watts_strogatz: need even 0 < k < n";
-  let g = Digraph.create n in
-  let add_both u v =
-    Digraph.add_edge g u v;
-    Digraph.add_edge g v u
-  in
-  for u = 0 to n - 1 do
-    for j = 1 to k / 2 do
-      let v = (u + j) mod n in
-      if Rng.bernoulli rng beta then begin
-        (* rewire to a uniform non-neighbour *)
-        let rec pick attempts =
-          let w = Rng.int rng n in
-          if attempts > 32 then v
-          else if w = u || Digraph.has_edge g u w then pick (attempts + 1)
-          else w
-        in
-        add_both u (pick 0)
-      end
-      else add_both u v
-    done
-  done;
-  g
-
-let configuration_model rng ~out_degrees =
-  let n = Array.length out_degrees in
-  let g = Digraph.create n in
-  Array.iteri
-    (fun u d ->
-      for _ = 1 to d do
-        let v = Rng.int rng n in
-        Digraph.add_edge g u v
-      done)
-    out_degrees;
   g
 
 let star n =

@@ -1,13 +1,11 @@
-(** Random and deterministic graph generators.
+(** Graph generators: one random, four deterministic.
 
-    The synthetic Digg follower graph uses [barabasi_albert] (measured
-    Digg follower graphs are heavy-tailed) with a reciprocity pass, as
-    built by [Socialnet.Digg].  The remaining generators serve tests,
-    examples and the ablation benches. *)
-
-val erdos_renyi : Numerics.Rng.t -> n:int -> p:float -> Digraph.t
-(** G(n, p): each ordered pair (u, v), u <> v, is an edge with
-    probability [p]. *)
+    [barabasi_albert] (heavy-tailed in-degree, as measured follower
+    graphs are, with a reciprocity pass) builds the Twitter-like
+    corpus's graph in [Socialnet.Twitter]; [Socialnet.Digg] grows its
+    own preferential-attachment graph with topic homophily.  The
+    deterministic shapes ([star], [ring], [line], [complete]) build
+    small graphs whose answers are known by hand, for tests. *)
 
 val barabasi_albert :
   Numerics.Rng.t -> n:int -> m:int -> ?reciprocity:float -> unit -> Digraph.t
@@ -17,16 +15,6 @@ val barabasi_albert :
     popular users").  With probability [reciprocity] (default 0.3,
     roughly the reciprocity reported for Digg) the followed user
     follows back.  Requires [n > m >= 1]. *)
-
-val watts_strogatz : Numerics.Rng.t -> n:int -> k:int -> beta:float -> Digraph.t
-(** Small-world ring: each node connects to its [k] nearest neighbours
-    ([k] even), each edge rewired with probability [beta]; edges are
-    added in both directions. *)
-
-val configuration_model : Numerics.Rng.t -> out_degrees:int array -> Digraph.t
-(** Directed configuration model: out-stubs as prescribed, targets
-    uniform; multi-edges and self-loops are dropped, so realised
-    degrees can fall slightly short. *)
 
 val star : int -> Digraph.t
 (** Node 0 points at every other node. *)

@@ -32,24 +32,3 @@ let undirected_laplacian g =
         (a, b, -1.) :: (b, a, -1.) :: (a, a, 1.) :: (b, b, 1.) :: !triplets)
     edges;
   Numerics.Sparse.of_triplets ~rows:n ~cols:n !triplets
-
-let normalized_laplacian g =
-  let n = Digraph.n_nodes g in
-  let edges = undirected_edges g in
-  let deg = Array.make n 0 in
-  List.iter
-    (fun (a, b) ->
-      deg.(a) <- deg.(a) + 1;
-      deg.(b) <- deg.(b) + 1)
-    edges;
-  let inv_sqrt = Array.map (fun d -> if d = 0 then 0. else 1. /. sqrt (float_of_int d)) deg in
-  let triplets = ref [] in
-  for v = 0 to n - 1 do
-    if deg.(v) > 0 then triplets := (v, v, 1.) :: !triplets
-  done;
-  List.iter
-    (fun (a, b) ->
-      let w = -.(inv_sqrt.(a) *. inv_sqrt.(b)) in
-      triplets := (a, b, w) :: (b, a, w) :: !triplets)
-    edges;
-  Numerics.Sparse.of_triplets ~rows:n ~cols:n !triplets

@@ -1,18 +1,13 @@
-(** Graph Laplacians as sparse matrices.
+(** The graph Laplacian as a sparse matrix.
 
     The network variant of the DL model replaces the 1-D operator
-    [d2/dx2] with the (negated) graph Laplacian of the undirected social
-    graph, so diffusion acts along actual social ties.  Both the
-    combinatorial Laplacian [L = D - A] and the degree-normalised
-    random-walk form are provided. *)
+    [d2/dx2] with the (negated) combinatorial Laplacian [L = D - A] of
+    the undirected social graph, so diffusion acts along actual social
+    ties. *)
 
 val undirected_laplacian : Digraph.t -> Numerics.Sparse.t
 (** Combinatorial Laplacian [D - A] of the underlying undirected simple
     graph (symmetric positive semi-definite; row sums are zero). *)
 
-val normalized_laplacian : Digraph.t -> Numerics.Sparse.t
-(** Symmetric normalised Laplacian [I - D^{-1/2} A D^{-1/2}] (isolated
-    nodes get an all-zero row). *)
-
 val degrees : Digraph.t -> int array
-(** Undirected degrees (used by both constructions). *)
+(** Undirected degrees: the diagonal of {!undirected_laplacian}. *)

@@ -64,30 +64,6 @@ let clustering_coefficient ?(samples = 2000) rng g =
     !total /. float_of_int sample_count
   end
 
-let mean_shortest_path ?(samples = 100) rng g =
-  let n = Digraph.n_nodes g in
-  if n = 0 then nan
-  else begin
-    let sample_count = Stdlib.min samples n in
-    let sources =
-      if sample_count = n then Array.init n Fun.id
-      else Rng.sample_without_replacement rng sample_count n
-    in
-    let sum = ref 0. and count = ref 0 in
-    Array.iter
-      (fun s ->
-        let dist = Traversal.bfs_distances g s in
-        Array.iter
-          (fun d ->
-            if d > 0 then begin
-              sum := !sum +. float_of_int d;
-              incr count
-            end)
-          dist)
-      sources;
-    if !count = 0 then nan else !sum /. float_of_int !count
-  end
-
 let power_law_exponent hist =
   let points =
     Array.to_list hist

@@ -2,9 +2,8 @@
 
     Used to validate that the synthetic Digg follower graph has the
     qualitative properties the paper's observations rely on: a
-    heavy-tailed degree distribution, high clustering (the "social
-    triangles" behind the growth process) and short paths (the Fig. 2
-    hop distribution concentrated at 2-5). *)
+    heavy-tailed degree distribution, reciprocal follows and high
+    clustering (the "social triangles" behind the growth process). *)
 
 val degree_histogram : [ `In | `Out ] -> Digraph.t -> (int * int) array
 (** [(degree, node-count)] pairs, ascending in degree. *)
@@ -21,10 +20,6 @@ val clustering_coefficient : ?samples:int -> Numerics.Rng.t -> Digraph.t -> floa
     average over up to [samples] (default 2000) random nodes of
     (closed wedges / wedges) at that node; nodes with fewer than two
     neighbours contribute 0. *)
-
-val mean_shortest_path : ?samples:int -> Numerics.Rng.t -> Digraph.t -> float
-(** Average finite BFS distance over up to [samples] (default 100)
-    random source nodes; [nan] if no finite pairs exist. *)
 
 val power_law_exponent : (int * int) array -> float
 (** Log-log OLS slope of a degree histogram (zero-degree and

@@ -1,14 +1,9 @@
-let bfs_from g sources =
+let bfs_distances g src =
   let n = Digraph.n_nodes g in
   let dist = Array.make n (-1) in
   let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) < 0 then begin
-        dist.(s) <- 0;
-        Queue.add s q
-      end)
-    sources;
+  dist.(src) <- 0;
+  Queue.add src q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     Digraph.iter_out g u (fun v ->
@@ -18,126 +13,3 @@ let bfs_from g sources =
         end)
   done;
   dist
-
-let bfs_distances g src = bfs_from g [ src ]
-let bfs_distances_multi g sources = bfs_from g sources
-
-let shortest_path g src dst =
-  let n = Digraph.n_nodes g in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src q;
-  let found = ref (src = dst) in
-  while (not !found) && not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Digraph.iter_out g u (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- u;
-          if v = dst then found := true else Queue.add v q
-        end)
-  done;
-  if not !found then None
-  else begin
-    let rec build v acc = if v = src then src :: acc else build parent.(v) (v :: acc) in
-    Some (build dst [])
-  end
-
-(* Union-find with path compression and union by rank. *)
-let weakly_connected_components g =
-  let n = Digraph.n_nodes g in
-  let parent = Array.init n Fun.id and rank = Array.make n 0 in
-  let rec find x = if parent.(x) = x then x else begin
-      parent.(x) <- find parent.(x);
-      parent.(x)
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then
-      if rank.(ra) < rank.(rb) then parent.(ra) <- rb
-      else if rank.(ra) > rank.(rb) then parent.(rb) <- ra
-      else begin
-        parent.(rb) <- ra;
-        rank.(ra) <- rank.(ra) + 1
-      end
-  in
-  Digraph.iter_edges g union;
-  let label = Hashtbl.create 64 in
-  let comp = Array.make n 0 and next = ref 0 in
-  for v = 0 to n - 1 do
-    let r = find v in
-    let c =
-      match Hashtbl.find_opt label r with
-      | Some c -> c
-      | None ->
-        let c = !next in
-        incr next;
-        Hashtbl.add label r c;
-        c
-    in
-    comp.(v) <- c
-  done;
-  (comp, !next)
-
-(* Iterative Tarjan SCC.  The explicit stack holds (node, neighbour
-   cursor) frames so 10^5-node chains cannot overflow the call stack. *)
-let strongly_connected_components g =
-  let n = Digraph.n_nodes g in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let scc_stack = Stack.create () in
-  let next_index = ref 0 and next_comp = ref 0 in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      let frames = Stack.create () in
-      let open_node v =
-        index.(v) <- !next_index;
-        lowlink.(v) <- !next_index;
-        incr next_index;
-        Stack.push v scc_stack;
-        on_stack.(v) <- true;
-        Stack.push (v, Digraph.out_neighbors g v, ref 0) frames
-      in
-      open_node root;
-      while not (Stack.is_empty frames) do
-        let v, succ, cursor = Stack.top frames in
-        if !cursor < Array.length succ then begin
-          let w = succ.(!cursor) in
-          incr cursor;
-          if index.(w) < 0 then open_node w
-          else if on_stack.(w) then lowlink.(v) <- Stdlib.min lowlink.(v) index.(w)
-        end
-        else begin
-          ignore (Stack.pop frames);
-          (match Stack.top_opt frames with
-          | Some (parent, _, _) ->
-            lowlink.(parent) <- Stdlib.min lowlink.(parent) lowlink.(v)
-          | None -> ());
-          if lowlink.(v) = index.(v) then begin
-            (* v is the root of an SCC: pop it off. *)
-            let continue = ref true in
-            while !continue do
-              let w = Stack.pop scc_stack in
-              on_stack.(w) <- false;
-              comp.(w) <- !next_comp;
-              if w = v then continue := false
-            done;
-            incr next_comp
-          end
-        end
-      done
-    end
-  done;
-  (comp, !next_comp)
-
-let is_reachable g src dst = (bfs_distances g src).(dst) >= 0
-
-let reachable_count g src =
-  Array.fold_left
-    (fun acc d -> if d >= 0 then acc + 1 else acc)
-    0 (bfs_distances g src)

@@ -1,4 +1,4 @@
-(** Graph traversals: BFS distances, components.
+(** Graph traversal: BFS hop distances.
 
     [bfs_distances] is what defines the paper's "friendship hops"
     distance metric: the shortest-path hop count from a story's
@@ -7,23 +7,3 @@
 val bfs_distances : Digraph.t -> int -> int array
 (** [bfs_distances g src] is the array of hop distances from [src]
     following out-edges; unreachable nodes get [-1]. *)
-
-val bfs_distances_multi : Digraph.t -> int list -> int array
-(** Distances from the nearest of several sources. *)
-
-val shortest_path : Digraph.t -> int -> int -> int list option
-(** [shortest_path g src dst] is a node list from [src] to [dst]
-    inclusive, or [None] if unreachable. *)
-
-val weakly_connected_components : Digraph.t -> int array * int
-(** [(comp, count)]: [comp.(v)] is the component label of [v] in
-    [0 .. count-1], ignoring edge direction. *)
-
-val strongly_connected_components : Digraph.t -> int array * int
-(** Tarjan's algorithm, iterative (safe on deep graphs).  Labels are
-    in reverse topological order of the condensation. *)
-
-val is_reachable : Digraph.t -> int -> int -> bool
-
-val reachable_count : Digraph.t -> int -> int
-(** Number of nodes reachable from [src], including [src]. *)

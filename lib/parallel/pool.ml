@@ -138,9 +138,6 @@ let parallel_map t f xs =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_reduce t ~map ~fold ~init xs =
-  Array.fold_left fold init (parallel_map t map xs)
-
 let run_workers ~jobs body =
   if jobs < 1 then invalid_arg "Parallel.Pool.run_workers: jobs must be >= 1";
   run (Array.init jobs (fun k () -> body k))

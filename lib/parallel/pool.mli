@@ -17,7 +17,7 @@
 
     - items are partitioned into contiguous index blocks, statically,
       so the assignment of items to workers never depends on timing;
-    - results are written into per-index slots and reduced in index
+    - results are written into per-index slots and read back in index
       order after all workers have joined — no racy accumulation;
     - when workers raise, the exception re-raised to the caller is the
       one from the {e smallest failing item index} (with its original
@@ -66,13 +66,6 @@ val parallel_for : t -> n:int -> (int -> unit) -> unit
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f xs] is [Array.map f xs] with the applications
     distributed over the pool; the result order is the input order. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> fold:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a array -> 'acc
-(** [map_reduce pool ~map ~fold ~init xs] maps in parallel, then folds
-    the mapped values {e sequentially in index order} — deterministic
-    even for non-commutative [fold]. *)
 
 val run_workers : jobs:int -> (int -> unit) -> unit
 (** [run_workers ~jobs body] runs [body 0 .. body (jobs - 1)] as

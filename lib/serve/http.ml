@@ -115,18 +115,28 @@ let split_crlf s =
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
-(* A repeated Content-Length is request smuggling bait: two conflicting
-   values frame the body two different ways, and even two identical
-   copies signal a mangled or hostile intermediary.  Reject outright
-   rather than quietly trusting whichever List.assoc_opt finds first. *)
+(* The body's framing.  Anything a front end could read differently
+   from us is request smuggling bait, so it is refused outright:
+   - a repeated Content-Length (two conflicting values frame the body
+     two ways; even two identical copies signal a mangled or hostile
+     intermediary);
+   - a Content-Length that is not RFC 9112's 1*DIGIT ([int_of_string]
+     alone would also take "0x1f", "+31", "3_1" and "0o37");
+   - any Transfer-Encoding, which we do not decode: its chunk lines
+     would otherwise be parsed as the next pipelined request. *)
 let content_length_of headers =
-  match List.filter (fun (name, _) -> name = "content-length") headers with
-  | [] -> Ok 0
-  | [ (_, v) ] -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (Bad (Printf.sprintf "bad Content-Length %S" v)))
-  | _ :: _ :: _ -> Error (Bad "duplicate Content-Length headers")
+  let is_digit c = c >= '0' && c <= '9' in
+  if List.mem_assoc "transfer-encoding" headers then
+    Error (Bad "Transfer-Encoding is not supported; send a Content-Length")
+  else
+    match List.filter (fun (name, _) -> name = "content-length") headers with
+    | [] -> Ok 0
+    | [ (_, v) ] -> (
+      let v' = String.trim v in
+      match int_of_string_opt v' with
+      | Some n when String.for_all is_digit v' -> Ok n
+      | _ -> Error (Bad (Printf.sprintf "bad Content-Length %S" v)))
+    | _ :: _ :: _ -> Error (Bad "duplicate Content-Length headers")
 
 let header_of req name = List.assoc_opt (String.lowercase_ascii name) req.headers
 

@@ -57,9 +57,11 @@ val parser_next :
     finish one, or [`Error] ([Bad] / [Too_large]) if they can never
     parse — the connection should answer and close.  After a
     [`Request], call again: pipelined followers may already be
-    buffered.  Duplicate [Content-Length] headers are rejected as
-    [Bad] (request-smuggling bait), as are unknown HTTP versions and
-    malformed request lines. *)
+    buffered.  Framing a front end could read differently is rejected
+    as [Bad] (request-smuggling bait): duplicate [Content-Length]
+    headers, a [Content-Length] that is not all ASCII digits, and any
+    [Transfer-Encoding].  So are unknown HTTP versions and malformed
+    request lines. *)
 
 val parser_partial : parser -> bool
 (** Whether a partially received request sits in the buffer — i.e. the
@@ -121,5 +123,3 @@ val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
 val query_param : request -> string -> string option
-
-val status_reason : int -> string

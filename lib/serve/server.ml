@@ -437,6 +437,12 @@ let array ?not_array ?bad item name v =
     in
     map [] items
 
+(* "field NAME must be strictly increasing" unless [a] is. *)
+let strictly_increasing name a =
+  let rec from i = i >= Array.length a || (a.(i - 1) < a.(i) && from (i + 1)) in
+  if from 1 then Ok ()
+  else Error (Printf.sprintf "field %S must be strictly increasing" name)
+
 (* --- /fit: request parsing and calibration --- *)
 
 type fit_spec = {
@@ -457,23 +463,16 @@ type fit_spec = {
 let parse_fit_spec body =
   let* json = Tiny_json.parse body in
   let* distances = required json "distances" (array Tiny_json.to_int) in
-  let* () =
-    (* each label names one group: a lookup by label (Density.at)
-       reads a repeated label's first group for both *)
-    let rec increasing i =
-      i >= Array.length distances
-      || (distances.(i - 1) < distances.(i) && increasing (i + 1))
-    in
-    if increasing 1 then Ok ()
-    else Error "field \"distances\" must be strictly increasing"
-  in
+  (* each label names one group: a lookup by label (Density.at) reads
+     a repeated label's first group for both *)
+  let* () = strictly_increasing "distances" distances in
   let* times = required json "times" (array Tiny_json.to_float) in
   let* () =
     if Array.length times = 0 || times.(0) <> 1. then
       Error "times must start at 1 (the initial observation hour provides phi)"
     else if Array.exists (fun tm -> tm > max_hours) times then
       Error (Printf.sprintf "field \"times\" must not pass t = %g hours" max_hours)
-    else Ok ()
+    else strictly_increasing "times" times
   in
   let* density =
     required json "density"
@@ -489,6 +488,8 @@ let parse_fit_spec body =
     else if
       Array.exists (fun row -> Array.length row <> Array.length times) density
     then Error "every density row must have one value per time"
+    else if Array.exists (Array.exists (fun v -> not (Float.is_finite v))) density
+    then Error "field \"density\" values must be finite"
     else Ok ()
   in
   let* population =
@@ -515,7 +516,7 @@ let parse_fit_spec body =
         (fun ft -> not (Array.exists (fun tm -> tm = ft) times))
         fit_times
     then Error "every fit_times entry must be one of the posted times"
-    else Ok ()
+    else strictly_increasing "fit_times" fit_times
   in
   let* model =
     let* m = defaulted "dl" json "model" string_field in

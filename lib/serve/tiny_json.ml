@@ -210,20 +210,6 @@ let parse s =
   | exception Err (at, msg) ->
     Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 (* The primitive [Printf.sprintf "%.17g"] (and "%.0f") ends in, called
    with the same format strings: the same bytes, without interpreting
    the format on every number. *)
@@ -243,7 +229,7 @@ let to_string v =
          else "null")
     | String s ->
       Buffer.add_char buf '"';
-      escape_into buf s;
+      Obs.json_escape_into buf s;
       Buffer.add_char buf '"'
     | List items ->
       Buffer.add_char buf '[';
@@ -259,7 +245,7 @@ let to_string v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape_into buf k;
+          Obs.json_escape_into buf k;
           Buffer.add_string buf "\":";
           go v)
         fields;

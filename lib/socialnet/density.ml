@@ -80,10 +80,6 @@ let series_at_distance t ~distance =
   let ix = index_of t.distances distance ~eq:( = ) in
   Array.copy t.density.(ix)
 
-let profile_at_time t ~time =
-  let it = index_of t.times time ~eq:(fun a b -> Float.abs (a -. b) < 1e-9) in
-  Array.map (fun row -> row.(it)) t.density
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>x \\ t ";
   Array.iter (fun tm -> Format.fprintf ppf "%8.1f" tm) t.times;

@@ -43,8 +43,5 @@ val mean_relative_error :
 val series_at_distance : t -> distance:int -> float array
 (** Time series [I(x, ·)] for one distance.  @raise Not_found. *)
 
-val profile_at_time : t -> time:float -> float array
-(** Spatial profile [I(·, t)] at one recorded time.  @raise Not_found. *)
-
 val pp : Format.formatter -> t -> unit
 (** Fixed-width table, distances as rows. *)

@@ -29,11 +29,6 @@ type stream = {
           denominators, as {!Density.observe} counts them *)
 }
 
-val default_params : Cascade.params
-(** Cascade settings tuned for a replay session: immediate promotion,
-    a burst-then-decay front page and an 8-hour horizon, so densities
-    move visibly across the default [1..6] observation grid. *)
-
 val simulate :
   ?scale:Digg.scale ->
   ?params:Cascade.params ->
@@ -45,7 +40,10 @@ val simulate :
 (** Build a {!Digg} corpus (default {!Digg.small}), re-run a fresh
     cascade from the corpus's s1 initiator on its topic, and label
     every vote with its hop distance.  Deterministic in [seed].
-    Defaults: [max_distance = 6], [times = 1..6].
+    Defaults: [max_distance = 6], [times = 1..6], and [params] tuned
+    for a replay session (immediate promotion, a burst-then-decay
+    front page and an 8-hour horizon, so densities move visibly across
+    the [1..6] observation grid).
     @raise Invalid_argument when [times] is empty or not ascending. *)
 
 val batch_density : stream -> Density.t

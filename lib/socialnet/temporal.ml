@@ -22,12 +22,6 @@ let time_to_fraction (s : Types.story) ~fraction =
 let saturation_time ?(tolerance = 0.02) (s : Types.story) =
   time_to_fraction s ~fraction:(1. -. tolerance)
 
-let peak_hour s ~duration =
-  let counts = votes_per_hour s ~duration in
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
-  !best
-
 type inter_arrival = { mean : float; median : float; max : float }
 
 let inter_arrival_stats (s : Types.story) =

@@ -19,9 +19,6 @@ val saturation_time : ?tolerance:float -> Types.story -> float
     (default 0.02) of the total — the paper's "no longer new"
     instant. *)
 
-val peak_hour : Types.story -> duration:float -> int
-(** Index (0-based) of the busiest hour bucket. *)
-
 type inter_arrival = {
   mean : float;
   median : float;

@@ -107,18 +107,15 @@ val crc32 : ?crc:int -> string -> int
 val frame : string -> string
 (** Wrap a payload in its frame. *)
 
-val max_payload : int
-(** Upper bound on a frame's payload length (16 MiB); longer frames
-    are treated as corruption by {!read_frame}. *)
-
 type frame_result =
   | Frame of string * int  (** payload, offset just past the frame *)
   | End  (** clean end of data *)
   | Corrupt of string  (** truncated tail, bad length or CRC mismatch *)
 
 val read_frame : string -> pos:int -> frame_result
-(** Scan one frame from [buf] at [pos].  Anything short, over-long or
-    failing its CRC is [Corrupt] — the caller stops there and treats
+(** Scan one frame from [buf] at [pos].  Anything short, over-long
+    (a payload over 16 MiB, which {!frame} also refuses) or failing
+    its CRC is [Corrupt] — the caller stops there and treats
     the remainder as a torn tail. *)
 
 val header : magic:string -> string

@@ -26,13 +26,6 @@ let test_growth_integral_matches_quadrature () =
     [ Dl.Growth.Constant 0.4; Dl.Growth.paper_hops; Dl.Growth.paper_interest;
       Dl.Growth.Exp_decay { a = 2.; b = 0.; c = 0.3 } ]
 
-let test_growth_decreasing () =
-  Alcotest.(check bool) "paper rates decrease" true
-    (Dl.Growth.is_decreasing Dl.Growth.paper_hops
-     && Dl.Growth.is_decreasing Dl.Growth.paper_interest);
-  Alcotest.(check bool) "negative a increases" false
-    (Dl.Growth.is_decreasing (Dl.Growth.Exp_decay { a = -1.; b = 1.; c = 0. }))
-
 (* --- Params --- *)
 
 let test_params_validation () =
@@ -132,14 +125,6 @@ let test_model_schemes_agree () =
           checkf 2e-3 "strang vs ftcs" va (Dl.Model.predict c ~x ~t))
         [ 1.; 2.5; 4.; 6. ])
     [ 2.; 6. ]
-
-let test_model_predict_at_distances () =
-  let sol = solve_paper () in
-  let preds = Dl.Model.predict_at_distances sol ~distances:[| 1; 2; 3 |] ~t:6. in
-  Alcotest.(check int) "three predictions" 3 (Array.length preds);
-  (* density at distance 1 grew from 6 but stays under K *)
-  Alcotest.(check bool) "grew" true (preds.(0) > 6.);
-  Alcotest.(check bool) "under K" true (preds.(0) < 25.)
 
 let test_model_rejects_early_times () =
   let phi = paper_like_phi () in
@@ -616,7 +601,6 @@ let suite =
   [
     Alcotest.test_case "growth eval" `Quick test_growth_eval;
     Alcotest.test_case "growth integral" `Quick test_growth_integral_matches_quadrature;
-    Alcotest.test_case "growth decreasing" `Quick test_growth_decreasing;
     Alcotest.test_case "params validation" `Quick test_params_validation;
     Alcotest.test_case "paper params" `Quick test_paper_params;
     Alcotest.test_case "phi interpolates" `Quick test_phi_interpolates;
@@ -626,7 +610,6 @@ let suite =
     Alcotest.test_case "phi rejects bad input" `Quick test_phi_rejects_bad_input;
     Alcotest.test_case "model theory" `Quick test_model_solution_theory;
     Alcotest.test_case "model schemes agree" `Slow test_model_schemes_agree;
-    Alcotest.test_case "model predictions" `Quick test_model_predict_at_distances;
     Alcotest.test_case "model rejects t<1" `Quick test_model_rejects_early_times;
     Alcotest.test_case "model diffusion spreads" `Quick test_model_diffusion_spreads;
     Alcotest.test_case "model extended coeffs" `Quick test_model_extended_variable_coefficients;

@@ -112,15 +112,6 @@ let test_laplacian_counts_undirected_once () =
   checkf 1e-12 "degree 1" 1. (Sparse.get l 0 0);
   checkf 1e-12 "single edge" (-1.) (Sparse.get l 0 1)
 
-let test_normalized_laplacian_diag () =
-  let g = Osn_graph.Generators.ring 5 in
-  let l = Osn_graph.Laplacian.normalized_laplacian g in
-  for v = 0 to 4 do
-    checkf 1e-12 "unit diagonal" 1. (Sparse.get l v v)
-  done;
-  (* ring: all degrees 2, off-diagonal = -1/2 *)
-  checkf 1e-12 "normalised weight" (-0.5) (Sparse.get l 0 1)
-
 let test_degrees () =
   let g = Osn_graph.Generators.star 4 in
   Alcotest.(check (array int)) "star degrees" [| 3; 1; 1; 1 |]
@@ -329,7 +320,6 @@ let suite =
     Alcotest.test_case "laplacian row sums" `Quick test_laplacian_row_sums_zero;
     Alcotest.test_case "laplacian line" `Quick test_laplacian_line_graph;
     Alcotest.test_case "laplacian mutual edges" `Quick test_laplacian_counts_undirected_once;
-    Alcotest.test_case "normalized laplacian" `Quick test_normalized_laplacian_diag;
     Alcotest.test_case "degrees" `Quick test_degrees;
     Alcotest.test_case "indicator initial" `Quick test_indicator_initial;
     Alcotest.test_case "network logistic" `Quick test_network_no_diffusion_is_logistic;

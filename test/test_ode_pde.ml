@@ -25,24 +25,9 @@ let test_simpson_sin () =
   checkf 1e-6 "sin over [0,pi]" 2.
     (Quadrature.simpson sin ~a:0. ~b:Float.pi ~n:100)
 
-let test_adaptive_simpson () =
-  checkf 1e-8 "exp over [0,1]" (exp 1. -. 1.)
-    (Quadrature.adaptive_simpson exp ~a:0. ~b:1.);
-  checkf 1e-8 "peaked integrand" (atan 50. *. 2.)
-    (Quadrature.adaptive_simpson
-       (fun x -> 50. /. (1. +. (2500. *. x *. x)))
-       ~a:(-1.) ~b:1.)
-
 let test_trapezoid_sampled () =
   let xs = [| 0.; 1.; 3. |] and ys = [| 0.; 2.; 2. |] in
   checkf 1e-12 "piecewise" 5. (Quadrature.trapezoid_sampled ~xs ~ys)
-
-let test_cumulative_trapezoid () =
-  let xs = [| 0.; 1.; 2. |] and ys = [| 1.; 1.; 3. |] in
-  let c = Quadrature.cumulative_trapezoid ~xs ~ys in
-  checkf 1e-12 "zero start" 0. c.(0);
-  checkf 1e-12 "first" 1. c.(1);
-  checkf 1e-12 "second" 3. c.(2)
 
 (* --- Ode --- *)
 
@@ -72,11 +57,6 @@ let test_rk4_system () =
   let _, y = out.(0) in
   checkf 1e-4 "x after full period" 1. y.(0);
   checkf 1e-4 "v after full period" 0. y.(1)
-
-let test_rkf45_matches_closed_form () =
-  let rhs = Ode.scalar_rhs (fun ~t:_ ~y -> 0.8 *. y *. (1. -. (y /. 10.))) in
-  let y = Ode.rkf45 rhs ~y0:[| 0.5 |] ~t0:0. ~t1:5. in
-  checkf 1e-6 "rkf45 logistic" (Ode.logistic ~r:0.8 ~k:10. ~n0:0.5 5.) y.(0)
 
 let test_logistic_properties () =
   let k = 25. and r = 0.9 and n0 = 2. in
@@ -333,13 +313,10 @@ let suite =
     Alcotest.test_case "trapezoid affine" `Quick test_trapezoid_polynomial;
     Alcotest.test_case "simpson cubic" `Quick test_simpson_cubic_exact;
     Alcotest.test_case "simpson sin" `Quick test_simpson_sin;
-    Alcotest.test_case "adaptive simpson" `Quick test_adaptive_simpson;
     Alcotest.test_case "trapezoid sampled" `Quick test_trapezoid_sampled;
-    Alcotest.test_case "cumulative trapezoid" `Quick test_cumulative_trapezoid;
     Alcotest.test_case "rk4 exponential" `Quick test_rk4_exponential;
     Alcotest.test_case "euler accuracy" `Quick test_euler_first_order;
     Alcotest.test_case "rk4 oscillator" `Quick test_rk4_system;
-    Alcotest.test_case "rkf45 logistic" `Quick test_rkf45_matches_closed_form;
     Alcotest.test_case "logistic properties" `Quick test_logistic_properties;
     Alcotest.test_case "varying-r reduces" `Quick test_logistic_varying_r_reduces_to_constant;
     Alcotest.test_case "varying-r vs rk4" `Quick test_logistic_varying_r_vs_rk4;

@@ -85,8 +85,6 @@ let test_histogram_constant_data () =
 
 let test_error_metrics () =
   let pred = [| 1.; 2.; 3. |] and actual = [| 1.; 3.; 5. |] in
-  checkf 1e-9 "rmse" (sqrt (5. /. 3.)) (Stats.rmse pred actual);
-  checkf 1e-9 "mae" 1. (Stats.mae pred actual);
   checkf 1e-9 "mape" ((0. +. (1. /. 3.) +. (2. /. 5.)) /. 3.)
     (Stats.mape pred actual)
 
@@ -115,15 +113,6 @@ let prop_quantile_monotone =
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
       Stats.quantile xs lo <= Stats.quantile xs hi +. 1e-12)
 
-let prop_rmse_dominates_mae =
-  QCheck.Test.make ~count:200 ~name:"rmse >= mae"
-    QCheck.(list_of_size (Gen.int_range 1 30)
-              (pair (float_range (-50.) 50.) (float_range (-50.) 50.)))
-    (fun pairs ->
-      let pred = Array.of_list (List.map fst pairs) in
-      let actual = Array.of_list (List.map snd pairs) in
-      Stats.rmse pred actual >= Stats.mae pred actual -. 1e-9)
-
 let suite =
   [
     Alcotest.test_case "nelder-mead rosenbrock" `Quick test_nelder_mead_rosenbrock;
@@ -142,5 +131,4 @@ let suite =
     Alcotest.test_case "pearson" `Quick test_pearson;
     Alcotest.test_case "linear regression" `Quick test_linear_regression;
     QCheck_alcotest.to_alcotest prop_quantile_monotone;
-    QCheck_alcotest.to_alcotest prop_rmse_dominates_mae;
   ]

@@ -55,19 +55,6 @@ let test_exception_reraised () =
   check_raises Pool.sequential;
   check_raises pool4
 
-let test_map_reduce_ordered () =
-  let xs = Array.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-  let concat acc s = acc ^ s in
-  let seq = Pool.map_reduce Pool.sequential ~map:String.uppercase_ascii
-      ~fold:concat ~init:"" xs
-  in
-  let par = Pool.map_reduce pool4 ~map:String.uppercase_ascii
-      ~fold:concat ~init:"" xs
-  in
-  Alcotest.(check string) "non-commutative fold is ordered"
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ" seq;
-  Alcotest.(check string) "jobs=4 matches" seq par
-
 let test_create_validates () =
   (try
      ignore (Pool.create ~jobs:0 ());
@@ -217,7 +204,6 @@ let suite =
       test_parallel_for_covers_every_index;
     Alcotest.test_case "worker exception re-raised" `Quick
       test_exception_reraised;
-    Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce_ordered;
     Alcotest.test_case "create validates jobs" `Quick test_create_validates;
     Alcotest.test_case "fit jobs=1 = jobs=4 (bit-identical)" `Slow
       test_fit_equivalence;

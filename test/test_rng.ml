@@ -98,20 +98,6 @@ let test_poisson_large_mean () =
   let m = Stats.mean xs in
   Alcotest.(check bool) "mean ~ 200" true (Float.abs (m -. 200.) < 3.)
 
-let test_geometric () =
-  let rng = Rng.create 19 in
-  let xs = Array.init 30_000 (fun _ -> float_of_int (Rng.geometric rng 0.25)) in
-  (* mean of failures-before-success geometric = (1-p)/p = 3 *)
-  let m = Stats.mean xs in
-  Alcotest.(check bool) "mean ~ 3" true (Float.abs (m -. 3.) < 0.15);
-  Alcotest.(check bool) "non-negative" true (Array.for_all (fun x -> x >= 0.) xs)
-
-let test_geometric_p1 () =
-  let rng = Rng.create 20 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "p=1 is always 0" 0 (Rng.geometric rng 1.)
-  done
-
 let test_pareto_support () =
   let rng = Rng.create 21 in
   for _ = 1 to 1_000 do
@@ -188,8 +174,6 @@ let suite =
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "poisson small" `Quick test_poisson_small_mean;
     Alcotest.test_case "poisson large" `Quick test_poisson_large_mean;
-    Alcotest.test_case "geometric mean" `Quick test_geometric;
-    Alcotest.test_case "geometric p=1" `Quick test_geometric_p1;
     Alcotest.test_case "pareto support" `Quick test_pareto_support;
     Alcotest.test_case "dirichlet simplex" `Quick test_dirichlet_simplex;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;

@@ -641,6 +641,24 @@ let test_input_rejection () =
           "density":[[1,2],[1,2]]}|});
   Alcotest.(check int) "ragged density" 400
     (post {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1]]}|});
+  (* the solver refuses an unordered schedule on every evaluation, so
+     these would fit nothing and answer 200 with a null error *)
+  Alcotest.(check int) "times out of order" 400
+    (post
+       {|{"distances":[1,2],"times":[1,3,2,4],
+          "density":[[2,3,4,5],[1,2,3,4]],"starts":1}|});
+  Alcotest.(check int) "repeated time" 400
+    (post
+       {|{"distances":[1,2],"times":[1,2,2,4],
+          "density":[[2,3,4,5],[1,2,3,4]],"starts":1}|});
+  Alcotest.(check int) "fit_times out of order" 400
+    (post
+       {|{"distances":[1,2],"times":[1,2,4],"density":[[2,3,4],[1,2,3]],
+          "fit_times":[4,2],"starts":1}|});
+  Alcotest.(check int) "infinite density" 400
+    (post
+       {|{"distances":[1,2],"times":[1,2],"density":[[2,1e999],[1,2]],
+          "starts":1}|});
   (* validation failures inside the model layer surface as 422 *)
   Alcotest.(check int) "all-zero densities" 422
     (post {|{"distances":[1,2],"times":[1,2],"density":[[0,1],[0,1]]}|});
@@ -671,6 +689,15 @@ let test_field_errors () =
       ( "/fit",
         {|{"distances":[1,2],"times":[1,2],"density":[[1,2],[1,"x"]]}|},
         {|field "density" rows must be arrays of numbers|} );
+      ( "/fit",
+        {|{"distances":[1,2],"times":[1,3,2],"density":[[1,2,3],[1,2,3]]}|},
+        {|field "times" must be strictly increasing|} );
+      ( "/fit",
+        {|{"distances":[1,2],"times":[1,2],"density":[[1,1e999],[1,2]]}|},
+        {|field "density" values must be finite|} );
+      ( "/fit",
+        Printf.sprintf {|{%s,"fit_times":[2,2]}|} grid,
+        {|field "fit_times" must be strictly increasing|} );
       ("/fit", Printf.sprintf {|{%s,"population":"x"}|} grid, {|field "population" must be an array|});
       ("/fit", Printf.sprintf {|{%s,"model":3}|} grid, {|field "model" must be a string|});
       ("/fit", Printf.sprintf {|{%s,"starts":1.5}|} grid, {|field "starts" must be an integer|});
@@ -1161,6 +1188,20 @@ let test_duplicate_content_length () =
   Alcotest.(check int) "duplicate Content-Length is a 400" 400
     r.Serve.Client.status
 
+(* a chunked body is refused, not framed as empty with its chunk-size
+   line parsed as the next request *)
+let test_transfer_encoding_refused () =
+  with_server @@ fun port ->
+  let r =
+    ok
+      (Serve.Client.request_raw ~port
+         "POST /fit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+          2\r\n{}\r\n0\r\n\r\n")
+  in
+  Alcotest.(check int) "Transfer-Encoding is a 400" 400 r.Serve.Client.status;
+  Alcotest.(check bool) "the 400 names the header" true
+    (contains ~needle:"Transfer-Encoding" r.Serve.Client.body)
+
 (* --- incremental parsing under any chunking --- *)
 
 (* Feed [chunks] in order, draining the parser after each feed, and
@@ -1182,7 +1223,14 @@ let parse_outcome ~max_header ~max_body chunks =
     | [] -> None
     | chunk :: rest -> (
       Serve.Http.parser_feed p (Bytes.of_string chunk) 0 (String.length chunk);
-      match drain () with Some e -> Some e | None -> feed rest)
+      let error = drain () in
+      (* memory bound: what a drained parser keeps is at most one head,
+         one body and the read that just arrived *)
+      let buffered = Serve.Http.parser_buffered p in
+      if buffered > max_header + max_body + String.length chunk then
+        Alcotest.failf "%d bytes buffered after a %d-byte read" buffered
+          (String.length chunk);
+      match error with Some e -> Some e | None -> feed rest)
   in
   let error = feed chunks in
   let partial =
@@ -1218,8 +1266,8 @@ let test_one_read_head_bound () =
 
 (* Streams of 1-4 pipelined requests: valid and malformed request
    lines, 0-5 headers (some long), a Content-Length that is missing,
-   duplicated, non-numeric or over the body bound, and sometimes a cut
-   tail.  Bounds of 256 and 200 bytes make oversize cases common. *)
+   duplicated, not all digits or over the body bound, and sometimes a
+   cut tail.  Bounds of 256 and 200 bytes make oversize cases common. *)
 let http_stream_gen =
   let open QCheck.Gen in
   let token = string_size ~gen:(char_range 'a' 'z') (1 -- 8) in
@@ -1251,7 +1299,7 @@ let http_stream_gen =
             (fun n ->
               ([ Printf.sprintf "Content-Length: %d" n; Printf.sprintf "Content-Length: %d" n ], n))
             (0 -- 20) );
-        (1, map (fun v -> ([ "Content-Length: " ^ v ], 0)) (oneofl [ "abc"; "-1"; "1x"; "" ]));
+        (1, map (fun v -> ([ "Content-Length: " ^ v ], 0)) (oneofl [ "abc"; "-1"; "1x"; ""; "0x1f"; "+31"; "3_1"; "0o37" ]));
       ]
   in
   let request =
@@ -1284,7 +1332,15 @@ let prop_http_chunking =
         | cut :: rest -> String.sub stream lo (cut - lo) :: chunks cut rest
       in
       let outcome = parse_outcome ~max_header:256 ~max_body:200 in
-      outcome (chunks 0 cuts) = outcome [ stream ])
+      let ((requests, _, _) as whole) = outcome [ stream ] in
+      let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+      (* no request is framed by a Content-Length other than 1*DIGIT *)
+      List.for_all
+        (fun r ->
+          Option.fold ~none:true ~some:digits
+            (Serve.Http.header r "content-length"))
+        requests
+      && outcome (chunks 0 cuts) = whole)
 
 (* --- keep-alive --- *)
 
@@ -1607,6 +1663,8 @@ let suite =
     Alcotest.test_case "EINTR read retries" `Quick test_eintr_read_retries;
     Alcotest.test_case "multi-chunk header" `Quick test_multi_chunk_header;
     Alcotest.test_case "plus decoding" `Quick test_plus_decoding;
+    Alcotest.test_case "Transfer-Encoding refused" `Quick
+      test_transfer_encoding_refused;
     Alcotest.test_case "duplicate Content-Length" `Quick
       test_duplicate_content_length;
     Alcotest.test_case "one-read head over max_header" `Quick

@@ -376,8 +376,6 @@ let test_density_profile_and_errors () =
   let assignment = [| -1; 1; 2; 2; 1 |] in
   let s = story_of 0 0 [ vote 0 0.; vote 1 0.5 ] in
   let obs = Density.observe s ~assignment ~max_distance:2 ~times:[| 1.; 2. |] in
-  let profile = Density.profile_at_time obs ~time:1. in
-  Alcotest.(check int) "profile length" 2 (Array.length profile);
   (try
      ignore (Density.at obs ~distance:9 ~time:1.);
      Alcotest.fail "expected Not_found"

@@ -1,62 +1,6 @@
-(* Tests for Numerics.Stats_tests: KS tests, chi-square, bootstrap. *)
+(* Tests for Numerics.Stats_tests: the bootstrap confidence intervals. *)
 
 open Numerics
-
-let checkf tol = Alcotest.(check (float tol))
-
-let uniform_sample rng n = Array.init n (fun _ -> Rng.float rng)
-
-let test_ks_same_distribution_high_p () =
-  let rng = Rng.create 1 in
-  let xs = uniform_sample rng 400 and ys = uniform_sample rng 400 in
-  let d, p = Stats_tests.ks_two_sample xs ys in
-  Alcotest.(check bool) "small statistic" true (d < 0.12);
-  Alcotest.(check bool) "p not significant" true (p > 0.05)
-
-let test_ks_different_distributions_low_p () =
-  let rng = Rng.create 2 in
-  let xs = uniform_sample rng 400 in
-  let ys = Array.init 400 (fun _ -> Rng.float rng ** 3.) in
-  let d, p = Stats_tests.ks_two_sample xs ys in
-  Alcotest.(check bool) "large statistic" true (d > 0.2);
-  Alcotest.(check bool) "significant" true (p < 0.001)
-
-let test_ks_identical_samples () =
-  let xs = [| 1.; 2.; 3.; 4. |] in
-  let d, p = Stats_tests.ks_two_sample xs xs in
-  checkf 1e-12 "zero distance" 0. d;
-  Alcotest.(check bool) "p = 1" true (p > 0.999)
-
-let test_ks_one_sample_against_true_cdf () =
-  let rng = Rng.create 3 in
-  let xs = uniform_sample rng 500 in
-  let d = Stats_tests.ks_statistic xs ~cdf:(fun x -> Float.max 0. (Float.min 1. x)) in
-  (* expected magnitude ~ 1/sqrt(n) *)
-  Alcotest.(check bool) "consistent with uniform" true (d < 0.08)
-
-let test_ks_one_sample_against_wrong_cdf () =
-  let rng = Rng.create 4 in
-  let xs = uniform_sample rng 500 in
-  let d = Stats_tests.ks_statistic xs ~cdf:(fun x -> Float.max 0. (Float.min 1. (x ** 3.))) in
-  Alcotest.(check bool) "detects mismatch" true (d > 0.3)
-
-let test_chi_square_perfect_fit () =
-  checkf 1e-12 "zero statistic" 0.
-    (Stats_tests.chi_square_statistic ~observed:[| 10; 20; 30 |]
-       ~expected:[| 10.; 20.; 30. |])
-
-let test_chi_square_known_value () =
-  (* ((12-10)^2/10) + ((8-10)^2/10) = 0.8 *)
-  checkf 1e-12 "hand computed" 0.8
-    (Stats_tests.chi_square_statistic ~observed:[| 12; 8 |]
-       ~expected:[| 10.; 10. |])
-
-let test_chi_square_rejects_bad_expected () =
-  try
-    ignore
-      (Stats_tests.chi_square_statistic ~observed:[| 1 |] ~expected:[| 0. |]);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
 
 let test_bootstrap_mean_ci_covers_truth () =
   let rng = Rng.create 5 in
@@ -81,28 +25,9 @@ let test_bootstrap_custom_statistic () =
   (* true median of Exp(1) = ln 2 *)
   Alcotest.(check bool) "covers ln 2" true (lo < log 2. && hi > log 2. *. 0.8)
 
-let prop_ks_statistic_bounds =
-  QCheck.Test.make ~count:100 ~name:"KS statistic lies in [0, 1]"
-    QCheck.(pair (int_range 1 50) (int_range 0 1_000_000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let xs = Array.init n (fun _ -> Rng.normal rng ()) in
-      let ys = Array.init (1 + Rng.int rng 50) (fun _ -> Rng.normal rng ()) in
-      let d, p = Stats_tests.ks_two_sample xs ys in
-      d >= 0. && d <= 1. && p >= 0. && p <= 1.)
-
 let suite =
   [
-    Alcotest.test_case "ks same dist" `Quick test_ks_same_distribution_high_p;
-    Alcotest.test_case "ks different dist" `Quick test_ks_different_distributions_low_p;
-    Alcotest.test_case "ks identical" `Quick test_ks_identical_samples;
-    Alcotest.test_case "ks one-sample good" `Quick test_ks_one_sample_against_true_cdf;
-    Alcotest.test_case "ks one-sample bad" `Quick test_ks_one_sample_against_wrong_cdf;
-    Alcotest.test_case "chi2 perfect" `Quick test_chi_square_perfect_fit;
-    Alcotest.test_case "chi2 known" `Quick test_chi_square_known_value;
-    Alcotest.test_case "chi2 bad expected" `Quick test_chi_square_rejects_bad_expected;
     Alcotest.test_case "bootstrap mean CI" `Quick test_bootstrap_mean_ci_covers_truth;
     Alcotest.test_case "bootstrap widths" `Quick test_bootstrap_ci_ordering_and_width;
     Alcotest.test_case "bootstrap median" `Quick test_bootstrap_custom_statistic;
-    QCheck_alcotest.to_alcotest prop_ks_statistic_bounds;
   ]
