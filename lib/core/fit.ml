@@ -50,22 +50,102 @@ let log_failure e =
   Obs.Log.warn "fit.objective_failed" ~fields:(fun () ->
       [ Obs.Log.str "exn" (Printexc.to_string e) ])
 
-let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
-    ~phi ~obs ~fit_times params =
-  try
-    let sol =
-      Model.solve ~scheme ~nx ~dt ?workspace params ~phi ~times:fit_times
+(* --- the scored cells ---
+
+   The cells [Density.mean_relative_error] scores, in its order:
+   distances outer, fit times inner, positive densities only.  Every
+   solve on the grid [xs] at [fit_times] records the snapshot times
+   [1; fit_times], so where [Pde.eval] reads a cell is the same on every
+   solve and is worked out once, with the cell's fit-time index [it]. *)
+type cells = {
+  n : int;
+  nx : int;
+  nt : int;
+  it : int array;
+  j : int array;
+  i : int array;
+  j1 : int array;
+  i1 : int array;
+  wx : float array;
+  w00 : float array;
+  w01 : float array;
+  w10 : float array;
+  w11 : float array;
+  actual : float array;
+}
+
+let cells ~xs ~obs ~fit_times =
+  let ts = Array.append [| 1. |] fit_times in
+  let found = ref [] in
+  Array.iter
+    (fun distance ->
+      Array.iteri
+        (fun it time ->
+          let actual = Socialnet.Density.at obs ~distance ~time in
+          if actual > 0. then
+            found :=
+              (it, Pde.stencil ~xs ~ts ~x:(float_of_int distance) ~t:time, actual)
+              :: !found)
+        fit_times)
+    obs.Socialnet.Density.distances;
+  let found = Array.of_list (List.rev !found) in
+  let field f = Array.map (fun (_, s, _) -> f s) found in
+  {
+    n = Array.length found;
+    nx = Array.length xs;
+    nt = Array.length ts;
+    it = Array.map (fun (it, _, _) -> it) found;
+    j = field (fun s -> s.Pde.j);
+    i = field (fun s -> s.Pde.i);
+    j1 = field (fun s -> s.Pde.j1);
+    i1 = field (fun s -> s.Pde.i1);
+    wx = field (fun s -> s.Pde.wx);
+    w00 = field (fun s -> s.Pde.w00);
+    w01 = field (fun s -> s.Pde.w01);
+    w10 = field (fun s -> s.Pde.w10);
+    w11 = field (fun s -> s.Pde.w11);
+    actual = Array.map (fun (_, _, a) -> a) found;
+  }
+
+(* Eq. 8 over the cells of one solve: [Pde.eval]'s sum in its order,
+   then [mean_relative_error]'s, so a NaN or an infinity propagates as
+   it does there.  The term is the first operand of the running sum:
+   [mean_relative_error]'s accumulator is a boxed ref, which the
+   compiler reads as the second operand, and when both are NaN the
+   first one's payload is the one kept. *)
+let relative_error c (sol : Pde.solution) =
+  let v = sol.Pde.values in
+  assert (Array.length v = c.nt && Array.length sol.Pde.xs = c.nx);
+  let err = ref 0. in
+  for k = 0 to c.n - 1 do
+    let vj = v.(c.j.(k)) and vj1 = v.(c.j1.(k)) and i = c.i.(k) and i1 = c.i1.(k) in
+    let predicted =
+      (c.w00.(k) *. vj.(i)) +. (c.w01.(k) *. vj.(i1)) +. (c.w10.(k) *. vj1.(i))
+      +. (c.w11.(k) *. vj1.(i1))
     in
-    match
-      Socialnet.Density.mean_relative_error obs ~times:fit_times
-        ~predict:(Model.predictor sol)
-    with
-    | _, 0 -> infinity
-    | err, _ -> err
-  with
-  | (Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e ->
+    let actual = c.actual.(k) in
+    err := (Float.abs (predicted -. actual) /. actual) +. !err
+  done;
+  !err /. float_of_int c.n
+
+let objective_of ~nx ~obs ~fit_times ~l ~big_l solve =
+  match cells ~xs:(Vec.linspace l big_l nx) ~obs ~fit_times with
+  | exception ((Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e) ->
     log_failure e;
-    infinity
+    fun _ -> infinity
+  | { n = 0; _ } -> fun _ -> infinity
+  | c -> (
+    fun p ->
+      try relative_error c (solve p)
+      with (Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e ->
+        log_failure e;
+        infinity)
+
+let objective ?(scheme = Model.Strang) ?(nx = 101) ?(dt = 0.01) ?workspace
+    ~phi ~obs ~fit_times (params : Params.t) =
+  objective_of ~nx ~obs ~fit_times ~l:params.Params.l ~big_l:params.Params.big_l
+    (fun p -> (Model.solve ~scheme ~nx ~dt ?workspace p ~phi ~times:fit_times).Model.pde)
+    params
 
 (* --- completed-fit hook (persistence integration) ---
 
@@ -101,6 +181,7 @@ let m_restarts = Obs.Metrics.counter "fit.restarts"
 let m_nm_iterations = Obs.Metrics.counter "fit.nm_iterations"
 let m_objective_evals = Obs.Metrics.counter "fit.objective_evals"
 let m_closed_form_evals = Obs.Metrics.counter "fit.closed_form_evals"
+let m_coarse_evals = Obs.Metrics.counter "fit.coarse_evals"
 let m_bootstrap_resamples = Obs.Metrics.counter "fit.bootstrap_resamples"
 
 let box_penalty ~lo ~hi v =
@@ -140,38 +221,15 @@ let closed_form ?(nx = 101) ~phi ~obs ~fit_times ~l ~big_l =
     if nx < 3 || not (big_l > l) then
       invalid_arg "Fit.closed_form: need nx >= 3 and l < big_l";
     let xs = Vec.linspace l big_l nx in
-    let phis = Array.map (Initial.to_function phi) xs in
-    (* the cells [Density.mean_relative_error] scores, in its order *)
-    let cells = ref [] in
-    Array.iter
-      (fun distance ->
-        Array.iteri
-          (fun it time ->
-            let actual = Socialnet.Density.at obs ~distance ~time in
-            if actual > 0. then begin
-              let x = Float.max xs.(0) (Float.min xs.(nx - 1) (float_of_int distance)) in
-              let i = Interp.bracket xs x in
-              let i1 = Stdlib.min (i + 1) (nx - 1) in
-              let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
-              cells := (it, i, i1, wx, actual) :: !cells
-            end)
-          fit_times)
-      obs.Socialnet.Density.distances;
-    (phis, Array.of_list (List.rev !cells))
+    (Array.map (Initial.to_function phi) xs, cells ~xs ~obs ~fit_times)
   with
   | exception ((Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e) ->
     (* [objective]'s policy: a set-up the solver refuses (a fit time the
        observation lacks, say) scores infinity *)
     log_failure e;
     fun _ -> infinity
-  | _, [||] -> fun _ -> infinity
-  | phis, cells ->
-    let n = Array.length cells in
-    let c_it = Array.map (fun (it, _, _, _, _) -> it) cells in
-    let c_i = Array.map (fun (_, i, _, _, _) -> i) cells in
-    let c_i1 = Array.map (fun (_, _, i1, _, _) -> i1) cells in
-    let c_wx = Array.map (fun (_, _, _, wx, _) -> wx) cells in
-    let c_actual = Array.map (fun (_, _, _, _, a) -> a) cells in
+  | _, { n = 0; _ } -> fun _ -> infinity
+  | phis, c ->
     let nt = Array.length fit_times in
     let decay = Array.make nt 0. in
     fun v ->
@@ -181,15 +239,15 @@ let closed_form ?(nx = 101) ~phi ~obs ~fit_times ~l ~big_l =
         decay.(it) <- exp (-.Growth.integral r ~t0:1. ~t1:fit_times.(it))
       done;
       let err = ref 0. in
-      for c = 0 to n - 1 do
-        let decay = decay.(c_it.(c)) and wx = c_wx.(c) and actual = c_actual.(c) in
+      for m = 0 to c.n - 1 do
+        let decay = decay.(c.it.(m)) and wx = c.wx.(m) and actual = c.actual.(m) in
         let predicted =
-          ((1. -. wx) *. logistic_node ~k ~decay phis.(c_i.(c)))
-          +. (wx *. logistic_node ~k ~decay phis.(c_i1.(c)))
+          ((1. -. wx) *. logistic_node ~k ~decay phis.(c.i.(m)))
+          +. (wx *. logistic_node ~k ~decay phis.(c.i1.(m)))
         in
         err := !err +. (Float.abs (predicted -. actual) /. actual)
       done;
-      !err /. float_of_int n
+      !err /. float_of_int c.n
 
 (* --- the search ---
 
@@ -345,10 +403,12 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
        (counted by pde.panel_reuses).  Reuse is bit-invisible: the
        panel path is bit-identical to the scalar solve. *)
     let workspace = Pde.panel_workspace () in
-    fun v ->
-      objective ~scheme:config.solver_scheme ~nx ~dt ~workspace ~phi ~obs
-        ~fit_times:config.fit_times (of_vector v)
-      +. box_penalty ~lo ~hi v
+    let score =
+      objective_of ~nx ~obs ~fit_times:config.fit_times ~l ~big_l (fun p ->
+          (Model.solve ~scheme:config.solver_scheme ~nx ~dt ~workspace p ~phi
+             ~times:config.fit_times).Model.pde)
+    in
+    fun v -> score (of_vector v) +. box_penalty ~lo ~hi v
   in
   let make_f = objective_on ~nx:config.solver_nx ~dt:config.solver_dt in
   (* A local simplex around [v0]: small edges, so the polish stays in
@@ -433,6 +493,7 @@ let fit ?(config = default_config) ?(pool = Parallel.Pool.sequential) ?id
     let coarse_evaluations =
       r.Optimize.evaluations + if scanned then scan_points else 0
     in
+    Obs.Metrics.incr ~by:coarse_evaluations m_coarse_evals;
     Obs.Span.add_attr "coarse_evaluations" (Obs.Log.Int coarse_evaluations);
     (small_simplex (Array.mapi clamp r.Optimize.x), coarse_evaluations)
   in

@@ -47,8 +47,10 @@ type result = {
           ([solver_nx], [solver_dt]) the search ran on *)
   evaluations : int;
       (** PDE solves spent, on the fit grid and on the cold path's
-          coarse grid; the closed form's evaluations are not PDE solves
-          and count in the [fit.closed_form_evals] metric instead *)
+          coarse grid (the latter also counted by the
+          [fit.coarse_evals] metric); the closed form's evaluations are
+          not PDE solves and count in the [fit.closed_form_evals]
+          metric instead *)
 }
 
 (** Warm-start input for {!fit}: a prior optimum (e.g. a persisted
@@ -200,14 +202,33 @@ val objective :
   phi:Initial.t -> obs:Socialnet.Density.t -> fit_times:float array ->
   Params.t -> float
 (** The raw fitting objective (exposed for tests and ablations): mean
-    relative error of the model under the given parameters, [infinity]
-    if the solve blows up on an expected failure ([Failure],
-    [Invalid_argument], [Mat.Singular], [Not_found] — logged at warn
-    level as [fit.objective_failed]).  Unexpected exceptions
-    propagate.  [?workspace] threads a reusable panel workspace into
-    {!Model.solve} (bit-identical results; {!fit} keeps one per
-    restart so every Nelder--Mead evaluation reuses the solver
-    buffers). *)
+    relative error of the model under the given parameters, on the
+    grid of [nx] nodes over the parameters' [\[l, L\]]; it is
+    {!objective_of} applied to {!Model.solve}.  [?workspace] threads a
+    reusable panel workspace into {!Model.solve} (bit-identical
+    results; {!fit} keeps one per restart so every Nelder--Mead
+    evaluation reuses the solver buffers). *)
+
+val objective_of :
+  nx:int -> obs:Socialnet.Density.t -> fit_times:float array ->
+  l:float -> big_l:float -> ('p -> Numerics.Pde.solution) -> 'p -> float
+(** The one scoring path of the PDE fitters ({!objective}, {!fit} and
+    {!Linear_model.fit}).  [objective_of ~nx ~obs ~fit_times ~l ~big_l
+    solve] scores [solve p], which must record the grid of [nx] nodes
+    over [\[l, L\]] and the snapshot times [1; fit_times], as
+    {!Model.solve} and [Linear_model.solve] do.  The score is
+    [Density.mean_relative_error obs ~times:fit_times] of
+    [Pde.eval (solve p)], bit for bit.
+
+    Apply it to everything but [p] once: that locates the scored cells
+    on the grid ({!Numerics.Pde.stencil}), and each call of the
+    function it returns is a solve and one pass over them.  The cells
+    are read-only, so the function is safe to share between domains
+    when [solve] is.  A set-up or a solve that fails as expected
+    ([Failure], [Invalid_argument], [Mat.Singular], [Not_found], such
+    as a fit time [obs] lacks) scores [infinity] and is logged at warn
+    level as [fit.objective_failed].  An observation with no positive
+    cell scores [infinity] too.  Unexpected exceptions propagate. *)
 
 val closed_form :
   ?nx:int -> phi:Initial.t -> obs:Socialnet.Density.t ->

@@ -111,24 +111,13 @@ let fit ?(config = default_fit_config) ?(pool = Parallel.Pool.sequential) rng
     let a = clamp 1 v.(1) and b = clamp 2 v.(2) and c = clamp 3 v.(3) in
     make ~d ~r:(Growth.Exp_decay { a; b; c }) ~l ~big_l
   in
-  (* the same blow-up policy as [Fit.objective]: a bad trial point
-     scores infinity, a genuine bug propagates *)
-  let objective params =
-    match
-      let sol =
-        solve ~nx:config.solver_nx ~dt:config.solver_dt params ~phi
-          ~times:config.fit_times
-      in
-      Socialnet.Density.mean_relative_error obs ~times:config.fit_times
-        ~predict:(predictor sol)
-    with
-    | _, 0 -> infinity
-    | err, _ -> err
-    | exception ((Failure _ | Invalid_argument _ | Mat.Singular | Not_found) as e)
-      ->
-      Obs.Log.warn "linear_model.objective_failed" ~fields:(fun () ->
-          [ Obs.Log.str "exn" (Printexc.to_string e) ]);
-      infinity
+  (* built here, before the starts share it: the cells are read-only
+     and each solve allocates its own buffers *)
+  let objective =
+    Fit.objective_of ~nx:config.solver_nx ~obs ~fit_times:config.fit_times ~l ~big_l
+      (fun params ->
+        (solve ~nx:config.solver_nx ~dt:config.solver_dt params ~phi
+           ~times:config.fit_times).pde)
   in
   let f v = objective (of_vector v) +. Fit.box_penalty ~lo ~hi v in
   let best, evaluations =

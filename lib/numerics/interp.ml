@@ -22,16 +22,6 @@ let linear ~xs ~ys x =
     ((1. -. w) *. ys.(i)) +. (w *. ys.(i + 1))
   end
 
-let nearest ~xs ~ys x =
-  let n = Array.length xs in
-  assert (Array.length ys = n && n >= 1);
-  if n = 1 || x <= xs.(0) then ys.(0)
-  else if x >= xs.(n - 1) then ys.(n - 1)
-  else begin
-    let i = bracket xs x in
-    if x -. xs.(i) <= xs.(i + 1) -. x then ys.(i) else ys.(i + 1)
-  end
-
 let bilinear ~xs ~ts ~values x t =
   let nx = Array.length xs and nt = Array.length ts in
   assert (Array.length values = nx);

@@ -8,9 +8,6 @@ val linear : xs:float array -> ys:float array -> float -> float
 (** Piecewise-linear interpolation; clamps outside the range.
     [xs] strictly increasing, at least one point. *)
 
-val nearest : xs:float array -> ys:float array -> float -> float
-(** Value of the nearest sample point. *)
-
 val bilinear :
   xs:float array -> ts:float array -> values:float array array ->
   float -> float -> float

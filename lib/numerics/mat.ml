@@ -7,8 +7,6 @@ let create nr nc x = { nr; nc; data = Array.make (nr * nc) x }
 let init nr nc f =
   { nr; nc; data = Array.init (nr * nc) (fun k -> f (k / nc) (k mod nc)) }
 
-let identity n = init n n (fun i j -> if i = j then 1. else 0.)
-
 let of_arrays rows =
   let nr = Array.length rows in
   assert (nr > 0);
@@ -21,22 +19,6 @@ let cols m = m.nc
 let get m i j = m.data.((i * m.nc) + j)
 let set m i j x = m.data.((i * m.nc) + j) <- x
 let copy m = { m with data = Array.copy m.data }
-let transpose m = init m.nc m.nr (fun i j -> get m j i)
-
-let mul a b =
-  assert (a.nc = b.nr);
-  let c = create a.nr b.nc 0. in
-  for i = 0 to a.nr - 1 do
-    for k = 0 to a.nc - 1 do
-      let aik = get a i k in
-      if aik <> 0. then
-        for j = 0 to b.nc - 1 do
-          set c i j (get c i j +. (aik *. get b k j))
-        done
-    done
-  done;
-  c
-
 let mv m x =
   assert (m.nc = Array.length x);
   Array.init m.nr (fun i ->

@@ -11,7 +11,6 @@ val create : int -> int -> float -> t
 (** [create rows cols x] is a [rows x cols] matrix filled with [x]. *)
 
 val init : int -> int -> (int -> int -> float) -> t
-val identity : int -> t
 val of_arrays : float array array -> t
 
 val rows : t -> int
@@ -21,10 +20,6 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val copy : t -> t
-val transpose : t -> t
-
-val mul : t -> t -> t
-(** Matrix product.  Requires inner dimensions to agree. *)
 
 val mv : t -> Vec.t -> Vec.t
 (** Matrix--vector product. *)

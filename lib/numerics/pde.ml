@@ -727,6 +727,48 @@ let eval_core xs ts values nx nt x_lo x_hi t_lo t_hi ~x ~t =
   +. ((1. -. wx) *. wt *. values.(j1).(i))
   +. (wx *. wt *. values.(j1).(i1))
 
+type stencil = {
+  j : int;
+  i : int;
+  j1 : int;
+  i1 : int;
+  wx : float;
+  w00 : float;
+  w01 : float;
+  w10 : float;
+  w11 : float;
+}
+
+(* [eval_core]'s bracket and weights for one point, in its own
+   expressions, for a caller that reads the point from many solutions
+   of one grid and one schedule.  [eval_core] keeps its own copy: a
+   record per point would be an allocation on the prediction hot path.
+   The fit's scoring table is checked against [eval] bit for bit
+   (test/test_qcheck_invariants.ml), which keeps the two in step. *)
+let stencil ~xs ~ts ~x ~t =
+  let nx = Array.length xs and nt = Array.length ts in
+  if Float.is_nan x || Float.is_nan t then invalid_arg "Pde.stencil: NaN input";
+  let x = clampf xs.(0) xs.(nx - 1) x in
+  let t = clampf ts.(0) ts.(nt - 1) t in
+  let i = if nx = 1 then 0 else Interp.bracket xs x in
+  let j = if nt = 1 then 0 else Interp.bracket ts t in
+  let i1 = Stdlib.min (i + 1) (nx - 1) and j1 = Stdlib.min (j + 1) (nt - 1) in
+  let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
+  let wt =
+    if j1 = j || ts.(j1) = ts.(j) then 0. else (t -. ts.(j)) /. (ts.(j1) -. ts.(j))
+  in
+  {
+    j;
+    i;
+    j1;
+    i1;
+    wx;
+    w00 = (1. -. wx) *. (1. -. wt);
+    w01 = wx *. (1. -. wt);
+    w10 = (1. -. wx) *. wt;
+    w11 = wx *. wt;
+  }
+
 let evaluator sol =
   let nt = Array.length sol.ts and nx = Array.length sol.xs in
   assert (nt >= 1 && nx >= 1);

@@ -217,6 +217,32 @@ val eval : solution -> x:float -> t:float -> float
     @raise Invalid_argument if [x] or [t] is NaN (a NaN would silently
     clamp to garbage). *)
 
+(** Where {!eval} reads one point on every solution of one grid and one
+    list of snapshot times. *)
+type stencil = {
+  j : int;  (** the snapshot at or before the point's time *)
+  i : int;  (** the node at or before the point's position *)
+  j1 : int;  (** the next snapshot, or [j] at the last *)
+  i1 : int;  (** the next node, or [i] at the last *)
+  wx : float;  (** the position's weight on node [i1] *)
+  w00 : float;  (** [(1 - wx)(1 - wt)], weighing [values.(j).(i)] *)
+  w01 : float;  (** [wx (1 - wt)], weighing [values.(j).(i1)] *)
+  w10 : float;  (** [(1 - wx) wt], weighing [values.(j1).(i)] *)
+  w11 : float;  (** [wx wt], weighing [values.(j1).(i1)] *)
+}
+
+val stencil : xs:float array -> ts:float array -> x:float -> t:float -> stencil
+(** [stencil ~xs ~ts ~x ~t] locates [(x, t)] as {!eval} does on a
+    solution whose grid is [xs] and whose snapshot times are [ts], with
+    [wt] the time's weight on snapshot [j1].  On any such solution
+    [((w00 *. v00 +. w01 *. v01) +. w10 *. v10) +. w11 *. v11], with
+    [v00 = values.(j).(i)], [v01 = values.(j).(i1)],
+    [v10 = values.(j1).(i)] and [v11 = values.(j1).(i1)], is
+    [eval sol ~x ~t] bit for bit.  For callers that read a fixed set of
+    points from many solves.
+    @raise Invalid_argument if [xs] or [ts] is empty, or [x] or [t] is
+    NaN. *)
+
 val evaluator : solution -> x:float -> t:float -> float
 (** Like {!eval} with the table bounds and lengths hoisted out: build
     the closure once, then each call is allocation-free.  Intended for

@@ -8,7 +8,6 @@ type t = {
 
 let rows m = m.nr
 let cols m = m.nc
-let nnz m = Array.length m.values
 
 let of_triplets ~rows:nr ~cols:nc triplets =
   assert (nr >= 0 && nc >= 0);
@@ -94,15 +93,6 @@ let add_identity c m =
     triplets := (r, r, c) :: !triplets
   done;
   of_triplets ~rows:m.nr ~cols:m.nc !triplets
-
-let transpose m =
-  let triplets = ref [] in
-  for r = 0 to m.nr - 1 do
-    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      triplets := (m.col_idx.(k), r, m.values.(k)) :: !triplets
-    done
-  done;
-  of_triplets ~rows:m.nc ~cols:m.nr !triplets
 
 let to_dense m = Mat.init m.nr m.nc (fun r c -> get m r c)
 

@@ -14,7 +14,6 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 
 val rows : t -> int
 val cols : t -> int
-val nnz : t -> int
 
 val get : t -> int -> int -> float
 (** O(log row-nnz) lookup; [0.] for absent entries. *)
@@ -26,7 +25,6 @@ val scale : float -> t -> t
 val add_identity : float -> t -> t
 (** [add_identity c a] is [c I + a] (square matrices only). *)
 
-val transpose : t -> t
 val to_dense : t -> Mat.t
 (** For tests; do not call on large matrices. *)
 

@@ -25,8 +25,10 @@ let quantile xs q =
   ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
 
 let median xs = quantile xs 0.5
-let min xs = Array.fold_left Stdlib.min infinity xs
-let max xs = Array.fold_left Stdlib.max neg_infinity xs
+(* [Stdlib.min]'s and [Stdlib.max]'s own definitions, with float-typed
+   comparisons instead of polymorphic ones: the same results *)
+let min xs = Array.fold_left (fun a (b : float) -> if a <= b then a else b) infinity xs
+let max xs = Array.fold_left (fun a (b : float) -> if a >= b then a else b) neg_infinity xs
 
 type summary = {
   n : int;

@@ -37,8 +37,3 @@ let pagerank ?(damping = 0.85) ?(iterations = 100) ?(tol = 1e-10) g =
     done;
     rank
   end
-
-let top scores ~n =
-  let indexed = Array.mapi (fun i s -> (i, s)) scores in
-  Array.sort (fun (_, a) (_, b) -> Float.compare b a) indexed;
-  Array.sub indexed 0 (Stdlib.min n (Array.length indexed))

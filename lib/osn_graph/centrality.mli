@@ -16,6 +16,3 @@ val pagerank :
     here, when important users follow it).  Dangling mass is
     redistributed uniformly.  Scores sum to 1.
     Defaults: [damping = 0.85], [iterations = 100], [tol = 1e-10]. *)
-
-val top : float array -> n:int -> (int * float) array
-(** Indices of the [n] largest scores, descending. *)

@@ -12,16 +12,6 @@ let undirected_edges g =
       end);
   !edges
 
-let degrees g =
-  let n = Digraph.n_nodes g in
-  let deg = Array.make n 0 in
-  List.iter
-    (fun (a, b) ->
-      deg.(a) <- deg.(a) + 1;
-      deg.(b) <- deg.(b) + 1)
-    (undirected_edges g);
-  deg
-
 let undirected_laplacian g =
   let n = Digraph.n_nodes g in
   let edges = undirected_edges g in

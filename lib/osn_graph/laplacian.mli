@@ -8,6 +8,3 @@
 val undirected_laplacian : Digraph.t -> Numerics.Sparse.t
 (** Combinatorial Laplacian [D - A] of the underlying undirected simple
     graph (symmetric positive semi-definite; row sums are zero). *)
-
-val degrees : Digraph.t -> int array
-(** Undirected degrees: the diagonal of {!undirected_laplacian}. *)

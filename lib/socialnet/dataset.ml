@@ -14,43 +14,64 @@ open Osn_graph
 type t = {
   follows : Digraph.t;
   influence : Digraph.t;
+  reach : Traversal.adjacency; (* [influence], flat *)
   stories : Types.story array;
-  votes_by_user : int array array; (* ascending story ids per user *)
+  (* user u's story ids, ascending, are
+     vote_ids.(vote_offsets.(u)) .. vote_ids.(vote_offsets.(u + 1) - 1) *)
+  vote_offsets : int array;
+  vote_ids : int array;
 }
 
-let make ~follows ~stories =
+let make ~follows ~influence ~stories =
   let n = Digraph.n_nodes follows in
+  if Digraph.n_nodes influence <> n || Digraph.n_edges influence <> Digraph.n_edges follows
+  then invalid_arg "Dataset.make: influence must be the reverse of follows";
+  let vote_offsets = Array.make (n + 1) 0 in
   Array.iter
     (fun (s : Types.story) ->
       Types.check_story s;
       Array.iter
         (fun (v : Types.vote) ->
-          if v.Types.user < 0 || v.Types.user >= n then
-            invalid_arg "Dataset.make: voter id out of range")
+          let u = v.Types.user in
+          if u < 0 || u >= n then invalid_arg "Dataset.make: voter id out of range";
+          vote_offsets.(u + 1) <- vote_offsets.(u + 1) + 1)
         s.Types.votes)
     stories;
-  let buckets = Array.make n [] in
+  for u = 1 to n do
+    vote_offsets.(u) <- vote_offsets.(u) + vote_offsets.(u - 1)
+  done;
+  (* filled story by story in ascending id order, so each user's ids
+     come out ascending *)
+  let by_id = Array.init (Array.length stories) Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare stories.(a).Types.id stories.(b).Types.id)
+    by_id;
+  let vote_ids = Array.make vote_offsets.(n) 0 in
+  let next = Array.sub vote_offsets 0 n in
   Array.iter
-    (fun (s : Types.story) ->
+    (fun k ->
+      let s = stories.(k) in
       Array.iter
         (fun (v : Types.vote) ->
-          buckets.(v.Types.user) <- s.Types.id :: buckets.(v.Types.user))
+          let u = v.Types.user in
+          vote_ids.(next.(u)) <- s.Types.id;
+          next.(u) <- next.(u) + 1)
         s.Types.votes)
+    by_id;
+  {
+    follows;
+    influence;
+    reach = Traversal.adjacency influence;
     stories;
-  let votes_by_user =
-    Array.map
-      (fun ids ->
-        let a = Array.of_list ids in
-        Array.sort compare a;
-        a)
-      buckets
-  in
-  { follows; influence = Digraph.reverse follows; stories; votes_by_user }
+    vote_offsets;
+    vote_ids;
+  }
 
 let n_users t = Digraph.n_nodes t.follows
 let n_stories t = Array.length t.stories
 let follows t = t.follows
 let influence t = t.influence
+let influence_adjacency t = t.reach
 
 let story t i =
   if i < 0 || i >= Array.length t.stories then
@@ -58,7 +79,12 @@ let story t i =
   t.stories.(i)
 
 let stories t = t.stories
-let stories_voted_by t u = t.votes_by_user.(u)
+
+let stories_voted_by t u =
+  let first = t.vote_offsets.(u) in
+  Array.sub t.vote_ids first (t.vote_offsets.(u + 1) - first)
+
+let vote_index t = (t.vote_offsets, t.vote_ids)
 
 let total_votes t =
   Array.fold_left (fun acc s -> acc + Array.length s.Types.votes) 0 t.stories
@@ -131,7 +157,7 @@ let load_tsv path =
               }
             | _ -> fail "bad story line")
       in
-      make ~follows:g ~stories)
+      make ~follows:g ~influence:(Digraph.reverse g) ~stories)
 
 let pp ppf t =
   Format.fprintf ppf "dataset(%d users, %d follow edges, %d stories, %d votes)"

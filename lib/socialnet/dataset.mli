@@ -11,10 +11,15 @@
 
 type t
 
-val make : follows:Osn_graph.Digraph.t -> stories:Types.story array -> t
-(** Validates every story (see {!Types.check_story}) and that all voter
-    ids fit the graph.  Builds the influence graph and the per-user
-    vote index eagerly. *)
+val make :
+  follows:Osn_graph.Digraph.t -> influence:Osn_graph.Digraph.t ->
+  stories:Types.story array -> t
+(** [influence] is [Digraph.reverse follows], which the corpus builders
+    already hold for their cascades; only its node and edge counts are
+    checked against [follows].  Validates every story (see
+    {!Types.check_story}) and that all voter ids fit the graph.  Builds
+    the flat influence adjacency and the per-user vote index eagerly.
+    @raise Invalid_argument on a failed check. *)
 
 val n_users : t -> int
 val n_stories : t -> int
@@ -23,6 +28,9 @@ val follows : t -> Osn_graph.Digraph.t
 val influence : t -> Osn_graph.Digraph.t
 (** Reverse of [follows]: edges point from followee to follower. *)
 
+val influence_adjacency : t -> Osn_graph.Traversal.adjacency
+(** {!influence}, flat, for {!Osn_graph.Traversal.bfs_distances}. *)
+
 val story : t -> int -> Types.story
 (** [story t i] for [i] in [0 .. n_stories-1]. *)
 
@@ -30,7 +38,13 @@ val stories : t -> Types.story array
 
 val stories_voted_by : t -> int -> int array
 (** Ascending story ids the user voted on — the set [C_a] of the
-    paper's shared-interest metric (Eq. 1). *)
+    paper's shared-interest metric (Eq. 1) — as a fresh array. *)
+
+val vote_index : t -> int array * int array
+(** [(offsets, ids)]: {!stories_voted_by} of every user in two flat
+    arrays, user [u]'s being [ids.(offsets.(u))] to
+    [ids.(offsets.(u + 1) - 1)].  The dataset's own arrays, not copies:
+    read them, do not write them. *)
 
 val total_votes : t -> int
 

@@ -265,6 +265,6 @@ let build ?(scale = medium) ~seed () =
         (Array.fold_left
            (fun acc s -> acc + Types.story_vote_count s)
            0 stories));
-  let dataset = Dataset.make ~follows ~stories in
+  let dataset = Dataset.make ~follows ~influence ~stories in
   let rep_ids = Array.map (fun (s : Types.story) -> s.Types.id) rep in
   { dataset; rep_ids; community; prefs; activity; n_topics }

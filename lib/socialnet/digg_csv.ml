@@ -144,5 +144,8 @@ let load ?(min_votes = 2) ~votes ~friends () =
   let stories =
     List.sort (fun (a : Types.story) b -> compare a.Types.id b.Types.id) !stories
   in
-  let dataset = Dataset.make ~follows ~stories:(Array.of_list stories) in
+  let dataset =
+    Dataset.make ~follows ~influence:(Digraph.reverse follows)
+      ~stories:(Array.of_list stories)
+  in
   (dataset, { user_of_raw; story_of_raw })

@@ -86,7 +86,7 @@ let build ?(n_users = 20_000) ?(n_background = 300) ~seed () =
       rep_ranks
   in
   let stories = Array.append background rep in
-  let dataset = Dataset.make ~follows ~stories in
+  let dataset = Dataset.make ~follows ~influence ~stories in
   {
     dataset;
     rep_ids = Array.map (fun (s : Types.story) -> s.Types.id) rep;

@@ -256,11 +256,6 @@ let test_pagerank_dangling_mass () =
   checkf 1e-9 "mass conserved" 1. (Array.fold_left ( +. ) 0. pr);
   Alcotest.(check bool) "linked node ranks higher" true (pr.(1) > pr.(0))
 
-let test_top_scores () =
-  let top = Osn_graph.Centrality.top [| 0.1; 0.9; 0.5 |] ~n:2 in
-  Alcotest.(check int) "best first" 1 (fst top.(0));
-  Alcotest.(check int) "second" 2 (fst top.(1))
-
 (* --- Twitter corpus --- *)
 
 let test_twitter_build () =
@@ -312,7 +307,6 @@ let suite =
     Alcotest.test_case "pagerank ring" `Quick test_pagerank_uniform_on_ring;
     Alcotest.test_case "pagerank hub" `Quick test_pagerank_hub_wins;
     Alcotest.test_case "pagerank dangling" `Quick test_pagerank_dangling_mass;
-    Alcotest.test_case "top scores" `Quick test_top_scores;
     Alcotest.test_case "twitter build" `Slow test_twitter_build;
     Alcotest.test_case "twitter locality" `Slow test_twitter_density_hugs_graph;
   ]

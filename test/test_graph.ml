@@ -55,14 +55,14 @@ let test_iter_edges () =
 let test_bfs_line () =
   let g = Generators.line 5 in
   Alcotest.(check (array int)) "line distances" [| 0; 1; 2; 3; 4 |]
-    (Traversal.bfs_distances g 0);
+    (Traversal.bfs_distances (Traversal.adjacency g) 0);
   (* BFS follows direction: nothing reachable upstream *)
   Alcotest.(check (array int)) "from the end" [| -1; -1; -1; -1; 0 |]
-    (Traversal.bfs_distances g 4)
+    (Traversal.bfs_distances (Traversal.adjacency g) 4)
 
 let test_bfs_star () =
   let g = Generators.star 6 in
-  let d = Traversal.bfs_distances g 0 in
+  let d = Traversal.bfs_distances (Traversal.adjacency g) 0 in
   Alcotest.(check int) "source" 0 d.(0);
   for v = 1 to 5 do
     Alcotest.(check int) "leaf at distance 1" 1 d.(v)
@@ -92,9 +92,9 @@ let prop_bfs_vs_floyd_warshall =
           done
         done
       done;
-      let ok = ref true in
+      let adj = Traversal.adjacency g and ok = ref true in
       for s = 0 to n - 1 do
-        let bfs = Traversal.bfs_distances g s in
+        let bfs = Traversal.bfs_distances adj s in
         for v = 0 to n - 1 do
           let expected = if dist.(s).(v) >= inf then -1 else dist.(s).(v) in
           if bfs.(v) <> expected then ok := false

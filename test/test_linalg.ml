@@ -51,26 +51,6 @@ let test_vec_clamp () =
 
 (* --- Mat --- *)
 
-let test_identity_mul () =
-  let a = Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let i = Mat.identity 2 in
-  Alcotest.(check bool) "I*A = A" true (Mat.approx_equal (Mat.mul i a) a);
-  Alcotest.(check bool) "A*I = A" true (Mat.approx_equal (Mat.mul a i) a)
-
-let test_mat_mul () =
-  let a = Mat.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  let b = Mat.of_arrays [| [| 7.; 8. |]; [| 9.; 10. |]; [| 11.; 12. |] |] in
-  let c = Mat.mul a b in
-  let expected = Mat.of_arrays [| [| 58.; 64. |]; [| 139.; 154. |] |] in
-  Alcotest.(check bool) "product" true (Mat.approx_equal c expected)
-
-let test_transpose () =
-  let a = Mat.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  let at = Mat.transpose a in
-  Alcotest.(check int) "rows" 3 (Mat.rows at);
-  Alcotest.(check int) "cols" 2 (Mat.cols at);
-  checkf "entry" 6. (Mat.get at 2 1)
-
 let test_solve_known_system () =
   (* 2x + y = 5; x + 3y = 10  =>  x = 1, y = 3 *)
   let a = Mat.of_arrays [| [| 2.; 1. |]; [| 1.; 3. |] |] in
@@ -159,9 +139,6 @@ let suite =
     Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
     Alcotest.test_case "vec extrema" `Quick test_vec_extrema;
     Alcotest.test_case "vec clamp" `Quick test_vec_clamp;
-    Alcotest.test_case "identity mul" `Quick test_identity_mul;
-    Alcotest.test_case "mat mul" `Quick test_mat_mul;
-    Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "solve 2x2" `Quick test_solve_known_system;
     Alcotest.test_case "solve with pivoting" `Quick test_solve_needs_pivoting;
     Alcotest.test_case "singular raises" `Quick test_singular_raises;

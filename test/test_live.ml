@@ -710,8 +710,8 @@ let test_observe_validation () =
    hanging it. *)
 let test_observe_initiator_outside_graph () =
   let graph =
-    Socialnet.Dataset.make
-      ~follows:(Osn_graph.Digraph.of_edges 4 [ (1, 0); (2, 1); (3, 2) ])
+    let follows = Osn_graph.Digraph.of_edges 4 [ (1, 0); (2, 1); (3, 2) ] in
+    Socialnet.Dataset.make ~follows ~influence:(Osn_graph.Digraph.reverse follows)
       ~stories:[||]
   in
   let config =

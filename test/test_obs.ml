@@ -627,6 +627,7 @@ let test_fit_restart_telemetry () =
   let restarts fit =
     Obs.Span.reset ();
     let cf0 = counter "fit.closed_form_evals"
+    and co0 = counter "fit.coarse_evals"
     and ev0 = counter "fit.objective_evals" in
     let r = fit () in
     let spans =
@@ -645,27 +646,39 @@ let test_fit_restart_telemetry () =
       | Some (Obs.Log.String k) -> k
       | _ -> Alcotest.fail "fit.restart span without a start attribute"
     in
+    let span_coarse =
+      List.fold_left
+        (fun acc s ->
+          match List.assoc_opt "coarse_evaluations" s.Obs.Span.attrs with
+          | Some (Obs.Log.Int n) -> acc + n
+          | _ -> acc)
+        0 spans
+    in
+    Alcotest.(check int) "coarse evals = the spans' coarse_evaluations" span_coarse
+      (counter "fit.coarse_evals" - co0);
     ( r,
       List.map start spans,
       counter "fit.closed_form_evals" - cf0,
-      counter "fit.objective_evals" - ev0 )
+      counter "fit.objective_evals" - ev0,
+      span_coarse )
   in
   with_obs_enabled @@ fun () ->
-  let cold, starts, cf, evals =
+  let cold, starts, cf, evals, coarse =
     restarts (fun () -> Dl.Fit.fit ~config (Rng.create 11) obs)
   in
   Alcotest.(check (list string)) "cold starts" [ "closed_form"; "coarse" ] starts;
   Alcotest.(check bool) "closed form evaluated" true (cf > 0);
+  Alcotest.(check bool) "coarse grid evaluated" true (coarse > 0);
   Alcotest.(check int) "objective evals = result.evaluations"
     cold.Dl.Fit.evaluations evals;
-  let _, starts, cf, _ =
+  let _, starts, cf, _, _ =
     restarts (fun () ->
         Dl.Fit.fit ~config:{ config with Dl.Fit.starts = 1 }
           ~init:(Dl.Fit.Init_params cold.Dl.Fit.params) (Rng.create 11) obs)
   in
   Alcotest.(check (list string)) "warm start" [ "warm" ] starts;
   Alcotest.(check int) "a warm polish 0 skips the closed form" 0 cf;
-  let _, starts, _, _ =
+  let _, starts, _, _, _ =
     restarts (fun () ->
         let config =
           { Dl.Linear_model.default_fit_config with

@@ -139,7 +139,7 @@ let prop_bfs_triangle_inequality =
     (fun (n, seed) ->
       let rng = rng_of seed in
       let g = random_graph rng ~n in
-      let dist = Osn_graph.Traversal.bfs_distances g 0 in
+      let dist = Osn_graph.Traversal.(bfs_distances (adjacency g) 0) in
       let ok = ref true in
       Osn_graph.Digraph.iter_edges g (fun u v ->
           if dist.(u) >= 0 then
@@ -186,7 +186,9 @@ let prop_jaccard_metric_axioms =
               votes = Array.of_list votes;
             })
       in
-      let ds = Socialnet.Dataset.make ~follows:g ~stories in
+      let ds =
+        Socialnet.Dataset.make ~follows:g ~influence:(Osn_graph.Digraph.reverse g) ~stories
+      in
       let dist = Socialnet.Distance.shared_interest ds ~exclude:(-1) in
       let ok = ref true in
       for a = 0 to n - 1 do
@@ -229,7 +231,8 @@ let prop_interest_distances_match_merge =
             { Socialnet.Types.id; initiator; topic = 0; votes = Array.of_list votes })
       in
       let ds =
-        Socialnet.Dataset.make ~follows:(Osn_graph.Digraph.create n) ~stories
+        Socialnet.Dataset.make ~follows:(Osn_graph.Digraph.create n)
+          ~influence:(Osn_graph.Digraph.create n) ~stories
       in
       Array.for_all
         (fun (story : Socialnet.Types.story) ->
@@ -337,6 +340,75 @@ let prop_dl_monotone_when_lower_solution =
         (Dl.Properties.monotone_in_time sol).Dl.Properties.holds
       end)
 
+(* [Fit.objective_of] scores from a table of cells located once; the
+   loop it replaced is [Density.mean_relative_error] over [Pde.eval].
+   On both fit windows and on the fit and coarse grids, with NaN and
+   infinities planted in the solution and observations with no positive
+   cell, the two must agree bit for bit; an observation that lacks a
+   fit time scores infinity. *)
+let prop_fit_table_matches_mean_relative_error =
+  QCheck.Test.make ~count:200 ~name:"fit scoring table = mean_relative_error"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of seed in
+      let phi, l, big_l = random_phi rng in
+      let nx, dt = if Rng.int rng 2 = 0 then (41, 0.05) else (21, 0.25) in
+      let fit_times =
+        if Rng.int rng 2 = 0 then [| 2.; 3.; 4. |] else [| 2.; 3.; 4.; 5.; 6. |]
+      in
+      let params =
+        Dl.Params.make
+          ~d:(Rng.uniform rng 0. 0.6)
+          ~k:(Rng.uniform rng 10. 100.)
+          ~r:
+            (Dl.Growth.Exp_decay
+               {
+                 a = Rng.uniform rng 0. 3.;
+                 b = Rng.uniform rng 0.05 3.;
+                 c = Rng.uniform rng 0. 1.;
+               })
+          ~l ~big_l
+      in
+      let sol = (Dl.Model.solve ~nx ~dt params ~phi ~times:fit_times).Dl.Model.pde in
+      let values = Array.map Array.copy sol.Pde.values in
+      if Rng.int rng 2 = 0 then
+        for _ = 0 to Rng.int rng 3 do
+          values.(Rng.int rng (Array.length values)).(Rng.int rng nx) <-
+            [| nan; infinity; neg_infinity |].(Rng.int rng 3)
+        done;
+      let sol = { sol with Pde.values } in
+      let distances = Array.init (int_of_float (big_l -. l) + 1) (fun k -> int_of_float l + k) in
+      let times = [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+      let empty = Rng.int rng 5 = 0 in
+      let density =
+        Array.map
+          (fun _ ->
+            Array.map
+              (fun _ -> if empty || Rng.int rng 3 = 0 then 0. else Rng.uniform rng 0.1 40.)
+              times)
+          distances
+      in
+      let obs =
+        { Socialnet.Density.distances; times; density;
+          population = Array.map (fun _ -> 100) distances }
+      in
+      let expected =
+        match
+          Socialnet.Density.mean_relative_error obs ~times:fit_times
+            ~predict:(Pde.evaluator sol)
+        with
+        | _, 0 -> infinity
+        | err, _ -> err
+      in
+      let score obs = Dl.Fit.objective_of ~nx ~obs ~fit_times ~l ~big_l (fun () -> sol) () in
+      let lacking =
+        { obs with
+          Socialnet.Density.times = Array.sub times 0 3;
+          density = Array.map (fun row -> Array.sub row 0 3) density }
+      in
+      Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float (score obs))
+      && score lacking = infinity)
+
 let prop_accuracy_bounds =
   QCheck.Test.make ~count:200 ~name:"accuracy lies in [0, 1] or is nan"
     QCheck.(pair (float_range (-100.) 100.) (float_range (-100.) 100.))
@@ -438,6 +510,7 @@ let suite =
       prop_cascade_respects_structure;
       prop_dl_bounds_random_phi;
       prop_dl_monotone_when_lower_solution;
+      prop_fit_table_matches_mean_relative_error;
       prop_accuracy_bounds;
       prop_growth_integral_additive;
       prop_growth_integral_matches_simpson;

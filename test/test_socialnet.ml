@@ -44,7 +44,26 @@ let test_check_story_invalid () =
       Types.check_story (story_of 0 3 [ vote 3 0.; vote 2 3.; vote 1 1. ]));
   expect_invalid (fun () ->
       Types.check_story (story_of 0 3 [ vote 3 0.; vote 3 1. ]));
-  expect_invalid (fun () -> Types.check_story (story_of 0 3 []))
+  expect_invalid (fun () -> Types.check_story (story_of 0 3 []));
+  (* the earlier of the first unsorted vote and the first repeated
+     voter is reported, the time order first at one index; voter ids
+     far apart take the sorting path instead of the bitmap *)
+  let message votes =
+    match Types.check_story (story_of 0 3 votes) with
+    | () -> "ok"
+    | exception Invalid_argument m -> m
+  in
+  let far = 1 lsl 40 in
+  List.iter
+    (fun (expected, votes) ->
+      Alcotest.(check string) expected expected (message votes))
+    [
+      ("votes must be sorted by time", [ vote 3 0.; vote 1 2.; vote 1 1. ]);
+      ("duplicate voter", [ vote 3 0.; vote 1 1.; vote 1 2.; vote 2 1.5 ]);
+      ("votes must be sorted by time", [ vote 3 0.; vote 1 2.; vote 2 1.; vote 1 3. ]);
+      ("duplicate voter", [ vote 3 0.; vote far 1.; vote 2 2.; vote far 3. ]);
+      ("ok", [ vote 3 0.; vote far 1.; vote (-far) 2.; vote 2 3. ]);
+    ]
 
 (* --- Event_queue --- *)
 
@@ -96,7 +115,7 @@ let sample_dataset () =
   (* edges: u follows v; so 0's followers are 1 and 2 *)
   let s0 = story_of 0 0 [ vote 0 0.; vote 1 0.5; vote 3 2. ] in
   let s1 = story_of 1 2 [ vote 2 0.; vote 0 1. ] in
-  Dataset.make ~follows:g ~stories:[| s0; s1 |]
+  Dataset.make ~follows:g ~influence:(Osn_graph.Digraph.reverse g) ~stories:[| s0; s1 |]
 
 let test_dataset_basics () =
   let ds = sample_dataset () in
@@ -124,7 +143,8 @@ let test_dataset_vote_index () =
 let test_dataset_rejects_bad_voter () =
   let g = Osn_graph.Digraph.create 2 in
   let bad = story_of 0 0 [ vote 0 0.; vote 7 1. ] in
-  expect_invalid (fun () -> ignore (Dataset.make ~follows:g ~stories:[| bad |]))
+  expect_invalid (fun () ->
+      ignore (Dataset.make ~follows:g ~influence:(Osn_graph.Digraph.reverse g) ~stories:[| bad |]))
 
 let test_dataset_tsv_roundtrip () =
   let ds = sample_dataset () in
@@ -427,6 +447,79 @@ let test_digg_affinity_range () =
     done
   done
 
+(* The flat vote index and adjacency against what they replaced:
+   per-user arrays sorted with [compare], a [Queue] BFS over the
+   influence digraph, and the [Seq] filter and polymorphic [min]/[max]
+   of the old grouping. *)
+let queue_hops ds ~(story : Types.story) =
+  let g = Dataset.influence ds and init = story.Types.initiator in
+  let dist = Array.make (Dataset.n_users ds) (-1) in
+  let q = Queue.create () in
+  dist.(init) <- 0;
+  Queue.add init q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    Osn_graph.Digraph.iter_out g u (fun v ->
+        if dist.(v) < 0 then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v q
+        end)
+  done;
+  Array.mapi (fun u d -> if u = init || d <= 0 then -1 else d) dist
+
+let seq_groups ~n_groups ~grouping d =
+  let observed = Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq d)) in
+  let group_of =
+    match grouping with
+    | Distance.Equal_width ->
+      let lo = Array.fold_left Stdlib.min infinity observed
+      and hi = Array.fold_left Stdlib.max neg_infinity observed in
+      let width = if hi > lo then (hi -. lo) /. float_of_int n_groups else 1. in
+      fun x ->
+        let g = int_of_float ((x -. lo) /. width) in
+        1 + Stdlib.max 0 (Stdlib.min (n_groups - 1) g)
+    | Distance.Quantile ->
+      let cuts =
+        Array.init (n_groups - 1) (fun k ->
+            Stats.quantile observed (float_of_int (k + 1) /. float_of_int n_groups))
+      in
+      fun x ->
+        let rec scan k = if k >= n_groups - 1 || x <= cuts.(k) then k + 1 else scan (k + 1) in
+        scan 0
+  in
+  Array.map (fun x -> if Float.is_nan x then -1 else group_of x) d
+
+let test_flat_distances_match_references () =
+  List.iter
+    (fun seed ->
+      let ds = (Digg.build ~scale:Digg.small ~seed ()).Digg.dataset in
+      let voted = Array.make (Dataset.n_users ds) [] in
+      Array.iter
+        (fun (s : Types.story) ->
+          Array.iter
+            (fun (v : Types.vote) -> voted.(v.Types.user) <- s.Types.id :: voted.(v.Types.user))
+            s.Types.votes)
+        (Dataset.stories ds);
+      Array.iteri
+        (fun u ids ->
+          let ids = Array.of_list ids in
+          Array.sort compare ids;
+          Alcotest.(check (array int)) "stories_voted_by" ids (Dataset.stories_voted_by ds u))
+        voted;
+      Array.iter
+        (fun story ->
+          Alcotest.(check (array int)) "friendship_hops" (queue_hops ds ~story)
+            (Distance.friendship_hops ds ~story);
+          let d = Distance.interest_distances ds ~story in
+          List.iter
+            (fun (n_groups, grouping) ->
+              Alcotest.(check (array int)) "interest_groups"
+                (seq_groups ~n_groups ~grouping d)
+                (Distance.interest_groups ~n_groups ~grouping ds ~story))
+            [ (5, Distance.Equal_width); (5, Distance.Quantile); (3, Distance.Quantile) ])
+        (Dataset.stories ds))
+    [ 1; 2; 3 ]
+
 let test_digg_hop_distribution_peaks_in_middle () =
   let c = Lazy.force corpus in
   let ds = c.Digg.dataset in
@@ -465,6 +558,8 @@ let suite =
     Alcotest.test_case "shared interest" `Quick test_shared_interest_values;
     Alcotest.test_case "interest symmetry" `Quick test_shared_interest_symmetry;
     Alcotest.test_case "interest groups" `Quick test_interest_groups_basics;
+    Alcotest.test_case "flat distances = references" `Quick
+      test_flat_distances_match_references;
     Alcotest.test_case "density observe" `Quick test_density_observe;
     Alcotest.test_case "density monotone" `Quick test_density_monotone_in_time;
     Alcotest.test_case "density empty group" `Quick test_density_empty_group;

@@ -147,12 +147,6 @@ let test_interp_linear () =
   checkf "clamp left" 0. (Interp.linear ~xs ~ys (-1.));
   checkf "clamp right" 30. (Interp.linear ~xs ~ys 4.)
 
-let test_interp_nearest () =
-  let xs = [| 0.; 1.; 2. |] and ys = [| 5.; 6.; 7. |] in
-  checkf "nearest low" 5. (Interp.nearest ~xs ~ys 0.4);
-  checkf "nearest high" 6. (Interp.nearest ~xs ~ys 0.6);
-  checkf "clamped" 7. (Interp.nearest ~xs ~ys 99.)
-
 let test_interp_bilinear () =
   let xs = [| 0.; 1. |] and ts = [| 0.; 1. |] in
   let values = [| [| 0.; 1. |]; [| 2.; 3. |] |] in
@@ -197,7 +191,6 @@ let suite =
     Alcotest.test_case "two-point spline" `Quick test_two_point_spline;
     Alcotest.test_case "domain and knots" `Quick test_domain_and_knots;
     Alcotest.test_case "interp linear" `Quick test_interp_linear;
-    Alcotest.test_case "interp nearest" `Quick test_interp_nearest;
     Alcotest.test_case "interp bilinear" `Quick test_interp_bilinear;
     QCheck_alcotest.to_alcotest prop_knot_interpolation;
   ]
