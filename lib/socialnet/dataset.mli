@@ -14,11 +14,12 @@ type t
 val make :
   follows:Osn_graph.Digraph.t -> influence:Osn_graph.Digraph.t ->
   stories:Types.story array -> t
-(** [influence] is [Digraph.reverse follows], which the corpus builders
-    already hold for their cascades; only its node and edge counts are
-    checked against [follows].  Validates every story (see
-    {!Types.check_story}) and that all voter ids fit the graph.  Builds
-    the flat influence adjacency and the per-user vote index eagerly.
+(** [influence] is [Digraph.reverse follows], which {!Digg.build} and
+    {!Twitter.build} already hold for their cascades; only its node and
+    edge counts are checked against [follows].  Validates every story
+    (see {!Types.check_story}) and that all voter ids fit the graph.
+    Builds the flat influence adjacency and the per-user vote index
+    eagerly.
     @raise Invalid_argument on a failed check. *)
 
 val n_users : t -> int
