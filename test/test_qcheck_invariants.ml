@@ -510,11 +510,11 @@ let suite =
       prop_cascade_respects_structure;
       prop_dl_bounds_random_phi;
       prop_dl_monotone_when_lower_solution;
-      prop_fit_table_matches_mean_relative_error;
       prop_accuracy_bounds;
       prop_growth_integral_additive;
       prop_growth_integral_matches_simpson;
       prop_epidemic_monotone;
       prop_accuracy_perfect_iff_equal;
       prop_interest_distances_match_merge;
+      prop_fit_table_matches_mean_relative_error;
     ]
