@@ -22,10 +22,24 @@ type t = {
   vote_ids : int array;
 }
 
-let make ~follows ~influence ~stories =
+(* Both graphs are simple, so [influence] is [follows] reversed when
+   every node's out-neighbours in [influence] are, as many and each one,
+   its in-neighbours in [follows]. *)
+let check_reverse ~follows ~influence =
   let n = Digraph.n_nodes follows in
-  if Digraph.n_nodes influence <> n || Digraph.n_edges influence <> Digraph.n_edges follows
-  then invalid_arg "Dataset.make: influence must be the reverse of follows";
+  let fail () = invalid_arg "Dataset.make: influence must be the reverse of follows" in
+  if Digraph.n_nodes influence <> n then fail ();
+  (* mark.(u) = v: u follows v *)
+  let mark = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    if Digraph.out_degree influence v <> Digraph.in_degree follows v then fail ();
+    Digraph.iter_in follows v (fun u -> mark.(u) <- v);
+    Digraph.iter_out influence v (fun u -> if mark.(u) <> v then fail ())
+  done
+
+let make ~follows ~influence ~stories =
+  check_reverse ~follows ~influence;
+  let n = Digraph.n_nodes follows in
   let vote_offsets = Array.make (n + 1) 0 in
   Array.iter
     (fun (s : Types.story) ->

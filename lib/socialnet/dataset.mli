@@ -15,9 +15,10 @@ val make :
   follows:Osn_graph.Digraph.t -> influence:Osn_graph.Digraph.t ->
   stories:Types.story array -> t
 (** [influence] is [Digraph.reverse follows], which {!Digg.build} and
-    {!Twitter.build} already hold for their cascades; only its node and
-    edge counts are checked against [follows].  Validates every story
-    (see {!Types.check_story}) and that all voter ids fit the graph.
+    {!Twitter.build} already hold for their cascades; it is checked
+    edge for edge against [follows], in time linear in the graph's
+    size.  Validates every story (see {!Types.check_story}) and that all
+    voter ids fit the graph.
     Builds the flat influence adjacency and the per-user vote index
     eagerly.
     @raise Invalid_argument on a failed check. *)

@@ -21,66 +21,34 @@ let votes_before s t =
 
 let voters s = Array.map (fun v -> v.user) s.votes
 
-(* The index of the first vote whose voter voted before it, or
-   [Array.length votes].  Voters are marked in a bitmap over their id
-   range while that stays small (a corpus's dense user ids); a story
-   whose ids are sparser sorts its vote indices by voter instead,
-   stably, so that in each run of one voter every index after the first
-   is a repeat. *)
-let first_repeat votes =
-  let n = Array.length votes in
-  let lo = ref max_int and hi = ref min_int in
-  for i = 0 to n - 1 do
-    let u = votes.(i).user in
-    if u < !lo then lo := u;
-    if u > !hi then hi := u
-  done;
-  let lo = !lo in
-  (* negative when the ids span more than [max_int] *)
-  let range = !hi - lo + 1 in
-  if range > 0 && range <= (64 * n) + (1 lsl 20) then begin
-    let seen = Bytes.make ((range + 7) / 8) '\000' in
-    let rec scan i =
-      if i = n then n
-      else begin
-        let k = votes.(i).user - lo in
-        let byte = Char.code (Bytes.get seen (k lsr 3)) and bit = 1 lsl (k land 7) in
-        if byte land bit <> 0 then i
-        else begin
-          Bytes.set seen (k lsr 3) (Char.chr (byte lor bit));
-          scan (i + 1)
-        end
-      end
-    in
-    scan 0
-  end
-  else begin
-    let order = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare votes.(a).user votes.(b).user) order;
-    let first = ref n in
-    for k = 1 to n - 1 do
-      if votes.(order.(k)).user = votes.(order.(k - 1)).user then
-        first := Int.min !first order.(k)
-    done;
-    !first
-  end
-
 let check_story s =
   let n = Array.length s.votes in
   if n = 0 then invalid_arg "story has no votes";
   if s.votes.(0).user <> s.initiator then
     invalid_arg "first vote must be the initiator";
   if s.votes.(0).time <> 0. then invalid_arg "initiator vote must be at t=0";
-  (* of the first vote out of time order and the first repeated voter,
-     the earlier is reported, the time order first at one index *)
-  let unsorted = ref n in
-  for i = n - 1 downto 1 do
-    if s.votes.(i).time < s.votes.(i - 1).time then unsorted := i
+  (* the voters seen so far, open-addressed in a table of 2^bits slots
+     at most half full: slot k holds seen.(k) when its [used] byte is
+     set.  A voter's first slot is the top bits of its id times 2^63/phi,
+     so any id works, dense or far apart. *)
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * n do
+    incr bits
   done;
-  let repeat = first_repeat s.votes in
-  if !unsorted <= repeat && !unsorted < n then
-    invalid_arg "votes must be sorted by time";
-  if repeat < n then invalid_arg "duplicate voter"
+  let shift = 63 - !bits and mask = (1 lsl !bits) - 1 in
+  let seen = Array.make (mask + 1) 0 and used = Bytes.make (mask + 1) '\000' in
+  for i = 0 to n - 1 do
+    let v = s.votes.(i) in
+    if i > 0 && v.time < s.votes.(i - 1).time then
+      invalid_arg "votes must be sorted by time";
+    let k = ref ((v.user * 0x4F1B_BCDC_BFA5_3E0B) lsr shift) in
+    while Bytes.get used !k <> '\000' && seen.(!k) <> v.user do
+      k := (!k + 1) land mask
+    done;
+    if Bytes.get used !k <> '\000' then invalid_arg "duplicate voter";
+    Bytes.set used !k '\001';
+    seen.(!k) <- v.user
+  done
 
 let pp_story ppf s =
   Format.fprintf ppf "story %d (initiator %d, topic %d, %d votes)" s.id

@@ -495,6 +495,62 @@ let prop_epidemic_monotone =
           !ok)
         result)
 
+let prop_check_story_matches_hashtbl =
+  (* [Types.check_story] finds repeated voters in its own open-addressed
+     table; a [Hashtbl] scan in vote order is the oracle, message for
+     message.  Voter ids are dense, colliding (multiples of a power of
+     two) or anywhere in the int range; some stories repeat a voter and
+     some swap two vote times. *)
+  let reference (s : Socialnet.Types.story) =
+    let votes = s.Socialnet.Types.votes in
+    let n = Array.length votes in
+    if n = 0 then invalid_arg "story has no votes";
+    if votes.(0).Socialnet.Types.user <> s.Socialnet.Types.initiator then
+      invalid_arg "first vote must be the initiator";
+    if votes.(0).Socialnet.Types.time <> 0. then
+      invalid_arg "initiator vote must be at t=0";
+    let seen = Hashtbl.create n in
+    Array.iteri
+      (fun i (v : Socialnet.Types.vote) ->
+        if i > 0 && v.Socialnet.Types.time < votes.(i - 1).Socialnet.Types.time then
+          invalid_arg "votes must be sorted by time";
+        if Hashtbl.mem seen v.Socialnet.Types.user then invalid_arg "duplicate voter";
+        Hashtbl.add seen v.Socialnet.Types.user ())
+      votes
+  in
+  let outcome f s = match f s with () -> "ok" | exception Invalid_argument m -> m in
+  QCheck.Test.make ~count:500 ~name:"check_story = Hashtbl reference"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of seed in
+      let n = 1 + Rng.int rng 80 in
+      let id () =
+        match Rng.int rng 3 with
+        | 0 -> Rng.int rng (2 * n)
+        | 1 -> Rng.int rng n lsl 20
+        | _ -> Rng.int rng max_int - (max_int / 2) + (max_int / 4 * Rng.int rng 4)
+      in
+      let users = Array.init n (fun _ -> id ()) in
+      if Rng.int rng 3 = 0 && n > 1 then users.(1 + Rng.int rng (n - 1)) <- users.(Rng.int rng n);
+      let times = Array.init n (fun i -> float_of_int i) in
+      if Rng.int rng 4 = 0 && n > 2 then begin
+        let a = 1 + Rng.int rng (n - 1) and b = 1 + Rng.int rng (n - 1) in
+        let t = times.(a) in
+        times.(a) <- times.(b);
+        times.(b) <- t
+      end;
+      let story =
+        {
+          Socialnet.Types.id = 0;
+          initiator = users.(0);
+          topic = 0;
+          votes = Array.init n (fun i -> { Socialnet.Types.user = users.(i); time = times.(i) });
+        }
+      in
+      let got = outcome Socialnet.Types.check_story story
+      and expected = outcome reference story in
+      got = expected || QCheck.Test.fail_reportf "seed %d: %s, expected %s" seed got expected)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -517,4 +573,5 @@ let suite =
       prop_accuracy_perfect_iff_equal;
       prop_interest_distances_match_merge;
       prop_fit_table_matches_mean_relative_error;
+      prop_check_story_matches_hashtbl;
     ]

@@ -47,7 +47,7 @@ let test_check_story_invalid () =
   expect_invalid (fun () -> Types.check_story (story_of 0 3 []));
   (* the earlier of the first unsorted vote and the first repeated
      voter is reported, the time order first at one index; voter ids
-     far apart take the sorting path instead of the bitmap *)
+     far apart and negative ones are found like dense ones *)
   let message votes =
     match Types.check_story (story_of 0 3 votes) with
     | () -> "ok"
@@ -145,6 +145,21 @@ let test_dataset_rejects_bad_voter () =
   let bad = story_of 0 0 [ vote 0 0.; vote 7 1. ] in
   expect_invalid (fun () ->
       ignore (Dataset.make ~follows:g ~influence:(Osn_graph.Digraph.reverse g) ~stories:[| bad |]))
+
+let test_dataset_rejects_wrong_influence () =
+  let g = Osn_graph.Digraph.of_edges 5 [ (1, 0); (2, 0); (3, 1); (4, 2) ] in
+  let stories = [| story_of 0 0 [ vote 0 0. ] |] in
+  let make influence = ignore (Dataset.make ~follows:g ~influence ~stories) in
+  make (Osn_graph.Digraph.reverse g);
+  (* the follow graph itself, and a graph with the reverse's degrees
+     whose edges 1 -> 3 and 2 -> 4 are crossed *)
+  expect_invalid (fun () -> make g);
+  expect_invalid (fun () ->
+      make (Osn_graph.Digraph.of_edges 5 [ (0, 1); (0, 2); (1, 4); (2, 3) ]));
+  expect_invalid (fun () -> make (Osn_graph.Digraph.create 6));
+  (* a symmetric graph is its own reverse *)
+  let sym = Osn_graph.Digraph.of_edges 2 [ (0, 1); (1, 0) ] in
+  ignore (Dataset.make ~follows:sym ~influence:sym ~stories)
 
 let test_dataset_tsv_roundtrip () =
   let ds = sample_dataset () in
@@ -570,4 +585,5 @@ let suite =
     Alcotest.test_case "digg determinism" `Slow test_digg_determinism;
     Alcotest.test_case "digg affinity range" `Slow test_digg_affinity_range;
     Alcotest.test_case "digg hop distribution" `Slow test_digg_hop_distribution_peaks_in_middle;
+    Alcotest.test_case "rejects wrong influence" `Quick test_dataset_rejects_wrong_influence;
   ]
