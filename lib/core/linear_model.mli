@@ -54,8 +54,8 @@ val solve :
     kernel's [Panel_strang] on a [Linear] reaction), [nx = 101],
     [dt = 0.01] hours.  [~from:(t0, u)] resumes from a state recorded
     at [t0], as {!Model.solve} does.
-    @raise Invalid_argument on a time below 1, a NaN or infinite time,
-    decreasing times or a time before [t0]. *)
+    @raise Invalid_argument on [nx < 3], a time below 1, a NaN or
+    infinite time, decreasing times or a time before [t0]. *)
 
 val predict : solution -> x:float -> t:float -> float
 (** Interpolated I(x, t) from the recorded snapshots.

@@ -38,8 +38,9 @@ val solve :
     times are bit-identical to those of a solve from t = 1 with [t0]
     among its times, and only the steps after [t0] are run.  A resume
     runs on private buffers; [Ftcs] cannot resume.
-    @raise Invalid_argument on a time below 1, a NaN or infinite time,
-    decreasing times, a time before [t0], or [?from] with [Ftcs]. *)
+    @raise Invalid_argument on [nx < 3], a time below 1, a NaN or
+    infinite time, decreasing times, a time before [t0], or [?from]
+    with [Ftcs]. *)
 
 val solve_panel :
   ?scheme:scheme -> ?nx:int -> ?dt:float ->

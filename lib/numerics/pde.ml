@@ -133,6 +133,13 @@ let check_schedule fn ~dt ~t0 times =
       invalid_arg (fn ^ ": times must be increasing and >= t0")
   done
 
+(* [grid]'s precondition as an error rather than an assertion: the
+   panel sweeps peel a first and a last row around at least one
+   interior row and read every neighbour without bounds checks. *)
+let check_grid fn ~nx ~xl ~xr =
+  if nx < 3 then invalid_arg (fn ^ ": nx must be >= 3");
+  if not (xl < xr) then invalid_arg (fn ^ ": xl must be < xr")
+
 (* One macro time step of size dt, dispatching on the scheme.  For
    FTCS the caller has already split dt below the CFL limit.
 
@@ -185,6 +192,7 @@ let m_solve_ns = Obs.Metrics.histogram "pde.solve_ns"
 let m_step_ns = Obs.Metrics.histogram "pde.step_ns"
 
 let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
+  check_grid "Pde.solve" ~nx:p.nx ~xl:p.xl ~xr:p.xr;
   check_schedule "Pde.solve" ~dt ~t0:p.t0 times;
   (match scheme with
   | Imex theta ->
@@ -244,19 +252,20 @@ let solve ?(scheme = Imex 0.5) ?(dt = 1e-3) p ~times =
 (* A panel steps S problems sharing (domain, grid, t0, dt, scheme)
    through the time loop in lockstep.  Every per-cell buffer is one flat
    float array, cell [i] of story [s] at [i * ns + s], and each step is
-   two sweeps over the cells, stories innermost (independent stories
-   interleave, hiding the Thomas recurrence's latency): an ascending
-   pass does the first half-reaction (IMEX: the whole RK2 reaction
-   increment), the explicit Crank--Nicolson product and the forward
-   Thomas sweep; a descending pass back-substitutes and applies the
-   second half-reaction, writing the next state over the current one.
-   The x-independent per-step scalars (r(t), the reaction's integrals
-   of r, their exponentials) are computed once per story, and the
-   [Logistic]/[Linear] reactions run as unboxed float arithmetic.
-   Story [s] of the result is bit-identical to [solve] on story [s]
-   alone: the sweeps fuse the scalar stepper's loops but perform each
-   story's floating-point operations in the same order, and the hoisted
-   scalars are exactly the values the scalar path computes per cell. *)
+   two passes over a story's cells: an ascending pass does the first
+   half-reaction (IMEX: the whole RK2 reaction increment), the explicit
+   Crank--Nicolson product and the forward Thomas sweep; a descending
+   pass back-substitutes and applies the second half-reaction, writing
+   the next state over the current one.  Strang sweeps one story after
+   another at stride [ns]; IMEX runs both passes over all stories at
+   once, stories innermost.  The x-independent per-step scalars (r(t),
+   the reaction's integrals of r, their exponentials) are computed once
+   per story, and the [Logistic]/[Linear] reactions run as unboxed
+   float arithmetic.  Story [s] of the result is bit-identical to
+   [solve] on story [s] alone: the sweeps fuse the scalar stepper's
+   loops but perform each story's floating-point operations in the same
+   order, and the hoisted scalars are exactly the values the scalar
+   path computes per cell. *)
 
 type panel_story = {
   ps_diffusion : float -> float;
@@ -303,8 +312,7 @@ type panel_bufs = {
   pb_nx : int;
   pb_ns : int;
   pb_u : float array;  (* state: each step writes the next one over it *)
-  pb_stage : float array;  (* Strang: first half-reaction *)
-  pb_d : float array;  (* forward-sweep values d', then the CN solution *)
+  pb_d : float array;  (* forward-sweep values d' *)
   (* the FV operator L; sub/sup use rows 0 .. nx-2 *)
   pb_l_sub : float array;
   pb_l_diag : float array;
@@ -333,7 +341,6 @@ let make_panel_bufs ~nx ~ns =
     pb_nx = nx;
     pb_ns = ns;
     pb_u = p ();
-    pb_stage = p ();
     pb_d = p ();
     pb_l_sub = p ();
     pb_l_diag = p ();
@@ -538,24 +545,33 @@ let imex_step b stories xs t dt =
     done
   done
 
-(* The exact half-step reaction flow of story [s] with its
-   x-independent factor [flow] (exp(-∫r), logistic: the closed form of
-   [Ode.logistic_varying_r]; exp(∫r), linear) hoisted. *)
-let[@inline] flow_step b s ~flow ui =
-  if ui = 0. then 0.
-  else if b.pb_tag.(s) = 0 then
-    let k = b.pb_k.!(s) in
-    k /. (1. +. (((k /. ui) -. 1.) *. flow))
-  else ui *. flow
+(* The exact half-step reaction flow of a cell holding [u], with the
+   story's x-independent factor [f] hoisted: exp(-∫r) for the logistic
+   shape (the closed form of [Ode.logistic_varying_r]), exp(∫r) for the
+   linear one.  Inlined into the sweep, whose locals [k] and [f] stay
+   unboxed. *)
+let[@inline] flow ~logistic ~k ~f u =
+  if u = 0. then 0.
+  else if logistic then k /. (1. +. (((k /. u) -. 1.) *. f))
+  else u *. f
 
 (* One Strang step: half reaction at t, Crank--Nicolson diffusion over
-   the full step, half reaction at t + dt/2.  The ascending pass
-   reacts cell [i + 1] before the explicit product of row [i] reads
-   it; the descending pass back-substitutes in [pb_d] and reacts each
-   cell into the state as soon as it is solved. *)
+   the full step, half reaction at t + dt/2, swept one story after
+   another over the story's cells [s], [s + ns], ...  The story's
+   reaction shape, K and flow factors are read once into locals (as
+   float arguments of a sweep function they would be boxed).  The
+   ascending pass reacts cell [i + 1] before row [i]'s explicit product
+   needs it, keeping the three half-reacted cells that product reads in
+   locals, and stores the forward Thomas values in [pb_d]; the
+   descending pass back-substitutes, carrying the solved cell below in
+   a local, and reacts each cell into the state as soon as it is
+   solved.  The first and last rows are peeled (a grid has at least
+   three nodes), so the interior rows take no boundary branch. *)
 let strang_step b stories t dt =
   let n = b.pb_nx and ns = b.pb_ns in
-  let u = b.pb_u and d = b.pb_d and stage = b.pb_stage in
+  let u = b.pb_u and d = b.pb_d in
+  let e_sub = b.pb_e_sub and e_diag = b.pb_e_diag and e_sup = b.pb_e_sup in
+  let i_sub = b.pb_i_sub and c = b.pb_c and m = b.pb_m in
   let half = dt /. 2. in
   let t2 = t +. half in
   for s = 0 to ns - 1 do
@@ -570,25 +586,34 @@ let strang_step b stories t dt =
     | Custom _ -> strang_needs_flow ()
   done;
   for s = 0 to ns - 1 do
-    stage.!(s) <- flow_step b s ~flow:b.pb_f1.!(s) u.!(s)
-  done;
-  for i = 0 to n - 1 do
-    for s = 0 to ns - 1 do
+    let logistic = b.pb_tag.(s) = 0 in
+    let k = b.pb_k.(s) and f1 = b.pb_f1.(s) and f2 = b.pb_f2.(s) in
+    (* rows i - 1, i and i + 1 of the half-reacted stage *)
+    let below = ref (flow ~logistic ~k ~f:f1 u.!(s)) in
+    let here = ref (flow ~logistic ~k ~f:f1 u.!(s + ns)) in
+    (* the explicit products accumulate in [Tridiag.mv]'s order and the
+       forward values follow [Tridiag.solve_factored] *)
+    let dp = ref (((e_diag.!(s) *. !below) +. (e_sup.!(s) *. !here)) /. m.!(s)) in
+    d.!(s) <- !dp;
+    for i = 1 to n - 2 do
       let j = (i * ns) + s in
-      if i < n - 1 then stage.!(j + ns) <- flow_step b s ~flow:b.pb_f1.!(s) u.!(j + ns);
-      forward b ~ns i j (explicit b stage ~n ~ns i j)
-    done
-  done;
-  for s = 0 to ns - 1 do
+      let above = flow ~logistic ~k ~f:f1 u.!(j + ns) in
+      let rhs =
+        (e_diag.!(j) *. !here) +. (e_sub.!(j - ns) *. !below) +. (e_sup.!(j) *. above)
+      in
+      dp := (rhs -. (i_sub.!(j - ns) *. !dp)) /. m.!(j);
+      d.!(j) <- !dp;
+      below := !here;
+      here := above
+    done;
     let j = ((n - 1) * ns) + s in
-    u.!(j) <- flow_step b s ~flow:b.pb_f2.!(s) d.!(j)
-  done;
-  for i = n - 2 downto 0 do
-    for s = 0 to ns - 1 do
+    let rhs = (e_diag.!(j) *. !here) +. (e_sub.!(j - ns) *. !below) in
+    let x = ref ((rhs -. (i_sub.!(j - ns) *. !dp)) /. m.!(j)) in
+    u.!(j) <- flow ~logistic ~k ~f:f2 !x;
+    for i = n - 2 downto 0 do
       let j = (i * ns) + s in
-      let x = d.!(j) -. (b.pb_c.!(j) *. d.!(j + ns)) in
-      d.!(j) <- x;
-      u.!(j) <- flow_step b s ~flow:b.pb_f2.!(s) x
+      x := d.!(j) -. (c.!(j) *. !x);
+      u.!(j) <- flow ~logistic ~k ~f:f2 !x
     done
   done
 
@@ -661,6 +686,7 @@ let solve_fused ~plain ?from b scheme dt pp ~times =
   Array.map (fun v -> { xs; ts; values = v }) values
 
 let validate_panel fn scheme dt pp ~t0 ~times =
+  check_grid fn ~nx:pp.pp_nx ~xl:pp.pp_xl ~xr:pp.pp_xr;
   check_schedule fn ~dt ~t0 times;
   match scheme with
   | Panel_imex theta ->

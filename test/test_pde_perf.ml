@@ -127,8 +127,11 @@ let with_obs_enabled f =
 (* A pseudo-random story: paper-shaped r(t) with its closed-form
    integral, as the models build it, and per-story (d, k, amplitude).
    [kind] selects the reaction representation; the [Custom] closure
-   computes the same logistic formula through the boxed path. *)
-let panel_story_of_rng rng kind =
+   computes the same logistic formula through the boxed path.  A
+   [floored] story's profile is lowered by a drawn cut and floored at
+   zero, so its far cells (all of them when the cut exceeds 1) start at
+   exactly 0. *)
+let panel_story_of_rng ?(floored = false) rng kind =
   let d = Rng.uniform rng 0.01 0.3 in
   let a = Rng.uniform rng 0.3 1.8 in
   let b = Rng.uniform rng 0.5 2.0 in
@@ -144,11 +147,14 @@ let panel_story_of_rng rng kind =
     | 1 -> Pde.Linear { r; integral }
     | _ -> Pde.Custom (fun ~x:_ ~t ~u -> r t *. u *. (1. -. (u /. k)))
   in
-  {
-    Pde.ps_diffusion = (fun _ -> d);
-    ps_reaction = reaction;
-    ps_initial = (fun x -> amp *. exp (-0.5 *. (x -. 1.)));
-  }
+  let initial =
+    if floored then begin
+      let cut = Rng.uniform rng 0.2 1.1 in
+      fun x -> Float.max 0. (amp *. (exp (-0.5 *. (x -. 1.)) -. cut))
+    end
+    else fun x -> amp *. exp (-0.5 *. (x -. 1.))
+  in
+  { Pde.ps_diffusion = (fun _ -> d); ps_reaction = reaction; ps_initial = initial }
 
 (* The scalar stepper's scheme for a story: Strang's reference flow
    reads the same [integral] field the kernel does. *)
@@ -161,14 +167,17 @@ let scalar_scheme_for st = function
     | Pde.Linear { integral; _ } -> Pde.Strang (Pde.linear_reaction_step ~integral)
     | Pde.Custom _ -> assert false)
 
-let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
+let check_panel_matches_scalar ?workspace ?(nx = 25) ?(floored = fun _ -> false)
+    ~scheme ~kinds seed ns =
   let rng = Rng.create seed in
-  let stories = Array.init ns (fun s -> panel_story_of_rng rng (kinds s)) in
+  let stories =
+    Array.init ns (fun s -> panel_story_of_rng ~floored:(floored s) rng (kinds s))
+  in
   let pp =
     {
       Pde.pp_xl = 1.;
       pp_xr = 6.;
-      pp_nx = 25;
+      pp_nx = nx;
       pp_t0 = 1.;
       pp_stories = stories;
     }
@@ -181,7 +190,7 @@ let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
         {
           Pde.xl = 1.;
           xr = 6.;
-          nx = 25;
+          nx;
           diffusion = st.Pde.ps_diffusion;
           reaction = st.Pde.ps_reaction;
           initial = st.Pde.ps_initial;
@@ -199,15 +208,20 @@ let check_panel_matches_scalar ?workspace ~scheme ~kinds seed ns =
 let prop_panel_bit_identity =
   (* panel sizes 1/2/17, both panel schemes, ragged snapshot times and
      mixed reaction shapes — including a Custom story exercising the
-     closure fallback under IMEX.  Every column must reproduce the
-     per-story scalar solve bit for bit. *)
-  QCheck.Test.make ~count:10 ~name:"solve_panel bit-identical per story"
-    QCheck.(triple (oneofl [ 1; 2; 17 ]) bool small_nat)
-    (fun (ns, strang, seed) ->
+     closure fallback under IMEX.  Grids of 3 and 4 nodes leave the
+     Strang sweep's peeled first and last rows one or two interior rows
+     between them, and floored stories start cells at exactly 0, where
+     the exact flows take their zero branch.  Every column must
+     reproduce the per-story scalar solve bit for bit. *)
+  QCheck.Test.make ~count:30 ~name:"solve_panel bit-identical per story"
+    QCheck.(quad (oneofl [ 1; 2; 17 ]) (oneofl [ 3; 4; 25 ]) bool small_nat)
+    (fun (ns, nx, strang, seed) ->
       let scheme = if strang then Pde.Panel_strang else Pde.Panel_imex 0.5 in
-      (* Strang panels cannot carry Custom; IMEX panels cycle all three *)
-      let kinds s = if strang then s mod 2 else s mod 3 in
-      check_panel_matches_scalar ~scheme ~kinds (seed + (7 * ns)) ns;
+      (* Strang panels cannot carry Custom; IMEX panels cycle all three.
+         The seed shifts the cycle, so one-story panels draw every shape. *)
+      let kinds s = if strang then (s + seed) mod 2 else (s + seed) mod 3 in
+      let floored s = (s + seed) mod 3 <> 1 in
+      check_panel_matches_scalar ~nx ~floored ~scheme ~kinds (seed + (7 * ns)) ns;
       true)
 
 let test_panel_strang_rejects_custom () =
@@ -756,7 +770,73 @@ let test_schedule_rejects_bad_times () =
         ];
       (* repeated and tolerance-equal times still pass *)
       solve ~dt:0.05 [| 2.; 2.; 2. -. 1e-13 |])
-    solvers
+    solvers;
+  (* A grid of fewer than three nodes, or without xl < xr, is rejected
+     the same way, before any buffer is touched: the sweeps read every
+     neighbour without bounds checks, and [Pde.grid]'s assertion is
+     compiled out under -noassert. *)
+  let params xl xr = { Dl.Params.paper_hops with Dl.Params.l = xl; big_l = xr } in
+  let grid_solvers =
+    [
+      ("Pde.solve",
+       fun ~nx ~xl ~xr ->
+         ignore (Pde.solve ~dt:0.05 { p with Pde.nx; xl; xr } ~times:[| 2. |]));
+      ("Pde.solve ftcs",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Pde.solve ~scheme:Pde.Ftcs ~dt:0.05 { p with Pde.nx; xl; xr }
+              ~times:[| 2. |]));
+      ("Pde.solve_panel",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Pde.solve_panel ~scheme:Pde.Panel_strang ~dt:0.05
+              { pp with Pde.pp_nx = nx; pp_xl = xl; pp_xr = xr }
+              ~times:[| 2. |]));
+      ("Pde.solve_panel empty",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Pde.solve_panel ~dt:0.05
+              { pp with Pde.pp_nx = nx; pp_xl = xl; pp_xr = xr; pp_stories = [||] }
+              ~times:[| 2. |]));
+      ("Pde.solve_story",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Pde.solve_story ~scheme:Pde.Panel_strang ~dt:0.05
+              { pp with Pde.pp_nx = nx; pp_xl = xl; pp_xr = xr }
+              ~times:[| 2. |]));
+      ("Model.solve",
+       fun ~nx ~xl ~xr ->
+         ignore (Dl.Model.solve ~nx ~dt:0.05 (params xl xr) ~phi ~times:[| 2. |]));
+      ("Model.solve ftcs",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Dl.Model.solve ~scheme:Dl.Model.Ftcs ~nx ~dt:0.05 (params xl xr) ~phi
+              ~times:[| 2. |]));
+      ("Linear_model.solve",
+       fun ~nx ~xl ~xr ->
+         ignore
+           (Dl.Linear_model.solve ~nx ~dt:0.05
+              { linear with Dl.Linear_model.l = xl; big_l = xr }
+              ~phi ~times:[| 2. |]));
+    ]
+  in
+  List.iter
+    (fun (name, solve) ->
+      List.iter
+        (fun (case, nx, xl, xr) ->
+          match solve ~nx ~xl ~xr with
+          | () -> Alcotest.failf "%s accepted %s" name case
+          | exception Invalid_argument _ -> ())
+        [
+          ("nx = 2", 2, 1., 6.);
+          ("nx = 0", 0, 1., 6.);
+          ("xl = xr", 11, 3., 3.);
+          ("xl > xr", 11, 6., 1.);
+          ("a NaN xr", 11, 1., Float.nan);
+        ];
+      (* the smallest grid still solves *)
+      solve ~nx:3 ~xl:1. ~xr:6.)
+    grid_solvers
 
 (* --- allocation bound on the fused panel --- *)
 
@@ -791,30 +871,50 @@ let test_panel_allocation_bound () =
   (* Minor words per story per solve on a shaped workspace, with
      observability off.  Allocation is deterministic for a given
      compiler, so each bound is a measured count plus 20 %: IMEX-CN's
-     6,674 from when the kernel was first measured, and Strang's 8,110
+     6,674 from when the kernel was first measured, Strang's 8,110
      from when its flow began taking ∫r from the reaction's closed
-     form.  A boxed float per cell and step would add ~100,000. *)
+     form, and the fit solve's 2,372 from before Strang swept each
+     story on its own.  A boxed float per cell and step would add
+     ~100,000 to an 8-story panel's count and ~5,000 to a fit solve's. *)
   Obs.set_enabled false;
+  let words_per_story ~stories solve =
+    solve ();
+    let reps = 10 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      solve ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (reps * stories)
+  in
+  let check name words bound =
+    if words > bound then
+      Alcotest.failf "%s: %.0f minor words per story per solve, bound %.0f" name
+        words bound
+  in
   let pp = alloc_panel () in
   let ns = Array.length pp.Pde.pp_stories in
   let ws = Pde.panel_workspace () in
   let times = [| 2.; 3.; 4.; 5.; 6. |] in
   List.iter
     (fun (name, scheme, bound) ->
-      let solve () =
-        ignore (Pde.solve_panel ~scheme ~dt:0.01 ~workspace:ws pp ~times)
-      in
-      solve ();
-      let reps = 10 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to reps do
-        solve ()
-      done;
-      let words = (Gc.minor_words () -. w0) /. float_of_int (reps * ns) in
-      if words > bound then
-        Alcotest.failf "%s: %.0f minor words per story per solve, bound %.0f"
-          name words bound)
-    [ ("imex-cn", Pde.Panel_imex 0.5, 8009.); ("strang", Pde.Panel_strang, 9733.) ]
+      check name
+        (words_per_story ~stories:ns (fun () ->
+             ignore (Pde.solve_panel ~scheme ~dt:0.01 ~workspace:ws pp ~times)))
+        bound)
+    [ ("imex-cn", Pde.Panel_imex 0.5, 8009.); ("strang", Pde.Panel_strang, 9733.) ];
+  (* what every fit objective evaluation runs: one story at width 1 on
+     a reused workspace, on the default fit grid (nx 41, dt 0.05,
+     snapshots at t = 2..4) *)
+  let cfg = Dl.Fit.default_config in
+  let phi = model_phi () in
+  let ws1 = Pde.panel_workspace () in
+  check "fit solve"
+    (words_per_story ~stories:1 (fun () ->
+         ignore
+           (Dl.Model.solve ~scheme:cfg.Dl.Fit.solver_scheme ~nx:cfg.Dl.Fit.solver_nx
+              ~dt:cfg.Dl.Fit.solver_dt ~workspace:ws1 Dl.Params.paper_hops ~phi
+              ~times:cfg.Dl.Fit.fit_times)))
+    2846.
 
 (* --- mass conservation on the factored diffusion path (qcheck) --- *)
 
