@@ -1,4 +1,7 @@
-let bracket xs x =
+(* Float-typed: without the annotations the search compiles to
+   polymorphic code, which boxes each probed grid value and calls the
+   polymorphic [<=]. *)
+let bracket (xs : float array) (x : float) =
   let n = Array.length xs in
   assert (n >= 1);
   if n = 1 then 0
@@ -31,7 +34,7 @@ let bilinear ~xs ~ts ~values x t =
   let t = clampf ts.(0) ts.(nt - 1) t in
   let i = if nx = 1 then 0 else bracket xs x in
   let j = if nt = 1 then 0 else bracket ts t in
-  let i1 = Stdlib.min (i + 1) (nx - 1) and j1 = Stdlib.min (j + 1) (nt - 1) in
+  let i1 = Int.min (i + 1) (nx - 1) and j1 = Int.min (j + 1) (nt - 1) in
   let wx =
     if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i))
   and wt =

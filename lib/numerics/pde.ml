@@ -741,7 +741,7 @@ let eval_core xs ts values nx nt x_lo x_hi t_lo t_hi ~x ~t =
   let t = clampf t_lo t_hi t in
   let i = if nx = 1 then 0 else Interp.bracket xs x in
   let j = if nt = 1 then 0 else Interp.bracket ts t in
-  let i1 = Stdlib.min (i + 1) (nx - 1) and j1 = Stdlib.min (j + 1) (nt - 1) in
+  let i1 = Int.min (i + 1) (nx - 1) and j1 = Int.min (j + 1) (nt - 1) in
   let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
   (* two snapshots at one time (a schedule that repeats a time, or a
      resume recorded at its own start) weigh the earlier one *)
@@ -778,7 +778,7 @@ let stencil ~xs ~ts ~x ~t =
   let t = clampf ts.(0) ts.(nt - 1) t in
   let i = if nx = 1 then 0 else Interp.bracket xs x in
   let j = if nt = 1 then 0 else Interp.bracket ts t in
-  let i1 = Stdlib.min (i + 1) (nx - 1) and j1 = Stdlib.min (j + 1) (nt - 1) in
+  let i1 = Int.min (i + 1) (nx - 1) and j1 = Int.min (j + 1) (nt - 1) in
   let wx = if i1 = i then 0. else (x -. xs.(i)) /. (xs.(i1) -. xs.(i)) in
   let wt =
     if j1 = j || ts.(j1) = ts.(j) then 0. else (t -. ts.(j)) /. (ts.(j1) -. ts.(j))

@@ -255,9 +255,8 @@ val evaluator : solution -> x:float -> t:float -> float
     the closure once, then call it per point.  Intended for prediction
     loops that query one solution many times.  A call is not
     allocation-free: on a 101-node, six-snapshot solution it allocates
-    24.4 minor words (OCaml 5.1.1), the boxed [x], [t] and result plus
-    a boxed float per probe of the binary searches over the grid and
-    the snapshot times; {!eval} allocates 32.4. *)
+    6.0 minor words (OCaml 5.1.1), the boxed [x], [t] and result, and
+    takes 47–86 ns on a 2-core Xeon container; {!eval} allocates 14.0. *)
 
 val snapshot : solution -> t:float -> float array
 (** Solution profile at the recorded time nearest to [t]. *)

@@ -87,9 +87,194 @@ let json_escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let json_float v =
-  (* JSON has no NaN/Infinity; map them to null. %.17g round-trips. *)
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
+(* --- %.17g in integer arithmetic ---
+
+   C's "%.17g" for every finite v with 2^-19 <= |v| < 2^57, and for
+   integral |v| < 1e17, with the same bytes as printf:
+
+   - |v| = m·2^e with m < 2^53.  k = ⌊log10 2^(be−1023)⌋ (be the biased
+     exponent) is v's decimal exponent X or one less, so v·10^q with
+     q = 16 − k lies in [10^16, 2·10^17).  For 0 <= q <= 22, v·10^q =
+     m·5^q·2^(e+q) with 5^q < 2^52: the product is exact as
+     hi·2^52 + lo from 26-bit halves, and the shift by e + q leaves the
+     floor f and the bits below it.
+   - If f < 10^17 the 17 digits are f rounded half to even on those
+     bits, and a carry to 10^17 makes them 10^16 with X = k + 1;
+     otherwise they are f/10 rounded on its last digit and the bits
+     below, with X = k + 1.
+   - %g's layout: fixed notation with 16 − X decimals for −4 <= X < 17,
+     else d.ddd…e±XX, trailing zeros and a bare point dropped.
+
+   Zero is integral; subnormals, non-finite values and q outside
+   [0, 22] go to printf itself.  The digits are written straight into
+   the caller's buffer, 8 bytes to a word, so nothing is allocated and
+   nothing is shared between the domains and threads that render. *)
+
+(* The primitive [Printf.sprintf "%.17g"] ends in. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let rec ipow b n = if n = 0 then 1 else b * ipow b (n - 1)
+let pow10 = Array.init 18 (ipow 10)
+let pow5 = Array.init 23 (ipow 5)
+
+(* The 8 digits of y < 10^8 as ASCII bytes of one int, the first digit
+   in the lowest byte: halves, pairs and digits split in lanes of 32,
+   16 and 8 bits (v/100 = (v·5243) lsr 19 for v < 10^4, v/10 =
+   (v·103) lsr 10 for v < 100).  Every digit byte is below 0x40, so the
+   eighth fits the int's 63 bits. *)
+let ascii8 y =
+  let hi = y / 10_000 in
+  let x = hi lor ((y - (hi * 10_000)) lsl 32) in
+  let q = ((x * 5243) lsr 19) land 0x7F_0000_007F in
+  let x = q lor ((x - (q * 100)) lsl 16) in
+  let q = ((x * 103) lsr 10) land 0xF_000F_000F_000F in
+  q lor ((x - (q * 10)) lsl 8) lor 0x3030_3030_3030_3030
+
+let add_word buf w = Buffer.add_int64_le buf (Int64.of_int w)
+
+(* Word [w] with a point in byte [j] and its bytes from there on one up
+   (the top byte falls out; the caller carries it). *)
+let with_point w j =
+  let low = (1 lsl (8 * j)) - 1 in
+  (w land low) lor (0x2E lsl (8 * j)) lor ((w land lnot low) lsl 8)
+
+(* The 17 digits of 10^16 <= n < 10^17 with a point before digit [p]
+   (none for p >= 17), cut to [len] bytes. *)
+let add_digits buf n p len =
+  let start = Buffer.length buf in
+  let d0 = n / 10_000_000_000_000_000 in
+  let rest = n - (d0 * 10_000_000_000_000_000) in
+  let a = rest / 100_000_000 in
+  let wa = ascii8 a and wb = ascii8 (rest - (a * 100_000_000)) in
+  let w0 = (48 + d0) lor (wa lsl 8) and w1 = (wa lsr 56) lor (wb lsl 8) in
+  let w2 = wb lsr 56 in
+  if p >= 17 then begin
+    add_word buf w0;
+    add_word buf w1;
+    add_word buf w2
+  end
+  else if p < 8 then begin
+    add_word buf (with_point w0 p);
+    add_word buf ((w0 lsr 56) lor (w1 lsl 8));
+    add_word buf ((w1 lsr 56) lor (w2 lsl 8))
+  end
+  else if p < 16 then begin
+    add_word buf w0;
+    add_word buf (with_point w1 (p - 8));
+    add_word buf ((w1 lsr 56) lor (w2 lsl 8))
+  end
+  else begin
+    add_word buf w0;
+    add_word buf w1;
+    add_word buf (with_point w2 0)
+  end;
+  Buffer.truncate buf (start + len)
+
+(* %g's layout of n·10^(x − 16), 10^16 <= n < 10^17 *)
+let add_layout buf n x =
+  (* nd: the digits left once trailing zeros go, found 8, 4, 2 and 1
+     at a time (1.2 and 3.125 are 2 and 4 digits of 17) *)
+  let nd = ref 17 and t = ref n in
+  while !t mod 100_000_000 = 0 do
+    t := !t / 100_000_000;
+    nd := !nd - 8
+  done;
+  if !t mod 10_000 = 0 then begin
+    t := !t / 10_000;
+    nd := !nd - 4
+  end;
+  if !t mod 100 = 0 then begin
+    t := !t / 100;
+    nd := !nd - 2
+  end;
+  if !t mod 10 = 0 then decr nd;
+  let nd = !nd in
+  if x >= 0 && x < 17 then
+    add_digits buf n (x + 1) (if nd <= x + 1 then x + 1 else nd + 1)
+  else if x < 0 && x >= -4 then begin
+    (* "0." and −x − 1 zeros *)
+    let start = Buffer.length buf in
+    add_word buf 0x3030_3030_3030_2E30;
+    Buffer.truncate buf (start + 1 - x);
+    add_digits buf n 17 nd
+  end
+  else begin
+    add_digits buf n 1 (if nd = 1 then 1 else nd + 1);
+    Buffer.add_char buf 'e';
+    Buffer.add_char buf (if x < 0 then '-' else '+');
+    (* |x| <= 17 here *)
+    let a = abs x in
+    Buffer.add_char buf (Char.unsafe_chr (48 + (a / 10)));
+    Buffer.add_char buf (Char.unsafe_chr (48 + (a mod 10)))
+  end
+
+let e17 = 100_000_000_000_000_000
+
+let float_17g_into buf v =
+  if Float.abs v < 1e17 && Float.of_int (int_of_float v) = v then begin
+    (* an integral value of at most 17 digits prints as its digits *)
+    let n = int_of_float v in
+    if n < 0 || (n = 0 && Float.sign_bit v) then Buffer.add_char buf '-';
+    let n = abs n in
+    if n = 0 then Buffer.add_char buf '0'
+    else begin
+      let nd = ref 1 in
+      while n >= Array.unsafe_get pow10 !nd do
+        incr nd
+      done;
+      add_digits buf (n * Array.unsafe_get pow10 (17 - !nd)) 17 !nd
+    end
+  end
+  else begin
+    let bits = Int64.to_int (Int64.bits_of_float v) in
+    (* the sign bit is gone: [bits] is the exponent and the fraction *)
+    let be = bits lsr 52 in
+    let k = ((be - 1023) * 78913) asr 18 in
+    let q = 16 - k in
+    if q < 0 || q > 22 then Buffer.add_string buf (format_float "%.17g" v)
+    else begin
+      if v < 0. then Buffer.add_char buf '-';
+      let m = bits land 0xF_FFFF_FFFF_FFFF lor 0x10_0000_0000_0000 in
+      let p = Array.unsafe_get pow5 q in
+      let m1 = m lsr 26 and m0 = m land 0x3FF_FFFF in
+      let p1 = p lsr 26 and p0 = p land 0x3FF_FFFF in
+      let mid = (m1 * p0) + (m0 * p1) in
+      let lo = (m0 * p0) + ((mid land 0x3FF_FFFF) lsl 26) in
+      let hi = (m1 * p1) + (mid lsr 26) + (lo lsr 52) in
+      let lo = lo land 0xF_FFFF_FFFF_FFFF in
+      (* v·10^q = (hi·2^52 + lo)·2^(−r), with r <= 49 *)
+      let r = 1075 - be - q in
+      let f =
+        if r <= 0 then ((hi lsl 52) lor lo) lsl (-r)
+        else (hi lsl (52 - r)) lor (lo lsr r)
+      in
+      let below = if r <= 0 then 0 else lo land ((1 lsl r) - 1) in
+      let half = if r <= 0 then 1 else 1 lsl (r - 1) in
+      if f < e17 then begin
+        let n =
+          if below > half || (below = half && f land 1 = 1) then f + 1 else f
+        in
+        (* no double in this range rounds up to a power of ten, but the
+           carry keeps the digits right without that fact *)
+        if n = e17 then add_layout buf (e17 / 10) (k + 1) else add_layout buf n k
+      end
+      else begin
+        let g = f / 10 in
+        let d = f - (10 * g) in
+        add_layout buf
+          (if d > 5 || (d = 5 && (below <> 0 || g land 1 = 1)) then g + 1 else g)
+          (k + 1)
+      end
+    end
+  end
+
+let float_17g v =
+  let buf = Buffer.create 24 in
+  float_17g_into buf v;
+  Buffer.contents buf
+
+(* JSON has no NaN/Infinity; map them to null. %.17g round-trips. *)
+let json_float v = if Float.is_finite v then float_17g v else "null"
 
 (* --- structured logger --- *)
 
@@ -555,7 +740,7 @@ module Metrics = struct
     if Float.is_nan v then "NaN"
     else if v = infinity then "+Inf"
     else if v = neg_infinity then "-Inf"
-    else Printf.sprintf "%.17g" v
+    else float_17g v
 
   let prom_le v = if v = infinity then "+Inf" else Printf.sprintf "%g" v
 

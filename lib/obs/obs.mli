@@ -34,9 +34,19 @@ val json_escape_into : Buffer.t -> string -> unit
 (** Append [s] with JSON string escaping (shared codec, used by the
     log sink, the metrics dump and the OTLP exporter). *)
 
+val float_17g_into : Buffer.t -> float -> unit
+(** Append [Printf.sprintf "%.17g" v], byte for byte, without C's
+    printf: integer arithmetic writes every finite v with
+    2^-19 <= |v| < 2^57 and every integral |v| < 1e17, and printf
+    itself the rest.  It allocates nothing in that range and is safe to
+    call from any domain or thread.  The one [%.17g] of the JSON
+    printer, the log sink, the metrics dump, OTLP and the Prometheus
+    exposition. *)
+
 val json_float : float -> string
 (** Render a float as a JSON literal; non-finite values become
-    ["null"] (JSON has no NaN/Infinity). [%.17g] round-trips. *)
+    ["null"] (JSON has no NaN/Infinity).  Finite values are
+    {!float_17g_into}'s [%.17g], which round-trips. *)
 
 val env_var : string
 (** ["DLOSN_LOG"] — comma-separated tokens read at module init: a level

@@ -332,19 +332,27 @@ let json_response status json =
 
 let serialize_response ?(keep_alive = false) resp =
   let buf = Buffer.create (String.length resp.body + 256) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status resp.reason);
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Type: %s\r\n" resp.content_type);
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length resp.body));
+  let add = Buffer.add_string buf in
+  add "HTTP/1.1 ";
+  add (string_of_int resp.status);
+  add " ";
+  add resp.reason;
+  add "\r\nContent-Type: ";
+  add resp.content_type;
+  add "\r\nContent-Length: ";
+  add (string_of_int (String.length resp.body));
+  add "\r\n";
   List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) ->
+      add k;
+      add ": ";
+      add v;
+      add "\r\n")
     resp.extra_headers;
-  Buffer.add_string buf
+  add
     (if keep_alive then "Connection: keep-alive\r\n\r\n"
      else "Connection: close\r\n\r\n");
-  Buffer.add_string buf resp.body;
+  add resp.body;
   Buffer.contents buf
 
 let write_response ?(keep_alive = false) fd resp =

@@ -210,23 +210,18 @@ let parse s =
   | exception Err (at, msg) ->
     Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
-(* The primitive [Printf.sprintf "%.17g"] (and "%.0f") ends in, called
-   with the same format strings: the same bytes, without interpreting
-   the format on every number. *)
-external format_float : string -> float -> string = "caml_format_float"
-
+(* Numbers print as C's "%.17g" through [Obs.float_17g_into], the
+   same bytes printf wrote.  It writes an integral value under 1e17 as
+   its plain digits ("-0" for -0.), so integral values print without a
+   fraction, like JSON ints, exactly as "%.0f" writes them below 1e15. *)
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Number v ->
-      Buffer.add_string buf
-        (if Float.is_finite v then
-           (* integral values print without a fraction, like JSON ints *)
-           if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
-           else format_float "%.17g" v
-         else "null")
+      if Float.is_finite v then Obs.float_17g_into buf v
+      else Buffer.add_string buf "null"
     | String s ->
       Buffer.add_char buf '"';
       Obs.json_escape_into buf s;

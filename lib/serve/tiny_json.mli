@@ -22,8 +22,10 @@ val parse : string -> (t, string) result
     a byte offset.  [parse] never raises. *)
 
 val to_string : t -> string
-(** Compact rendering.  Non-finite numbers render as [null] (JSON has
-    no NaN/Infinity). *)
+(** Compact rendering.  A finite number renders as C's [%.17g] would
+    write it, through {!Obs.float_17g_into}; an integral one below 1e15
+    in magnitude is thereby its plain digits, as ["%.0f"] writes it.
+    Non-finite numbers render as [null] (JSON has no NaN/Infinity). *)
 
 (** {2 Accessors} *)
 

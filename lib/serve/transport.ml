@@ -14,15 +14,22 @@ type config = {
 
 let max_header = 16 * 1024
 
-(* Minor heap of each worker domain, in words: 2 M words, 16 MB.  In
-   OCaml 5 every minor collection stops all domains, the event loop's
-   included, and a 200-point POST /predict allocates its JSON trees,
-   boxed floats and response bytes on the worker.  On perfbench
-   serve-read (one worker, 2-core Xeon container, seeds 4-6, 10 s
-   runs) the default 256 k words gave 882-940 requests/s and a p99 of
-   5.3-5.9 ms; 2 M words gave 1,055-1,261 requests/s and 3.2-4.7 ms.
-   The size is per domain, so each worker sets its own. *)
-let worker_minor_heap_words = 2 * 1024 * 1024
+(* Minor heap of each of the server's domains, in words: 2 M words,
+   16 MB.  In OCaml 5 every minor collection stops all domains, and a
+   domain asleep in a blocking call (the event loop in select, an idle
+   worker in Condition.wait) takes part through its backup thread,
+   which must first be woken.  A 200-point POST /predict allocates its
+   JSON trees, boxed floats and response bytes on the worker.  On
+   perfbench serve-read (one worker, 2-core Xeon container, seeds 4-6,
+   10 s runs) the default 256 k words on the worker gave 882-940
+   requests/s and a p99 of 5.3-5.9 ms; 2 M words gave 1,055-1,261
+   requests/s and 3.2-4.7 ms.  The event loop's own collections stall
+   the worker the same way once it idles between batches: with the
+   event loop at the default size as well, a worker that handles a
+   batch in 0.23 ms read a p99 of 4.2-4.4 ms, and 2.8-3.0 ms with it
+   at 2 M words (seeds 5001-5004).  The size is per domain, so each
+   domain sets its own. *)
+let minor_heap_words = 2 * 1024 * 1024
 
 (* Parsed requests a connection may queue ahead of the one in flight
    (HTTP/1.1 pipelining); past this the event loop stops reading the
@@ -640,11 +647,15 @@ let event_loop t record =
 
 let run t ~record handler =
   Parallel.Pool.run_workers ~jobs:(t.cfg.jobs + 1) (fun k ->
-      if k = 0 then event_loop t record
-      else begin
-        (* the minor heap is per domain: each worker sizes its own *)
-        Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
-        worker_loop t handler
-      end);
+      (* the minor heap is per domain: each sizes its own, and the event
+         loop gives the calling domain its old size back *)
+      let old = (Gc.get ()).Gc.minor_heap_size in
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
+      if k = 0 then
+        Fun.protect
+          ~finally:(fun () ->
+            Gc.set { (Gc.get ()) with Gc.minor_heap_size = old })
+          (fun () -> event_loop t record)
+      else worker_loop t handler);
   close_quietly t.wake_r;
   close_quietly t.wake_w

@@ -875,7 +875,8 @@ let test_panel_allocation_bound () =
      from when its flow began taking ∫r from the reaction's closed
      form, and the fit solve's 2,372 from before Strang swept each
      story on its own.  A boxed float per cell and step would add
-     ~100,000 to an 8-story panel's count and ~5,000 to a fit solve's. *)
+     ~100,000 to an 8-story panel's count and ~5,000 to a fit solve's;
+     the evaluator's bound is its 6.0 words per call plus 20 %. *)
   Obs.set_enabled false;
   let words_per_story ~stories solve =
     solve ();
@@ -914,7 +915,26 @@ let test_panel_allocation_bound () =
            (Dl.Model.solve ~scheme:cfg.Dl.Fit.solver_scheme ~nx:cfg.Dl.Fit.solver_nx
               ~dt:cfg.Dl.Fit.solver_dt ~workspace:ws1 Dl.Params.paper_hops ~phi
               ~times:cfg.Dl.Fit.fit_times)))
-    2846.
+    2846.;
+  (* what /predict runs per point: one evaluator call on a 101-node,
+     six-snapshot solution, 6.0 words (the boxed x, t and result); a
+     polymorphic Interp.bracket boxes a float per probe and reads 25.0 *)
+  let ev =
+    Pde.evaluator
+      (Dl.Model.solve Dl.Params.paper_hops ~phi ~times:[| 1.; 2.; 3.; 4.; 5.; 6. |])
+        .Dl.Model.pde
+  in
+  let calls = 100_000 in
+  let acc = ref 0. in
+  let w0 = Gc.minor_words () in
+  for k = 0 to calls - 1 do
+    let u = float_of_int (k land 1023) /. 1024. in
+    acc := !acc +. ev ~x:(1. +. (u *. 5.)) ~t:(1. +. (5. *. u))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  ignore (Sys.opaque_identity !acc);
+  if words > 7.2 then
+    Alcotest.failf "evaluator: %.1f minor words per call, bound 7.2" words
 
 (* --- mass conservation on the factored diffusion path (qcheck) --- *)
 

@@ -131,8 +131,23 @@ let printf_number v =
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
+(* [v] moved [n] ulps *)
+let rec ulps v n =
+  if n > 0 then ulps (Float.succ v) (n - 1)
+  else if n < 0 then ulps (Float.pred v) (n + 1)
+  else v
+
+(* Where the renderer's cases meet: 10^k for k = -8..18 (1e-5/1e-4 and
+   1e16/1e17 are %g's switches between layouts), and 2^-19 and 2^57,
+   the ends of the range it writes without printf. *)
+let renderer_edges =
+  Float.ldexp 1. (-19) :: Float.ldexp 1. 57
+  :: List.init 27 (fun i -> float_of_string (Printf.sprintf "1e%d" (i - 8)))
+
 (* Bit patterns: uniform, then each binade's edges, subnormals, zeros,
-   integers on both sides of 1e15, and the non-finite values. *)
+   integers on both sides of 1e15, and the non-finite values; then the
+   renderer's edge cases: exact ties of the 17th digit and values a few
+   ulps around [renderer_edges], with their negatives. *)
 let float_bits_gen =
   let open QCheck.Gen in
   let of_bits = map Int64.float_of_bits in
@@ -151,13 +166,34 @@ let float_bits_gen =
       (1, signed (map (fun e -> 2. ** float_of_int (e - 1074)) (int_bound 2097)));
       (* the values a density response is made of *)
       (2, map2 (fun a b -> float_of_int a /. float_of_int (b + 1)) (int_bound 100_000) (int_bound 9999));
+      (* exact ties of the 17th digit, rounded half to even:
+         177082613457.171875 up to ...17188, 1225793044686.15625 down
+         to ...1562, and v = m/2^(17-X) for odd m in [10^X, 10^(X+1)),
+         where v·10^(16-X) = m·5^(16-X)/2 is an odd number of halves *)
+      (1, signed (oneofl [ 0x1.49d791f689600p+37; 0x1.1d66f580ce280p+40 ]));
+      (2, signed
+            (map2
+               (fun x u ->
+                 let j = 17 - x in
+                 let lo = Float.ldexp (10. ** float_of_int x) j in
+                 Float.ldexp (float_of_int (int_of_float (lo +. (u *. 9. *. lo)) lor 1)) (-j))
+               (int_range (-5) 14) (float_bound_exclusive 1.)));
+      (2, signed (map2 ulps (oneofl renderer_edges) (int_range (-3) 3)));
+      (* whole binades at the ends of the renderer's range *)
+      (1, signed
+            (map2
+               (fun be m ->
+                 Int64.float_of_bits
+                   (Int64.logor (Int64.shift_left (Int64.of_int be) 52)
+                      (Int64.shift_right_logical m 12)))
+               (oneofl [ 1003; 1004; 1079; 1080 ]) ui64));
     ]
 
+let print_bits v = Printf.sprintf "%h (bits %Lx)" v (Int64.bits_of_float v)
+
 let prop_json_number_bytes =
-  QCheck.Test.make ~count:3000 ~name:"json numbers print as their Printf formats"
-    (QCheck.make
-       ~print:(fun v -> Printf.sprintf "%h (bits %Lx)" v (Int64.bits_of_float v))
-       float_bits_gen)
+  QCheck.Test.make ~count:100_000 ~name:"json numbers print as their Printf formats"
+    (QCheck.make ~print:print_bits float_bits_gen)
     (fun v ->
       J.to_string (J.Number v) = printf_number v
       && J.to_string (J.List [ J.Number v; J.Number v ])
@@ -1625,6 +1661,91 @@ let test_thousand_connection_drain () =
   | Unix.WSIGNALED s | Unix.WSTOPPED s ->
     Alcotest.failf "server stopped by signal %d" s
 
+(* --- the %.17g renderer (Obs.float_17g_into) --- *)
+
+let test_number_ties () =
+  List.iter
+    (fun (v, s) ->
+      Alcotest.(check string) (Printf.sprintf "%h" v) s (J.to_string (J.Number v));
+      Alcotest.(check string) (Printf.sprintf "%h" (-.v)) ("-" ^ s)
+        (J.to_string (J.Number (-.v))))
+    [ (0x1.49d791f689600p+37, "177082613457.17188");
+      (0x1.1d66f580ce280p+40, "1225793044686.1562") ]
+
+let prop_obs_json_float =
+  QCheck.Test.make ~count:50_000 ~name:"obs json_float prints %.17g"
+    (QCheck.make ~print:print_bits float_bits_gen)
+    (fun v ->
+      Obs.json_float v
+      = if Float.is_finite v then Printf.sprintf "%.17g" v else "null")
+
+let prop_prometheus_gauge_bytes =
+  QCheck.Test.make ~count:1000 ~name:"prometheus gauges print %.17g"
+    (QCheck.make ~print:print_bits float_bits_gen)
+    (fun v ->
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+      let body =
+        Obs.Shard.with_shard (Obs.Shard.create ()) (fun () ->
+            Obs.Metrics.set (Obs.Metrics.gauge "test.prom_gauge") v;
+            Obs.Metrics.to_prometheus_string ())
+      in
+      let value =
+        if Float.is_nan v then "NaN"
+        else if v = Float.infinity then "+Inf"
+        else if v = Float.neg_infinity then "-Inf"
+        else Printf.sprintf "%.17g" v
+      in
+      contains ~needle:("\ndlosn_test_prom_gauge " ^ value ^ "\n") body)
+
+(* A /predict response of 200 points, x on a 0.1 grid, some t integral *)
+let predict_document () =
+  let point i =
+    let x = 1. +. (float_of_int (i mod 51) /. 10.) in
+    let t =
+      if i mod 4 = 0 then float_of_int (2 + (i mod 5))
+      else 1.5 +. (float_of_int (i mod 46) /. 10.)
+    in
+    J.Object
+      [ ("x", J.Number x); ("t", J.Number t);
+        ("density", J.Number (25. /. (1. +. exp (x -. t)))) ]
+  in
+  J.Object
+    [ ("fit", J.String "dl-0123456789abcdef"); ("count", J.Number 200.);
+      ("results", J.List (List.init 200 point)) ]
+
+let test_predict_render_allocation () =
+  (* Rendering with printf allocated a string per number: 5,987 minor
+     words for this document (OCaml 5.1.1).  The renderer writes into
+     the document's buffer, and must not trade that for garbage of its
+     own. *)
+  let doc = predict_document () in
+  ignore (J.to_string doc);
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (J.to_string doc))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  if words > 5987. then
+    Alcotest.failf "to_string: %.0f minor words per document, bound 5987" words
+
+let test_serialize_response_bytes () =
+  let resp =
+    Serve.Http.response ~content_type:"application/json"
+      ~extra_headers:[ ("X-Trace-Id", "0123abcd") ] 200 {|{"ok":true}|}
+  in
+  let head =
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+     X-Trace-Id: 0123abcd\r\n"
+  in
+  Alcotest.(check string) "keep-alive"
+    (head ^ "Connection: keep-alive\r\n\r\n{\"ok\":true}")
+    (Serve.Http.serialize_response ~keep_alive:true resp);
+  Alcotest.(check string) "close"
+    (head ^ "Connection: close\r\n\r\n{\"ok\":true}")
+    (Serve.Http.serialize_response ~keep_alive:false resp)
+
 let suite =
   [
     Alcotest.test_case "json round-trips" `Quick test_json_roundtrip;
@@ -1679,4 +1800,12 @@ let suite =
       test_connection_close_honoured;
     Alcotest.test_case "1000-connection drain" `Slow
       test_thousand_connection_drain;
+    Alcotest.test_case "json number ties round half to even" `Quick
+      test_number_ties;
+    QCheck_alcotest.to_alcotest prop_obs_json_float;
+    QCheck_alcotest.to_alcotest prop_prometheus_gauge_bytes;
+    Alcotest.test_case "predict render allocation" `Quick
+      test_predict_render_allocation;
+    Alcotest.test_case "response head bytes" `Quick
+      test_serialize_response_bytes;
   ]
